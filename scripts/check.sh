@@ -17,6 +17,12 @@
 #                                      # cache, broker + the usfq_serve
 #                                      # 1000-request smoke) under
 #                                      # default and ASan builds
+#   ./scripts/check.sh tsan            # concurrency gate: the svc tier
+#                                      # (broker facts table + result
+#                                      # cache under N workers, the C ABI
+#                                      # hammer tests) plus the
+#                                      # svc_serve_smoke, under
+#                                      # ThreadSanitizer only
 #   ./scripts/check.sh gen             # design-space compiler gate: the
 #                                      # gen tier (spec round-trips,
 #                                      # balancer convergence, the 500-spec
@@ -57,7 +63,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 mode="default"
 if [[ "${1:-}" == "bench-artifacts" || "${1:-}" == "diff" ||
       "${1:-}" == "batch" || "${1:-}" == "svc" ||
-      "${1:-}" == "gen" || "${1:-}" == "noc" ||
+      "${1:-}" == "gen" || "${1:-}" == "noc" || "${1:-}" == "tsan" ||
       "${1:-}" == "regress" || "${1:-}" == "obs" ]]; then
     mode="$1"
     shift
@@ -86,6 +92,13 @@ elif [[ "$mode" == "svc" ]]; then
     # bit-identity, broker behavior, and the usfq_serve smoke that
     # pushes >=1000 mixed requests through the worker pool and checks
     # every response against a direct engine run.
+    ctest_args=(-L 'svc' "${ctest_args[@]}")
+elif [[ "$mode" == "tsan" ]]; then
+    # The concurrency gate (docs/service.md, "Thread safety"): the svc
+    # tier -- broker workers sharing the design-facts table and the
+    # result cache, per-thread fatal() modes, the C ABI hammer tests --
+    # and the svc_serve_smoke (already in the svc label), under
+    # ThreadSanitizer.
     ctest_args=(-L 'svc' "${ctest_args[@]}")
 elif [[ "$mode" == "gen" ]]; then
     # The design-space compiler gate (docs/synthesis.md): spec JSON
@@ -183,6 +196,15 @@ if [[ "$mode" == "regress" || "$mode" == "obs" ]]; then
     echo "==> [regress] diffing fresh artifacts against ./artifacts"
     "$repo/build/bench/bench_diff" "$baseline" "$tmproot/fresh"
     echo "==> ${mode} gate passed"
+    exit 0
+fi
+
+if [[ "$mode" == "tsan" ]]; then
+    # halt_on_error: a race report fails the stage, not just the log.
+    TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+        run_config tsan "$repo/build-tsan" -DUSFQ_SANITIZE=thread \
+        -DUSFQ_BUILD_BENCH=OFF
+    echo "==> tsan gate passed"
     exit 0
 fi
 

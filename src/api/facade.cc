@@ -532,13 +532,13 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
  * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
  * leg walks the slot-set mirror (gen/functional.hh); the pulse leg
  * rebuilds the balanced datapath per epoch (shard isolation).  The
- * balancing pass runs once up front -- it is part of the design, not
- * of any epoch.
+ * balancing pass @p bo is part of the design, not of any epoch: it
+ * arrives with the spec's DesignFacts.
  */
 std::vector<long long>
-runGen(const NetlistSpec &spec, const RunParams &params)
+runGen(const NetlistSpec &spec, const RunParams &params,
+       const gen::BalanceOutcome &bo)
 {
-    const gen::BalanceOutcome bo = gen::balanceDesign(spec.gen);
     if (!bo.converged())
         fatal("gen run: balancing %s: %s",
               gen::balanceStatusName(bo.status), bo.detail.c_str());
@@ -729,8 +729,18 @@ statusName(Status status)
     return "?";
 }
 
+namespace
+{
+
+/**
+ * buildNetlist, also handing out a Gen spec's converged balancing pass
+ * through @p balance.  The balancer's STA counters are compile-time
+ * facts, not results: they land in a private registry, never in a
+ * run's or the process-global one (which concurrent sessions share).
+ */
 bool
-buildNetlist(const NetlistSpec &spec, Netlist &nl, std::string *err)
+buildDesign(const NetlistSpec &spec, Netlist &nl, std::string *err,
+            std::optional<gen::BalanceOutcome> *balance)
 {
     std::string msg;
     if (!spec.validate(&msg)) {
@@ -776,7 +786,9 @@ buildNetlist(const NetlistSpec &spec, Netlist &nl, std::string *err)
         break;
     }
     case WorkloadKind::Gen: {
-        const gen::BalanceOutcome bo = gen::balanceDesign(spec.gen);
+        obs::StatsRegistry compileStats;
+        obs::ScopedStatsRegistry guard(compileStats);
+        gen::BalanceOutcome bo = gen::balanceDesign(spec.gen);
         if (!bo.converged()) {
             if (err != nullptr)
                 *err = std::string("gen: balancing ") +
@@ -790,6 +802,8 @@ buildNetlist(const NetlistSpec &spec, Netlist &nl, std::string *err)
         // hash covers stimulus anchors, and per-run epoch draws must
         // not move the cache key (same rationale as NocMesh).
         dp.programEpoch({spec.gen.nmax(), {}});
+        if (balance != nullptr)
+            *balance = std::move(bo);
         break;
     }
     }
@@ -805,6 +819,14 @@ buildNetlist(const NetlistSpec &spec, Netlist &nl, std::string *err)
                  "svc spec: stimulus-less device under test");
     }
     return true;
+}
+
+} // namespace
+
+bool
+buildNetlist(const NetlistSpec &spec, Netlist &nl, std::string *err)
+{
+    return buildDesign(spec, nl, err, nullptr);
 }
 
 std::uint64_t
@@ -827,17 +849,27 @@ structuralHash(Netlist &nl)
 RunResult
 runWorkload(const NetlistSpec &spec, const RunParams &params)
 {
-    RunResult out;
-    out.backend = params.backend;
-    obs::ScopedStatsRegistry guard(out.stats);
-
+    // The facts runWorkload reads (all but the structural hash, which
+    // would need a lint-clean elaboration) from a scratch build.
+    DesignFacts facts;
     {
         Netlist scratch;
         std::string err;
-        if (!buildNetlist(spec, scratch, &err))
+        if (!buildDesign(spec, scratch, &err, &facts.balance))
             fatal("runWorkload: %s", err.c_str());
-        out.totalJJ = scratch.totalJJs();
+        facts.totalJJ = scratch.totalJJs();
     }
+    return runWorkload(spec, params, facts);
+}
+
+RunResult
+runWorkload(const NetlistSpec &spec, const RunParams &params,
+            const DesignFacts &facts)
+{
+    RunResult out;
+    out.backend = params.backend;
+    out.totalJJ = facts.totalJJ;
+    obs::ScopedStatsRegistry guard(out.stats);
 
     switch (spec.kind) {
     case WorkloadKind::Dpu:
@@ -858,7 +890,10 @@ runWorkload(const NetlistSpec &spec, const RunParams &params)
         out.counts = runNocMesh(spec, params);
         break;
     case WorkloadKind::Gen:
-        out.counts = runGen(spec, params);
+        if (!facts.balance.has_value())
+            fatal("runWorkload: gen design facts carry no balancing "
+                  "outcome");
+        out.counts = runGen(spec, params, *facts.balance);
         break;
     }
     out.checksum = countsChecksum(out.counts);
@@ -983,7 +1018,7 @@ Session::build()
     ScopedFatalThrow guard;
     try {
         auto fresh = std::make_unique<Netlist>("svc");
-        if (!buildNetlist(sp, *fresh, &err))
+        if (!buildDesign(sp, *fresh, &err, &balance))
             return failWith(Status::InvalidArg, err);
         nl = std::move(fresh);
     } catch (const FatalError &e) {
@@ -1033,6 +1068,10 @@ Session::analyzeTiming()
     if (const Status s = elaborate(); s != Status::Ok)
         return s;
     ScopedFatalThrow guard;
+    // STA counters stay out of the process-global registry, which
+    // sessions on other threads would share.
+    obs::StatsRegistry staStats;
+    obs::ScopedStatsRegistry statsGuard(staStats);
     try {
         StaOptions opts;
         opts.anchorMode = sp.kind == WorkloadKind::Inverter ||
@@ -1094,7 +1133,8 @@ Session::analyzeTiming()
 }
 
 Status
-Session::run(const RunParams &params, RunResult &out)
+Session::run(const RunParams &params, RunResult &out,
+             const DesignFacts *facts)
 {
     std::string err;
     if (!sp.validate(&err))
@@ -1123,7 +1163,8 @@ Session::run(const RunParams &params, RunResult &out)
     }
     ScopedFatalThrow guard;
     try {
-        out = runWorkload(sp, params);
+        out = facts != nullptr ? runWorkload(sp, params, *facts)
+                               : runWorkload(sp, params);
     } catch (const FatalError &e) {
         return failWith(Status::RunError, e.what());
     } catch (const std::exception &e) {
@@ -1145,6 +1186,18 @@ Session::contentHash(std::uint64_t &out)
     } catch (const std::exception &e) {
         return failWith(Status::Internal, e.what());
     }
+    return Status::Ok;
+}
+
+Status
+Session::designFacts(DesignFacts &out)
+{
+    std::uint64_t structural = 0;
+    if (const Status st = contentHash(structural); st != Status::Ok)
+        return st;
+    out.structural = structural;
+    out.totalJJ = nl->totalJJs();
+    out.balance = balance;
     return Status::Ok;
 }
 

@@ -18,10 +18,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "api/spec.hh"
+#include "gen/balance.hh"
 #include "obs/stats.hh"
 #include "sim/elaborate.hh"
 #include "sta/sta.hh"
@@ -76,6 +78,26 @@ struct RunResult
 };
 
 /**
+ * What a spec's design is, independent of any run: a pure function of
+ * the NetlistSpec (the NoC and gen stimuli that buildNetlist programs
+ * are pinned, not drawn per run), so a service derives it once per
+ * spec and reuses it for every request (docs/service.md, "Request
+ * broker").  Session::designFacts derives it; runWorkload reads
+ * totalJJ and balance from it instead of rebuilding or rebalancing.
+ */
+struct DesignFacts
+{
+    /** structuralHash of the elaborated netlist. */
+    std::uint64_t structural = 0;
+
+    /** JJ area of the built netlist (RunResult::totalJJ). */
+    long long totalJJ = 0;
+
+    /** The converged balancing pass (Gen specs only). */
+    std::optional<gen::BalanceOutcome> balance;
+};
+
+/**
  * Build the spec's netlist into @p nl: the device under test, plus
  * stimulus (Inverter kind) and the area-study waivers the spec asks
  * for.  Does not elaborate.  Returns false with @p err set when the
@@ -101,6 +123,14 @@ std::uint64_t structuralHash(Netlist &nl);
  * engine fatals; Session::run wraps this with the Status conversion.
  */
 RunResult runWorkload(const NetlistSpec &spec, const RunParams &params);
+
+/**
+ * runWorkload over the spec's already-derived @p facts: no scratch
+ * netlist, and a Gen design is not balanced again.  Bit-identical to
+ * runWorkload(spec, params).
+ */
+RunResult runWorkload(const NetlistSpec &spec, const RunParams &params,
+                      const DesignFacts &facts);
 
 /**
  * Serialize a run result in the artifact wire format (the PR-4
@@ -151,11 +181,22 @@ class Session
      */
     Status analyzeTiming();
 
-    /** Evaluate the workload; independent of the session netlist. */
-    Status run(const RunParams &params, RunResult &out);
+    /**
+     * Evaluate the workload; independent of the session netlist.  With
+     * @p facts (the spec's, from designFacts()) the run reuses them.
+     */
+    Status run(const RunParams &params, RunResult &out,
+               const DesignFacts *facts = nullptr);
 
     /** Structural hash of the elaborated session netlist. */
     Status contentHash(std::uint64_t &out);
+
+    /**
+     * The spec's design facts: builds, lints and elaborates the
+     * session netlist, so a failure carries the same Status and
+     * message as elaborate() / contentHash().
+     */
+    Status designFacts(DesignFacts &out);
 
     /** Findings of the last elaborate()/analyzeTiming() call. */
     const std::vector<LintFinding> &findings() const
@@ -177,6 +218,7 @@ class Session
 
     NetlistSpec sp;
     std::unique_ptr<Netlist> nl;
+    std::optional<gen::BalanceOutcome> balance; ///< set by build (Gen)
     std::unique_ptr<StaReport> sta;
     std::vector<LintFinding> lastFindings;
     std::string errMsg;

@@ -14,6 +14,15 @@
  *    bring the host process down.
  *  - Strings returned through `char **` out-parameters are owned by
  *    the caller and must be released with usfq_string_free().
+ *  - Thread safety: an engine is single-threaded -- never call into
+ *    one usfq_engine from two threads at once (it builds its netlist
+ *    lazily and records its last error and metrics without a lock).
+ *    Distinct engines may run on distinct threads concurrently.  A
+ *    usfq_cache and a usfq_broker are thread-safe: any number of
+ *    threads may share one (each thread bringing its own engines to a
+ *    shared cache).  The fatal-throw mode is per thread, so concurrent
+ *    calls never disarm each other.  Creating and destroying a handle
+ *    is not concurrent with its use.
  *
  * Typical round trip (api_test.cpp drives exactly this):
  *
@@ -52,7 +61,8 @@ typedef enum usfq_status {
     USFQ_ERR_INTERNAL = 7      /* unexpected failure (a bug) */
 } usfq_status;
 
-/** One engine instance: a session over one netlist spec. */
+/** One engine instance: a session over one netlist spec.  Single-
+ *  threaded: use one engine per thread (see the file comment). */
 typedef struct usfq_engine usfq_engine;
 
 /** ABI version of the linked library (compare with USFQ_ABI_VERSION). */
@@ -131,7 +141,9 @@ int32_t usfq_engine_metrics(usfq_engine *engine, char **out_json);
  * Shared result cache (src/svc/cache.hh): a bounded LRU keyed on the
  * content address of a run -- structural hash of the elaborated
  * netlist, spec hash, backend, seed, result-affecting params.  One
- * cache can serve many engines.  These entry points live in the
+ * cache can serve many engines, on any number of threads (the cache
+ * is thread-safe; each engine stays on one thread).  These entry
+ * points live in the
  * service library: link usfq_svc (not just usfq_api) to use them.
  */
 typedef struct usfq_cache usfq_cache;
@@ -169,7 +181,8 @@ int32_t usfq_engine_run_cached(usfq_engine *engine, usfq_cache *cache,
 /**
  * The request broker (src/svc/broker.hh) behind a flat handle: a
  * bounded queue feeding a worker pool with backend auto-selection and
- * a private result cache.  Lives in the service library like
+ * a private result cache.  Thread-safe: any number of threads may call
+ * usfq_broker_run on one broker.  Lives in the service library like
  * usfq_cache: link usfq_svc to use it.
  */
 typedef struct usfq_broker usfq_broker;
@@ -186,8 +199,9 @@ int32_t usfq_broker_create(int32_t workers, uint64_t queue_capacity,
 void usfq_broker_destroy(usfq_broker *broker);
 
 /**
- * Message describing the broker handle's last non-OK status (empty
- * string when none).  Owned by the broker; valid until the next call.
+ * Message describing the calling thread's last non-OK status on this
+ * broker (empty string when none).  Owned by the broker; valid until
+ * the calling thread's next call on it.
  */
 const char *usfq_broker_last_error(const usfq_broker *broker);
 

@@ -71,6 +71,8 @@ struct BalanceOutcome
     bool hasWorstSlack = false;
 
     bool converged() const { return status == BalanceStatus::Converged; }
+
+    bool operator==(const BalanceOutcome &other) const = default;
 };
 
 /**

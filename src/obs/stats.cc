@@ -1,5 +1,6 @@
 #include "obs/stats.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <ostream>
@@ -260,26 +261,31 @@ ScopedStatsRegistry::~ScopedStatsRegistry()
 namespace
 {
 
-/** -1 = not yet resolved from the environment. */
-int kernelStatsState = -1;
+/**
+ * -1 = not yet resolved from the environment.  Atomic: broker workers
+ * and sweep threads resolve it concurrently (relaxed -- every thread
+ * resolves to the same value).
+ */
+std::atomic<int> kernelStatsState{-1};
 
 } // namespace
 
 bool
 kernelStatsEnabled()
 {
-    if (kernelStatsState < 0) {
+    int state = kernelStatsState.load(std::memory_order_relaxed);
+    if (state < 0) {
         const char *env = std::getenv("USFQ_OBS");
-        kernelStatsState =
-            (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
+        state = (env != nullptr && env[0] != '\0' && env[0] != '0') ? 1 : 0;
+        kernelStatsState.store(state, std::memory_order_relaxed);
     }
-    return kernelStatsState == 1;
+    return state == 1;
 }
 
 void
 setKernelStatsEnabled(bool enabled)
 {
-    kernelStatsState = enabled ? 1 : 0;
+    kernelStatsState.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 void

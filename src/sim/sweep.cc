@@ -61,8 +61,12 @@ runIndexed(std::size_t n, int threads,
     std::atomic<std::size_t> next{0};
     std::exception_ptr firstError;
     std::mutex errorLock;
+    // fatal() dispositions are per thread: a shard body must fail the
+    // way the caller asked (exit, or throw into the rethrow below).
+    const FatalMode callerMode = fatalMode();
 
     auto worker = [&] {
+        setFatalMode(callerMode);
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

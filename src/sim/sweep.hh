@@ -129,8 +129,9 @@ namespace detail
 
 /**
  * Run @p fn(i) for every i in [0, n), self-scheduled over @p threads
- * workers (inline when threads == 1).  The first exception thrown by
- * any shard is rethrown on the caller after all workers join.
+ * workers (inline when threads == 1).  Pool threads run in the
+ * caller's fatal() mode (util/logging.hh); the first exception thrown
+ * by any shard is rethrown on the caller after all workers join.
  */
 void runIndexed(std::size_t n, int threads,
                 const std::function<void(std::size_t)> &fn);

@@ -9,7 +9,8 @@ namespace usfq::svc
 {
 
 Broker::Broker(BrokerOptions options)
-    : opts(options), cache(options.cacheCapacity)
+    : opts(options), cache(options.cacheCapacity),
+      factsTable(options.cacheCapacity)
 {
     if (opts.workers < 1)
         opts.workers = 1;
@@ -181,37 +182,38 @@ Broker::process(std::uint64_t id, const Request &request,
     params.backend = resolveBackend(request);
     response.backend = params.backend;
 
-    api::Session session(request.spec);
-
+    // Level one: spec -> design facts.  A table hit skips the Session
+    // (build, lint, elaborate, hash, gen balancing) entirely.
     CacheKey key;
+    std::shared_ptr<const api::DesignFacts> facts;
     {
         obs::ScopedSpan span(trace, "elaborate");
-        // Elaborate first: a spec that does not lint never reaches
-        // the cache or an engine, and the finding-derived message
-        // survives in the response.
-        if (const api::Status s = session.elaborate();
-            s != api::Status::Ok) {
-            response.status = s;
-            response.error = session.lastError();
-            return response;
+        facts = factsTable.lookup(request.spec);
+        if (facts == nullptr) {
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                ++counters.keyDerivations;
+            }
+            // Derive through a Session: a spec that does not lint
+            // never reaches the cache or an engine, and the
+            // finding-derived message survives in the response.
+            api::Session session(request.spec);
+            api::DesignFacts derived;
+            if (const api::Status s = session.designFacts(derived);
+                s != api::Status::Ok) {
+                response.status = s;
+                response.error = session.lastError();
+                return response;
+            }
+            facts = std::make_shared<const api::DesignFacts>(
+                std::move(derived));
+            factsTable.insert(request.spec, facts);
         }
-
-        std::uint64_t structural = 0;
-        if (const api::Status s = session.contentHash(structural);
-            s != api::Status::Ok) {
-            response.status = s;
-            response.error = session.lastError();
-            return response;
-        }
-        response.structural = structural;
-
-        key.structural = structural;
-        key.spec = api::specHash(request.spec);
-        key.params = api::runParamsKeyHash(params);
-        key.backend = params.backend;
-        key.seed = params.seed;
+        response.structural = facts->structural;
+        key = cacheKeyFor(request.spec, *facts, params);
     }
 
+    // Level two: result key -> result document.
     {
         obs::ScopedSpan span(trace, "cache_probe");
         std::optional<std::string> hit = cache.lookup(key);
@@ -226,7 +228,8 @@ Broker::process(std::uint64_t id, const Request &request,
     api::RunResult result;
     {
         obs::ScopedSpan span(trace, "run");
-        if (const api::Status s = session.run(params, result);
+        api::Session session(request.spec);
+        if (const api::Status s = session.run(params, result, facts.get());
             s != api::Status::Ok) {
             response.status = s;
             response.error = session.lastError();

@@ -5,19 +5,21 @@
  * (reject-with-backpressure instead of unbounded queueing), backend
  * auto-selection (functional for throughput requests, pulse-level for
  * audit requests) and a shared content-addressed result cache
- * (svc/cache.hh).
+ * (svc/cache.hh) behind a design-facts table (svc/facts.hh): a request
+ * whose spec was seen before builds its cache key with no netlist.
  *
- * Each request runs in its own api::Session, so lint/STA/run failures
- * come back as a Status in the Response -- a poisoned request can
- * never take the broker (or the host) down.  Each run's deterministic
- * stats registry is retained per request id; mergedStats() folds them
- * in ascending id order, so the roll-up is independent of worker
- * scheduling.
+ * Each derivation and each run uses its own api::Session, so
+ * lint/STA/run failures come back as a Status in the Response -- a
+ * poisoned request can never take the broker (or the host) down.
+ * Each run's deterministic stats registry is retained per request id;
+ * mergedStats() folds them in ascending id order, so the roll-up is
+ * independent of worker scheduling.
  *
  * When tracing is on (obs/trace.hh), every admitted request opens a
  * trace at submit() and its context crosses the queue to the worker
  * that runs it: a root "request" span plus child spans for the queue
- * wait, cache probe (hit/miss), session elaborate/run, and response
+ * wait, design-facts lookup ("elaborate", which derives the facts on a
+ * table miss), cache probe (hit/miss), run, and response
  * serialization -- the whole serving story of one request as one span
  * chain in the Perfetto export (docs/observability.md).
  */
@@ -41,6 +43,7 @@
 #include "obs/stats.hh"
 #include "obs/trace.hh"
 #include "svc/cache.hh"
+#include "svc/facts.hh"
 
 namespace usfq::svc
 {
@@ -58,7 +61,8 @@ struct BrokerOptions
      */
     std::size_t queueCapacity = 64;
 
-    /** Result-cache capacity in entries. */
+    /** Result-cache capacity in entries (the design-facts table is
+     *  bounded by the same number). */
     std::size_t cacheCapacity = 256;
 };
 
@@ -129,6 +133,12 @@ struct BrokerStats
     std::uint64_t completed = 0;
     std::uint64_t failed = 0; ///< completed with status != Ok
 
+    /**
+     * Design-facts derivations (Session build, lint, elaborate, hash
+     * and gen balancing): one per facts-table miss, failures included.
+     */
+    std::uint64_t keyDerivations = 0;
+
     /** Deepest the pending queue ever got (admission high-water). */
     std::uint64_t queueDepthHighWater = 0;
 
@@ -164,6 +174,9 @@ class Broker
     BrokerStats stats() const;
     CacheStats cacheStats() const { return cache.stats(); }
 
+    /** Specs currently memoised in the design-facts table. */
+    std::size_t factsSize() const { return factsTable.size(); }
+
     /**
      * Fold the per-request stats registries of every completed request
      * into one, in ascending request-id order -- deterministic however
@@ -195,6 +208,7 @@ class Broker
 
     BrokerOptions opts;
     ResultCache cache;
+    FactsTable factsTable;
 
     mutable std::mutex mu;
     std::condition_variable cvQueue; ///< workers wait for work

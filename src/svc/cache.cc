@@ -35,8 +35,17 @@ CacheKey
 cacheKeyFor(const api::NetlistSpec &spec, Netlist &nl,
             const api::RunParams &params)
 {
+    api::DesignFacts facts;
+    facts.structural = api::structuralHash(nl);
+    return cacheKeyFor(spec, facts, params);
+}
+
+CacheKey
+cacheKeyFor(const api::NetlistSpec &spec, const api::DesignFacts &facts,
+            const api::RunParams &params)
+{
     CacheKey key;
-    key.structural = api::structuralHash(nl);
+    key.structural = facts.structural;
     key.spec = api::specHash(spec);
     key.params = api::runParamsKeyHash(params);
     key.backend = params.backend;
@@ -44,61 +53,50 @@ cacheKeyFor(const api::NetlistSpec &spec, Netlist &nl,
     return key;
 }
 
-ResultCache::ResultCache(std::size_t capacity)
-    : cap(capacity == 0 ? 1 : capacity)
-{
-}
+ResultCache::ResultCache(std::size_t capacity) : entries(capacity) {}
 
 std::optional<std::string>
 ResultCache::lookup(const CacheKey &key)
 {
     std::lock_guard<std::mutex> lock(mu);
-    const auto it = index.find(key);
-    if (it == index.end()) {
+    const std::string *json = entries.find(key);
+    if (json == nullptr) {
         ++counters.misses;
         return std::nullopt;
     }
     ++counters.hits;
-    lru.splice(lru.begin(), lru, it->second);
-    return it->second->json;
+    return *json;
 }
 
 void
 ResultCache::insert(const CacheKey &key, std::string result_json)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (index.find(key) != index.end())
-        return;
-    lru.push_front(Entry{key, std::move(result_json)});
-    index.emplace(key, lru.begin());
-    ++counters.insertions;
-    while (lru.size() > cap) {
-        index.erase(lru.back().key);
-        lru.pop_back();
-        ++counters.evictions;
-    }
+    if (entries.insert(key, std::move(result_json)))
+        ++counters.insertions;
 }
 
 CacheStats
 ResultCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return counters;
+    CacheStats out = counters;
+    out.evictions = entries.evictions();
+    return out;
 }
 
 std::size_t
 ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return lru.size();
+    return entries.size();
 }
 
 void
 ResultCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
-    lru.clear();
-    index.clear();
+    entries.clear();
     counters = CacheStats{};
 }
 

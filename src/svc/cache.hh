@@ -18,7 +18,7 @@
  * the key (the engine's bit-identity contracts make them
  * cache-transparent).
  *
- * Concurrency: one mutex around an intrusive LRU (list + index).
+ * Concurrency: one mutex around the service LRU (svc/lru.hh).
  * Lookups and inserts are O(1); the broker's workers share one cache.
  */
 
@@ -26,18 +26,22 @@
 #define USFQ_SVC_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "api/spec.hh"
 #include "sim/backend.hh"
+#include "svc/lru.hh"
 
 namespace usfq
 {
 class Netlist;
+}
+
+namespace usfq::api
+{
+struct DesignFacts;
 }
 
 namespace usfq::svc
@@ -78,6 +82,11 @@ struct CacheKeyHash
  * when the netlist is untrusted).
  */
 CacheKey cacheKeyFor(const api::NetlistSpec &spec, Netlist &nl,
+                     const api::RunParams &params);
+
+/** The same key from a spec's memoised design facts: no netlist. */
+CacheKey cacheKeyFor(const api::NetlistSpec &spec,
+                     const api::DesignFacts &facts,
                      const api::RunParams &params);
 
 /** Hit/miss accounting of one cache instance. */
@@ -122,23 +131,13 @@ class ResultCache
 
     CacheStats stats() const;
     std::size_t size() const;
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return entries.capacity(); }
     void clear();
 
   private:
-    struct Entry
-    {
-        CacheKey key;
-        std::string json;
-    };
-
     mutable std::mutex mu;
-    std::size_t cap;
-    std::list<Entry> lru; ///< front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator,
-                       CacheKeyHash>
-        index;
-    CacheStats counters;
+    Lru<CacheKey, std::string, CacheKeyHash> entries;
+    CacheStats counters; ///< evictions live in `entries`
 };
 
 } // namespace usfq::svc

@@ -16,6 +16,8 @@
 
 #include <chrono>
 #include <future>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -34,15 +36,36 @@ using usfq::JsonWriter;
 using usfq::api::abi::dupString;
 using usfq::api::abi::toStatus;
 
-/** The opaque broker handle: the service broker plus its last error. */
+/**
+ * The opaque broker handle: the service broker plus the last error of
+ * each calling thread, so concurrent callers never overwrite (or read
+ * half of) each other's message.
+ */
 struct usfq_broker
 {
     explicit usfq_broker(svc::BrokerOptions options) : broker(options)
     {
     }
 
+    /** The calling thread's error slot (std::map nodes never move). */
+    std::string &
+    lastError()
+    {
+        std::lock_guard<std::mutex> lock(errorsMu);
+        return errors[std::this_thread::get_id()];
+    }
+
+    const char *
+    lastErrorOfThisThread() const
+    {
+        std::lock_guard<std::mutex> lock(errorsMu);
+        const auto it = errors.find(std::this_thread::get_id());
+        return it != errors.end() ? it->second.c_str() : "";
+    }
+
     svc::Broker broker;
-    std::string lastError;
+    mutable std::mutex errorsMu;
+    std::map<std::thread::id, std::string> errors;
 };
 
 namespace
@@ -100,7 +123,7 @@ usfq_broker_destroy(usfq_broker *broker)
 const char *
 usfq_broker_last_error(const usfq_broker *broker)
 {
-    return broker == nullptr ? "" : broker->lastError.c_str();
+    return broker == nullptr ? "" : broker->lastErrorOfThisThread();
 }
 
 int32_t
@@ -111,22 +134,23 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
     if (broker == nullptr || spec_json == nullptr ||
         out_json == nullptr)
         return USFQ_ERR_INVALID_ARG;
-    broker->lastError.clear();
+    std::string &lastError = broker->lastError();
+    lastError.clear();
     try {
         svc::Request request;
         std::string err;
         if (!api::specFromJson(spec_json, request.spec, &err)) {
-            broker->lastError = err;
+            lastError = err;
             return USFQ_ERR_PARSE;
         }
         if (params_json != nullptr &&
             !api::runParamsFromJson(params_json, request.params,
                                     &err)) {
-            broker->lastError = err;
+            lastError = err;
             return USFQ_ERR_PARSE;
         }
         if (!parseIntent(intent, request.intent)) {
-            broker->lastError =
+            lastError =
                 "broker: intent must be default, throughput or audit";
             return USFQ_ERR_INVALID_ARG;
         }
@@ -143,12 +167,12 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
         }
         const svc::Response response = future->get();
         if (response.status != api::Status::Ok) {
-            broker->lastError = response.error;
+            lastError = response.error;
             return toStatus(response.status);
         }
         char *copy = dupString(response.json);
         if (copy == nullptr) {
-            broker->lastError = "out of memory";
+            lastError = "out of memory";
             return USFQ_ERR_INTERNAL;
         }
         if (out_cache_hit != nullptr)
@@ -156,10 +180,10 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
         *out_json = copy;
         return USFQ_OK;
     } catch (const std::exception &e) {
-        broker->lastError = e.what();
+        lastError = e.what();
         return USFQ_ERR_INTERNAL;
     } catch (...) {
-        broker->lastError = "unknown exception";
+        lastError = "unknown exception";
         return USFQ_ERR_INTERNAL;
     }
 }

@@ -104,14 +104,14 @@ usfq_engine_run_cached(usfq_engine *engine, usfq_cache *cache,
                        : api::Status::ParseError;
         }
 
-        // Elaborate through the session so lint failures come back as
-        // a status (cacheKeyFor would fatal on an unlinted netlist).
-        if (const api::Status s = engine->session.elaborate();
+        // Derive through the session so lint failures come back as a
+        // status; a miss then runs from the same facts.
+        api::DesignFacts facts;
+        if (const api::Status s = engine->session.designFacts(facts);
             s != api::Status::Ok)
             return s;
-        const svc::CacheKey key = svc::cacheKeyFor(
-            engine->session.spec(), *engine->session.netlist(),
-            params);
+        const svc::CacheKey key =
+            svc::cacheKeyFor(engine->session.spec(), facts, params);
 
         if (std::optional<std::string> hit =
                 cache->cache.lookup(key);
@@ -128,7 +128,8 @@ usfq_engine_run_cached(usfq_engine *engine, usfq_cache *cache,
         }
 
         api::RunResult result;
-        if (const api::Status s = engine->session.run(params, result);
+        if (const api::Status s =
+                engine->session.run(params, result, &facts);
             s != api::Status::Ok)
             return s;
         std::string json = api::resultToJson(engine->session.spec(),

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 namespace usfq
@@ -14,7 +15,9 @@ namespace
 std::atomic<bool> quietMode{false};
 std::atomic<std::uint64_t> warnCalls{0};
 std::atomic<std::uint64_t> informCalls{0};
-std::atomic<FatalMode> fatalDisposition{FatalMode::Exit};
+// Per thread: one thread's ScopedFatalThrow must never change what a
+// fatal() on another thread does.
+thread_local FatalMode fatalDisposition = FatalMode::Exit;
 std::atomic<FatalCallback> fatalCb{nullptr};
 std::atomic<void *> fatalCbCtx{nullptr};
 
@@ -64,8 +67,7 @@ fatal(const char *fmt, ...)
     va_end(args);
     if (FatalCallback cb = fatalCb.load(std::memory_order_acquire))
         cb(s.c_str(), fatalCbCtx.load(std::memory_order_acquire));
-    if (fatalDisposition.load(std::memory_order_acquire) ==
-        FatalMode::Throw)
+    if (fatalDisposition == FatalMode::Throw)
         throw FatalError(s);
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
     std::exit(1);
@@ -74,13 +76,13 @@ fatal(const char *fmt, ...)
 FatalMode
 fatalMode()
 {
-    return fatalDisposition.load(std::memory_order_acquire);
+    return fatalDisposition;
 }
 
 FatalMode
 setFatalMode(FatalMode mode)
 {
-    return fatalDisposition.exchange(mode, std::memory_order_acq_rel);
+    return std::exchange(fatalDisposition, mode);
 }
 
 void

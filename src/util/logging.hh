@@ -60,10 +60,15 @@ std::string strprintf(const char *fmt, ...)
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Current process-wide fatal() disposition. */
+/**
+ * The calling thread's fatal() disposition.  Thread-local: every thread
+ * starts in Exit, and runSweep hands the caller's mode to its pool
+ * threads (sim/sweep.hh).
+ */
 FatalMode fatalMode();
 
-/** Set the fatal() disposition; returns the previous mode. */
+/** Set the calling thread's fatal() disposition; returns the previous
+ *  mode. */
 FatalMode setFatalMode(FatalMode mode);
 
 /**
@@ -76,12 +81,13 @@ using FatalCallback = void (*)(const char *message, void *ctx);
 void setFatalCallback(FatalCallback cb, void *ctx = nullptr);
 
 /**
- * RAII guard switching fatal() to FatalMode::Throw for its lifetime
- * (restoring the previous mode on destruction).  The mode is
- * process-wide, not thread-local, so sweep worker threads spawned
- * inside the guarded region inherit it and their FatalError propagates
- * back through runSweep's rethrow; overlapping guards on different
- * threads restore in destruction order.
+ * RAII guard switching the calling thread's fatal() to
+ * FatalMode::Throw for its lifetime (restoring the previous mode on
+ * destruction).  Guards on different threads are independent, so one
+ * broker worker leaving its guard cannot turn another worker's fatal()
+ * back into an exit.  Sweep pool threads spawned inside the guarded
+ * region start in the caller's mode, so their FatalError propagates
+ * back through runSweep's rethrow.
  */
 class ScopedFatalThrow
 {

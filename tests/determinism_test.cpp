@@ -24,6 +24,7 @@
 #include "sim/trace.hh"
 #include "sfq/faults.hh"
 #include "sfq/sources.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace usfq
@@ -151,6 +152,25 @@ TEST(Determinism, SweepIdenticalAcrossBatchWidths)
                 << "width=" << width << " threads=" << threads;
         }
     }
+}
+
+TEST(Determinism, SweepPoolThreadsRunInTheCallersFatalMode)
+{
+    // fatal() modes are per thread: a shard body on a pool thread must
+    // throw back into runSweep's rethrow when the caller asked for
+    // throw mode, not exit the process.
+    SweepOptions opt;
+    opt.threads = 4;
+    ScopedFatalThrow guard;
+    EXPECT_THROW(runSweep(
+                     8,
+                     [](const ShardContext &ctx) -> int {
+                         if (ctx.index == 5)
+                             fatal("shard %zu failed", ctx.index);
+                         return 0;
+                     },
+                     opt),
+                 FatalError);
 }
 
 TEST(Determinism, ShardSeedsAreStableAndDistinct)

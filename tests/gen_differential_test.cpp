@@ -7,7 +7,8 @@
  * simulation must match the functional slot-algebra mirror exactly --
  * per-epoch counts and the order-sensitive digest.  A facade slice
  * re-runs a subset through the service layer and pins the scalar /
- * batched / multi-threaded engine contracts bit for bit.
+ * batched / multi-threaded engine contracts bit for bit, and every
+ * spec's memoisable api::DesignFacts must equal a fresh compile.
  *
  * 500 specs is the documented floor (docs/synthesis.md); the spec
  * space is the randomDesignSpec() distribution, so every tree kind,
@@ -118,6 +119,43 @@ TEST(GenDifferential, RandomSpecsPulseVsFunctional)
         << "random spec distribution collapsed";
     EXPECT_GT(insertedTotal, 0)
         << "no random spec ever needed balancing padding";
+}
+
+TEST(GenDifferential, DesignFactsMatchAFreshCompile)
+{
+    // The facts a service memoises per spec (api::DesignFacts) must be
+    // exactly what a fresh compile gives, and running from them must be
+    // bit-identical to the self-contained run -- on every random spec.
+    Rng rng(0x9e3779b9ULL);
+    for (int i = 0; i < kSpecs; ++i) {
+        api::NetlistSpec sp;
+        sp.kind = api::WorkloadKind::Gen;
+        sp.name = "gfacts";
+        sp.gen = randomDesignSpec(rng);
+        const std::string what =
+            "spec " + std::to_string(i) + " (" + describe(sp.gen) + ")";
+
+        api::Session session(sp);
+        api::DesignFacts facts;
+        ASSERT_EQ(session.designFacts(facts), api::Status::Ok)
+            << what << ": " << session.lastError();
+        ASSERT_TRUE(facts.balance.has_value()) << what;
+        EXPECT_TRUE(*facts.balance == balanceDesign(sp.gen)) << what;
+
+        Netlist scratch;
+        ASSERT_TRUE(api::buildNetlist(sp, scratch)) << what;
+        EXPECT_EQ(facts.totalJJ, scratch.totalJJs()) << what;
+
+        api::RunParams params;
+        params.epochs = kEpochsPerSpec;
+        params.seed = 0xfac7ULL + static_cast<std::uint64_t>(i);
+        const api::RunResult direct = api::runWorkload(sp, params);
+        const api::RunResult fromFacts =
+            api::runWorkload(sp, params, facts);
+        EXPECT_EQ(fromFacts.counts, direct.counts) << what;
+        EXPECT_EQ(fromFacts.checksum, direct.checksum) << what;
+        EXPECT_EQ(fromFacts.totalJJ, direct.totalJJ) << what;
+    }
 }
 
 TEST(GenDifferential, FacadeBatchedAndThreadedBitIdentity)

@@ -3,9 +3,11 @@
  * Simulation-service tests (src/svc/, docs/service.md): the
  * content-addressed cache key (structural hash determinism and
  * sensitivity), the LRU result store, hit-vs-recompute bit identity
- * across batch widths and sweep thread counts, and the request broker
+ * across batch widths and sweep thread counts, the request broker
  * (completion, backend auto-selection, backpressure, deterministic
- * stats merging, error isolation).
+ * stats merging, error isolation) and its design-facts table (hits
+ * byte-identical to direct runs, no memoised failures, bounded size,
+ * one derivation per spec), plus the C ABI under concurrent callers.
  */
 
 #include <gtest/gtest.h>
@@ -526,6 +528,201 @@ TEST(SvcBroker, QueueHighWaterAndWorkerUtilization)
     EXPECT_GT(busyTotal, 0u);
 }
 
+// --- design-facts table ---------------------------------------------------
+
+/** What a standalone tool computes for @p r: the byte reference. */
+std::string
+directJson(const svc::Request &r)
+{
+    api::RunParams p = r.params;
+    p.backend = svc::Broker::resolveBackend(r);
+    return api::resultToJson(r.spec, p, api::runWorkload(r.spec, p));
+}
+
+/** Submit and wait: one request at a time keeps derivations exact. */
+svc::Response
+runOne(svc::Broker &broker, const svc::Request &r)
+{
+    auto f = broker.submit(r);
+    EXPECT_TRUE(f.has_value());
+    return f.has_value() ? f->get() : svc::Response{};
+}
+
+api::NetlistSpec
+genSpec(int lanes = 4, int bits = 4, double periodPs = 24)
+{
+    api::NetlistSpec spec;
+    spec.kind = api::WorkloadKind::Gen;
+    spec.name = "gen";
+    spec.gen.lanes = lanes;
+    spec.gen.bits = bits;
+    spec.gen.clockPeriodPs = periodPs;
+    spec.gen.tree = gen::TreeKind::Balancer;
+    spec.gen.shape = gen::LaneShape::Skewed;
+    return spec;
+}
+
+/** One small spec of every workload kind. */
+std::vector<api::NetlistSpec>
+everyKind()
+{
+    api::NetlistSpec pe = dpuSpec(4, 4);
+    pe.kind = api::WorkloadKind::Pe;
+    pe.name = "pe";
+    api::NetlistSpec fir = dpuSpec(3, 4);
+    fir.kind = api::WorkloadKind::Fir;
+    fir.name = "fir";
+    fir.mode = DpuMode::Unipolar;
+    api::NetlistSpec inv;
+    inv.kind = api::WorkloadKind::Inverter;
+    inv.name = "inv";
+    inv.clockPeriodPs = 12.0;
+    inv.clockCount = 16;
+    return {dpuSpec(4, 4), pe, fir, inv, nocSpec(2, 2), genSpec()};
+}
+
+TEST(SvcFacts, HitsAreByteIdenticalToDirectRunsForEveryKind)
+{
+    svc::BrokerOptions opts;
+    opts.workers = 2;
+    svc::Broker broker(opts);
+
+    const std::vector<api::NetlistSpec> specs = everyKind();
+    for (const api::NetlistSpec &spec : specs) {
+        const std::string kind = api::workloadKindName(spec.kind);
+        // The first request derives the facts; every later one -- new
+        // seeds, the other engine -- runs from the table, and the
+        // final repeat hits both levels.
+        std::uint64_t structural = 0;
+        for (const auto intent : {svc::RequestIntent::Throughput,
+                                  svc::RequestIntent::Audit}) {
+            for (const std::uint64_t seed : {0x11ULL, 0x22ULL}) {
+                api::RunParams params = functionalParams(3);
+                params.seed = seed;
+                const svc::Request req{spec, params, intent};
+                const svc::Response r = runOne(broker, req);
+                ASSERT_EQ(r.status, api::Status::Ok) << kind << r.error;
+                EXPECT_FALSE(r.cacheHit) << kind;
+                EXPECT_EQ(r.json, directJson(req)) << kind;
+                if (structural == 0)
+                    structural = r.structural;
+                EXPECT_EQ(r.structural, structural) << kind;
+            }
+        }
+        const svc::Request again{spec, functionalParams(3),
+                                 svc::RequestIntent::Audit};
+        const svc::Response hit = runOne(broker, again);
+        ASSERT_EQ(hit.status, api::Status::Ok) << kind << hit.error;
+        EXPECT_EQ(hit.json, directJson(again)) << kind;
+
+        // The structural hash the table memoised is the session's.
+        api::Session session(spec);
+        std::uint64_t fresh = 0;
+        ASSERT_EQ(session.contentHash(fresh), api::Status::Ok) << kind;
+        EXPECT_EQ(structural, fresh) << kind;
+    }
+    EXPECT_EQ(broker.stats().keyDerivations, specs.size());
+    EXPECT_EQ(broker.factsSize(), specs.size());
+}
+
+TEST(SvcFacts, NameOnlyDifferenceSeparatesTheKeys)
+{
+    svc::Broker broker;
+    api::NetlistSpec alpha = dpuSpec();
+    alpha.name = "alpha";
+    api::NetlistSpec beta = alpha;
+    beta.name = "beta";
+
+    const svc::Request ra{alpha, functionalParams(),
+                          svc::RequestIntent::Default};
+    const svc::Request rb{beta, functionalParams(),
+                          svc::RequestIntent::Default};
+    for (int round = 0; round < 2; ++round) {
+        const svc::Response a = runOne(broker, ra);
+        const svc::Response b = runOne(broker, rb);
+        ASSERT_EQ(a.status, api::Status::Ok) << a.error;
+        ASSERT_EQ(b.status, api::Status::Ok) << b.error;
+        EXPECT_NE(a.structural, b.structural);
+        EXPECT_NE(a.json, b.json);
+        EXPECT_EQ(a.json, directJson(ra));
+        EXPECT_EQ(b.json, directJson(rb));
+    }
+    EXPECT_EQ(broker.stats().keyDerivations, 2u);
+}
+
+TEST(SvcFacts, FailuresRepeatExactlyAndAreNeverMemoised)
+{
+    svc::Broker broker;
+    api::NetlistSpec unlinted = dpuSpec();
+    unlinted.waiveUnwired = false;
+    api::NetlistSpec infeasible = genSpec();
+    infeasible.gen.clockPeriodPs = 10; // below the balancer dead time
+
+    constexpr int kRounds = 3;
+    for (const api::NetlistSpec &spec : {unlinted, infeasible}) {
+        // The reference: what a session reports for the spec.
+        api::Session session(spec);
+        api::DesignFacts facts;
+        const api::Status expected = session.designFacts(facts);
+        ASSERT_NE(expected, api::Status::Ok);
+        for (int round = 0; round < kRounds; ++round) {
+            const svc::Response r = runOne(
+                broker, svc::Request{spec, functionalParams(),
+                                     svc::RequestIntent::Default});
+            EXPECT_EQ(r.status, expected) << round;
+            EXPECT_EQ(r.error, session.lastError()) << round;
+            EXPECT_TRUE(r.json.empty());
+        }
+    }
+    EXPECT_EQ(broker.factsSize(), 0u);
+    EXPECT_EQ(broker.stats().keyDerivations, 2u * kRounds);
+    EXPECT_EQ(broker.stats().failed, 2u * kRounds);
+}
+
+TEST(SvcFacts, TableStaysWithinTheCacheCapacity)
+{
+    svc::BrokerOptions opts;
+    opts.workers = 2;
+    opts.cacheCapacity = 3;
+    svc::Broker broker(opts);
+    for (int taps = 2; taps < 12; ++taps) {
+        const svc::Response r = runOne(
+            broker, svc::Request{dpuSpec(taps), functionalParams(2),
+                                 svc::RequestIntent::Default});
+        ASSERT_EQ(r.status, api::Status::Ok) << r.error;
+        EXPECT_LE(broker.factsSize(), opts.cacheCapacity);
+    }
+    EXPECT_EQ(broker.factsSize(), opts.cacheCapacity);
+    EXPECT_EQ(broker.stats().keyDerivations, 10u);
+}
+
+TEST(SvcFacts, EachDistinctSpecIsDerivedOnce)
+{
+    svc::BrokerOptions opts;
+    opts.workers = 3;
+    opts.cacheCapacity = 16;
+    svc::Broker broker(opts);
+    const std::vector<api::NetlistSpec> specs = everyKind();
+
+    constexpr int kRounds = 20;
+    for (int round = 0; round < kRounds; ++round) {
+        // A round's specs are distinct, so no two of its requests can
+        // race to derive the same facts.
+        std::vector<std::future<svc::Response>> futures;
+        for (const api::NetlistSpec &spec : specs) {
+            auto f = broker.submit(svc::Request{
+                spec, functionalParams(2), svc::RequestIntent::Default});
+            ASSERT_TRUE(f.has_value());
+            futures.push_back(std::move(*f));
+        }
+        broker.drain();
+        for (auto &f : futures)
+            EXPECT_EQ(f.get().status, api::Status::Ok);
+    }
+    EXPECT_EQ(broker.stats().keyDerivations, specs.size());
+    EXPECT_EQ(broker.stats().completed, kRounds * specs.size());
+}
+
 TEST(SvcEngineAbi, EngineMetricsAccumulateAcrossRuns)
 {
     usfq_engine *eng = nullptr;
@@ -633,13 +830,76 @@ TEST(SvcBrokerAbi, RunAndMetricsThroughTheCAbi)
               USFQ_ERR_INVALID_ARG);
 }
 
+TEST(SvcBrokerAbi, ConcurrentCallersMixPoisonedAndLongRequests)
+{
+    // Four threads share one broker handle with four workers: each
+    // interleaves lint-poisoned specs, pulse-level NoC audits and plain
+    // DPU requests.  The process survives, every call gets its own
+    // status, and each thread reads back its own last error.
+    constexpr int kThreads = 4;
+    constexpr int kCallsPerThread = 6;
+    usfq_broker *broker = nullptr;
+    ASSERT_EQ(usfq_broker_create(kThreads, 8, 16, &broker), USFQ_OK);
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t, broker, &mismatches] {
+            const std::string dpu = "{\"kind\": \"dpu\", \"taps\": " +
+                                    std::to_string(2 + t) +
+                                    ", \"bits\": 4}";
+            const std::string poisoned =
+                "{\"kind\": \"dpu\", \"taps\": 4, \"bits\": 4, "
+                "\"waive_unwired\": false}";
+            const std::string mesh = "{\"kind\": \"noc\", \"taps\": 2, "
+                                     "\"bits\": 4, \"grid_rows\": 2, "
+                                     "\"grid_cols\": 2}";
+            for (int i = 0; i < kCallsPerThread; ++i) {
+                const int pick = (t + i) % 3;
+                const std::string &spec =
+                    pick == 0 ? poisoned : pick == 1 ? mesh : dpu;
+                char *json = nullptr;
+                const int32_t st = usfq_broker_run(
+                    broker, spec.c_str(), "{\"epochs\": 2}",
+                    pick == 1 ? "audit" : "throughput", nullptr, &json);
+                const std::string err = usfq_broker_last_error(broker);
+                if (pick == 0) {
+                    if (st != USFQ_ERR_LINT ||
+                        err.find("lint") == std::string::npos)
+                        ++mismatches;
+                } else {
+                    if (st != USFQ_OK || json == nullptr || !err.empty())
+                        ++mismatches;
+                    usfq_string_free(json);
+                }
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(mismatches.load(), 0);
+
+    char *metrics = nullptr;
+    ASSERT_EQ(usfq_broker_metrics(broker, &metrics), USFQ_OK);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(metrics, doc, &error)) << error;
+    usfq_string_free(metrics);
+    EXPECT_EQ(doc.find("broker")->find("completed")->number,
+              kThreads * kCallsPerThread);
+    EXPECT_EQ(doc.find("broker")->find("failed")->number,
+              kThreads * kCallsPerThread / 3);
+    usfq_broker_destroy(broker);
+}
+
 TEST(SvcCacheAbi, ConcurrentRunCachedConservesCounters)
 {
     // >= 4 threads hammering one shared cache through the C ABI (the
-    // tier-1 ASan/TSan-adjacent configurations run this too): the
-    // counters must conserve exactly -- every call is a hit or a miss,
-    // every insertion came from a miss, and the store never exceeds
-    // its capacity.
+    // tsan stage of scripts/check.sh runs this too): the counters must
+    // conserve exactly -- every call is a hit or a miss, every
+    // insertion came from a miss, and the store never exceeds its
+    // capacity.  Engines are single-threaded (usfq.h), so every thread
+    // brings its own; only the cache is shared.
     constexpr int kThreads = 4;
     constexpr int kCallsPerThread = 64;
     constexpr int kDistinctSpecs = 6;
@@ -647,24 +907,27 @@ TEST(SvcCacheAbi, ConcurrentRunCachedConservesCounters)
     usfq_cache *cache = nullptr;
     ASSERT_EQ(usfq_cache_create(4, &cache), USFQ_OK);
 
-    std::vector<usfq_engine *> engines;
-    for (int i = 0; i < kDistinctSpecs; ++i) {
-        usfq_engine *eng = nullptr;
-        const std::string spec = "{\"kind\": \"dpu\", \"taps\": " +
-                                 std::to_string(2 + i) +
-                                 ", \"bits\": 4}";
-        ASSERT_EQ(usfq_engine_create(spec.c_str(), &eng), USFQ_OK);
-        engines.push_back(eng);
+    std::vector<std::vector<usfq_engine *>> engines(kThreads);
+    for (std::vector<usfq_engine *> &own : engines) {
+        for (int i = 0; i < kDistinctSpecs; ++i) {
+            usfq_engine *eng = nullptr;
+            const std::string spec = "{\"kind\": \"dpu\", \"taps\": " +
+                                     std::to_string(2 + i) +
+                                     ", \"bits\": 4}";
+            ASSERT_EQ(usfq_engine_create(spec.c_str(), &eng), USFQ_OK);
+            own.push_back(eng);
+        }
     }
 
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([t, &engines, cache, &failures] {
+            const std::vector<usfq_engine *> &own =
+                engines[static_cast<std::size_t>(t)];
             for (int i = 0; i < kCallsPerThread; ++i) {
                 usfq_engine *eng =
-                    engines[static_cast<std::size_t>(t + i) %
-                            engines.size()];
+                    own[static_cast<std::size_t>(t + i) % own.size()];
                 int32_t hit = -1;
                 char *json = nullptr;
                 if (usfq_engine_run_cached(eng, cache,
@@ -716,8 +979,9 @@ TEST(SvcCacheAbi, ConcurrentRunCachedConservesCounters)
     EXPECT_LE(size, 4u);
     EXPECT_GT(hits, 0u);
 
-    for (usfq_engine *eng : engines)
-        usfq_engine_destroy(eng);
+    for (const std::vector<usfq_engine *> &own : engines)
+        for (usfq_engine *eng : own)
+            usfq_engine_destroy(eng);
     usfq_cache_destroy(cache);
 }
 

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -358,6 +360,40 @@ TEST(Logging, ScopedFatalThrowRestoresPreviousMode)
         }
         EXPECT_EQ(fatalMode(), FatalMode::Throw);
     }
+    EXPECT_EQ(fatalMode(), FatalMode::Exit);
+}
+
+TEST(Logging, FatalModeIsPerThread)
+{
+    // The interleaving that broke a process-wide mode: A enters its
+    // guard, B enters its own, A leaves (restoring Exit), then B's
+    // fatal() fires.  B must still throw -- an exit here would end the
+    // test binary.
+    std::promise<void> aInside, bInside, aLeft;
+    bool bThrew = false;
+    std::thread a([&] {
+        {
+            ScopedFatalThrow guard;
+            aInside.set_value();
+            bInside.get_future().wait();
+        }
+        aLeft.set_value();
+    });
+    std::thread b([&] {
+        aInside.get_future().wait();
+        ScopedFatalThrow guard;
+        bInside.set_value();
+        aLeft.get_future().wait();
+        try {
+            fatal("worker %c", 'B');
+        } catch (const FatalError &e) {
+            bThrew = std::string(e.what()) == "worker B";
+        }
+    });
+    a.join();
+    b.join();
+    EXPECT_TRUE(bThrew);
+    // Neither guard ever touched this thread's mode.
     EXPECT_EQ(fatalMode(), FatalMode::Exit);
 }
 
