@@ -3,7 +3,10 @@
  * google-benchmark micro benches of the static timing engine
  * (src/sta/): graph build + window propagation on linear chains,
  * margin checking on a wide DFF capture grid, and the jitter
- * Monte-Carlo driver.
+ * Monte-Carlo driver (each timing netlist build, elaboration and STA
+ * together), plus two per-layer figures of the design-space compiler:
+ * runSta alone on a pre-built generated datapath (ns per edge) and
+ * gen::balanceDesign over a fixed spec list (us per spec).
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +15,9 @@
 #include <vector>
 
 #include "bench_gbench.hh"
+#include "gen/balance.hh"
+#include "gen/datapath.hh"
+#include "gen/spec.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
 #include "sim/netlist.hh"
@@ -104,6 +110,92 @@ BM_StaJitterMonteCarlo(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StaJitterMonteCarlo)->Arg(16)->Arg(64);
+
+/**
+ * runSta alone, re-run on one pre-built, elaborated and balanced
+ * 16-lane generated datapath under genStaOptions (the STA layer of a
+ * design-space compile).  Items are graph edges: 1e9 / items_per_second
+ * is ns per edge.
+ */
+void
+BM_StaGenDatapath(benchmark::State &state)
+{
+    gen::DesignSpec spec;
+    spec.lanes = 16;
+    spec.bits = 4;
+    spec.clockPeriodPs = 20;
+    spec.tree = gen::TreeKind::Merger;
+    spec.shape = gen::LaneShape::Random;
+    spec.maxDividers = 2;
+    spec.skewStep = 2;
+    const gen::BalanceOutcome bo = gen::balanceDesign(spec);
+    if (!bo.converged()) {
+        state.SkipWithError(bo.detail.c_str());
+        return;
+    }
+    Netlist nl("gen");
+    auto &dp = nl.create<gen::StreamDatapath>("dp", spec, bo.plan);
+    dp.programEpoch({spec.nmax(), {}});
+    nl.elaborate();
+    const StaOptions opts = gen::genStaOptions(spec);
+    std::size_t edges = 0;
+    for (auto _ : state) {
+        const StaReport report = runSta(nl, opts);
+        edges = report.numEdges;
+        benchmark::DoNotOptimize(report.worstSlack);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_StaGenDatapath);
+
+/**
+ * gen::balanceDesign over a fixed list of 54 feasible specs: 4 and 16
+ * lanes x every tree kind x every lane shape x the three
+ * encoding/balancing styles of the fig20 grid.  Items are specs.
+ */
+void
+BM_BalanceDesign(benchmark::State &state)
+{
+    std::vector<gen::DesignSpec> specs;
+    for (int lanes : {4, 16})
+        for (gen::TreeKind tree :
+             {gen::TreeKind::Balancer, gen::TreeKind::Merger,
+              gen::TreeKind::Tff2})
+            for (gen::LaneShape shape :
+                 {gen::LaneShape::Balanced, gen::LaneShape::Skewed,
+                  gen::LaneShape::Random})
+                for (int style = 0; style < 3; ++style) {
+                    gen::DesignSpec s;
+                    s.lanes = lanes;
+                    s.bits = 4;
+                    s.clockPeriodPs = 24;
+                    s.tree = tree;
+                    s.shape = shape;
+                    s.encoding = style == 2
+                                     ? gen::StreamEncoding::Bipolar
+                                     : gen::StreamEncoding::Unipolar;
+                    s.balance = style == 1 ? gen::BalanceStyle::Register
+                                           : gen::BalanceStyle::Jtl;
+                    s.maxDividers = 2;
+                    s.skewStep = 2;
+                    s.shapeSeed = 0x5eedULL + specs.size();
+                    specs.push_back(s);
+                }
+    for (const gen::DesignSpec &s : specs) {
+        if (const gen::BalanceOutcome bo = gen::balanceDesign(s);
+            !bo.converged()) {
+            state.SkipWithError(bo.detail.c_str());
+            return;
+        }
+    }
+    for (auto _ : state)
+        for (const gen::DesignSpec &s : specs)
+            benchmark::DoNotOptimize(gen::balanceDesign(s).insertedJJ);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(specs.size()));
+}
+BENCHMARK(BM_BalanceDesign);
 
 } // namespace
 

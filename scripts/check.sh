@@ -24,11 +24,13 @@
 #                                      # svc_serve_smoke, under
 #                                      # ThreadSanitizer only
 #   ./scripts/check.sh gen             # design-space compiler gate: the
-#                                      # gen tier (spec round-trips,
-#                                      # balancer convergence, the 500-spec
-#                                      # generator differential, generated
-#                                      # goldens) under default, ASan and
-#                                      # UBSan builds
+#                                      # gen and sta tiers (spec
+#                                      # round-trips, balancer convergence,
+#                                      # the 500-spec generator
+#                                      # differential, generated goldens,
+#                                      # the timing engine and its
+#                                      # bit-identity lock) under default,
+#                                      # ASan and UBSan builds
 #   ./scripts/check.sh noc             # temporal-NoC gate: the noc tier
 #                                      # (plan/router/grid units, the
 #                                      # fabric differential up to 8x8,
@@ -105,10 +107,12 @@ elif [[ "$mode" == "gen" ]]; then
     # round-trips and hash determinism, balancer convergence/budget
     # accounting, the 500-spec generator differential (lint-clean,
     # STA-gated, pulse vs functional at 1 and 4 threads) and the
-    # generated-netlist goldens.  Runs under UBSan as well -- the slot
-    # algebra and the padding arithmetic are integer-heavy code where
-    # silent UB would hide.
-    ctest_args=(-L 'gen' "${ctest_args[@]}")
+    # generated-netlist goldens -- plus the sta tier the compiler runs
+    # on (docs/sta.md), including the StaReport bit-identity lock.
+    # Runs under UBSan as well -- the slot algebra, the padding
+    # arithmetic and the timing graph's CSR index arithmetic are
+    # integer-heavy code where silent UB would hide.
+    ctest_args=(-L 'gen|sta' "${ctest_args[@]}")
 elif [[ "$mode" == "noc" ]]; then
     # The temporal-NoC gate (docs/noc.md): plan placement and router
     # units, the flit-for-flit fabric differential (sink counts AND

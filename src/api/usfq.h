@@ -213,7 +213,9 @@ const char *usfq_broker_last_error(const usfq_broker *broker);
  * document in @p out_json (caller frees with usfq_string_free); the
  * request's own failure (lint/STA/run) comes back as this call's
  * status.  @p out_cache_hit (optional) is set to 1 when the result
- * came out of the broker's cache.
+ * came out of the broker's cache.  Returns USFQ_ERR_INTERNAL, with no
+ * last-error message, when the calling thread's error slot cannot be
+ * allocated.
  */
 int32_t usfq_broker_run(usfq_broker *broker, const char *spec_json,
                         const char *params_json, const char *intent,

@@ -161,7 +161,7 @@ balanceDesign(const DesignSpec &spec)
         StaOptions probe;
         probe.anchorMode = StaOptions::AnchorMode::Stimulus;
         probe.annotate = false;
-        const StaReport sta = runSta(nl, probe);
+        StaReport sta = runSta(nl, probe);
 
         bool changed = false;
 
@@ -239,20 +239,18 @@ balanceDesign(const DesignSpec &spec)
             return outcome;
         }
 
-        // Contract gate: the checked run must pass under the
-        // documented waivers (fatal if the classification above and
-        // the waiver set ever diverge).
-        Netlist fin("balanced");
-        auto &fdp = fin.create<StreamDatapath>("dp", spec, plan);
-        fdp.programEpoch(epoch);
-        const StaReport checked =
-            runStaChecked(fin, genStaOptions(spec));
+        // Contract gate on this iteration's own report: it must pass the
+        // checked run under the documented waivers (fatal if the
+        // classification above and the waiver set ever diverge).  The
+        // netlist already is the balanced design, and waivers do not
+        // move any figure, so a rebuild and re-analysis would only
+        // repeat this report.
+        gateStaReport(nl, sta, genStaOptions(spec));
         outcome.status = BalanceStatus::Converged;
-        outcome.requiredStreamSpacing = checked.requiredStreamSpacing;
-        outcome.maxStreamRateHz = checked.maxStreamRateHz();
-        outcome.worstSlack = checked.worstSlack;
-        outcome.hasWorstSlack = checked.hasWorstSlack;
-        outcome.residualSkew = leafSkew(checked, fdp);
+        outcome.requiredStreamSpacing = sta.requiredStreamSpacing;
+        outcome.maxStreamRateHz = sta.maxStreamRateHz();
+        outcome.worstSlack = sta.worstSlack;
+        outcome.hasWorstSlack = sta.hasWorstSlack;
         return outcome;
     }
 

@@ -30,8 +30,8 @@ namespace usfq::gen
 /** How a balanceDesign() run ended. */
 enum class BalanceStatus
 {
-    /** Plan aligns the design and runStaChecked passes under
-     *  genStaOptions() waivers. */
+    /** Plan aligns the design and the converged iteration's STA
+     *  report passes gateStaReport() under genStaOptions() waivers. */
     Converged,
     /** The plan's inserted JJs exceeded spec.balanceBudgetJJ before
      *  the design aligned. */
@@ -64,7 +64,8 @@ struct BalanceOutcome
     /** Failure reason / first actionable finding (diagnostics). */
     std::string detail;
 
-    // Final-STA figures of the balanced design (valid when Converged).
+    // STA figures of the converged iteration's analysis, which ran on
+    // exactly the balanced design (valid when Converged).
     Tick requiredStreamSpacing = 0;
     double maxStreamRateHz = 0.0;
     Tick worstSlack = 0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,9 +68,18 @@ fmtPs(Tick t)
 struct Propagated
 {
     std::vector<ArrivalWindow> windows;
-    std::vector<std::vector<AnchorBound>> bounds;
+    /** Every node's per-anchor bounds, back to back in topo order. */
+    std::vector<AnchorBound> bounds;
+    /** Node -> (first, count) of its slice of `bounds`. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> boundSlice;
     std::vector<Tick> floors;
     std::vector<std::uint32_t> predEdge; ///< latest-arrival tree
+
+    std::span<const AnchorBound>
+    boundsOf(std::uint32_t v) const
+    {
+        return {bounds.data() + boundSlice[v].first, boundSlice[v].second};
+    }
 };
 
 Propagated
@@ -78,23 +88,56 @@ propagate(const StaGraph &g)
     const std::size_t n = g.nodes.size();
     Propagated p;
     p.windows.assign(n, {});
-    p.bounds.assign(n, {});
+    p.bounds.reserve(n);
+    p.boundSlice.assign(n, {0, 0});
     p.floors.assign(n, 0);
     p.predEdge.assign(n, UINT32_MAX);
 
-    for (std::size_t ai = 0; ai < g.anchors.size(); ++ai) {
-        const AnchorInfo &a = g.anchors[ai];
+    for (const AnchorInfo &a : g.anchors)
         p.windows[a.node] = {a.first, a.last, true};
-        p.bounds[a.node].push_back(
-            {static_cast<std::int32_t>(ai), 0, 0, 1});
-    }
 
     // Arrival windows and per-anchor bounds, in dependency order: when
     // a node is visited every uncut in-edge has already contributed.
     for (std::uint32_t u : g.topo) {
         if (!p.windows[u].reachable)
             continue;
-        for (std::uint32_t ei : g.outEdges[u]) {
+
+        // u's bounds: its own anchor, then its live predecessors'
+        // bounds shifted across the edge, merged per anchor.
+        const auto first = static_cast<std::uint32_t>(p.bounds.size());
+        if (g.nodes[u].anchor >= 0)
+            p.bounds.push_back({g.nodes[u].anchor, 0, 0, 1});
+        for (std::uint32_t ei : g.inEdges.of(u)) {
+            const Edge &e = g.edges[ei];
+            if (e.cut || !p.windows[e.from].reachable)
+                continue;
+            const auto [from, count] = p.boundSlice[e.from];
+            for (std::uint32_t i = from; i < from + count; ++i) {
+                // By value: the push_back below may move the storage.
+                const AnchorBound ab = p.bounds[i];
+                const std::uint64_t div =
+                    std::min<std::uint64_t>(ab.div * e.rateDiv,
+                                            1u << 20);
+                const AnchorBound cand{ab.anchor, ab.lo + e.minDelay,
+                                       ab.hi + e.maxDelay, div};
+                const auto it = std::find_if(
+                    p.bounds.begin() + first, p.bounds.end(),
+                    [&](const AnchorBound &b) {
+                        return b.anchor == ab.anchor;
+                    });
+                if (it == p.bounds.end()) {
+                    p.bounds.push_back(cand);
+                } else {
+                    it->lo = std::min(it->lo, cand.lo);
+                    it->hi = std::max(it->hi, cand.hi);
+                    it->div = std::min(it->div, cand.div);
+                }
+            }
+        }
+        p.boundSlice[u] = {
+            first, static_cast<std::uint32_t>(p.bounds.size()) - first};
+
+        for (std::uint32_t ei : g.outEdges.of(u)) {
             const Edge &e = g.edges[ei];
             if (e.cut)
                 continue;
@@ -111,25 +154,6 @@ propagate(const StaGraph &g)
                     p.predEdge[e.to] = ei;
                 }
             }
-            for (const AnchorBound &ab : p.bounds[u]) {
-                const std::uint64_t div =
-                    std::min<std::uint64_t>(ab.div * e.rateDiv,
-                                            1u << 20);
-                AnchorBound cand{ab.anchor, ab.lo + e.minDelay,
-                                 ab.hi + e.maxDelay, div};
-                auto &list = p.bounds[e.to];
-                auto it = std::find_if(list.begin(), list.end(),
-                                       [&](const AnchorBound &b) {
-                                           return b.anchor == ab.anchor;
-                                       });
-                if (it == list.end()) {
-                    list.push_back(cand);
-                } else {
-                    it->lo = std::min(it->lo, cand.lo);
-                    it->hi = std::max(it->hi, cand.hi);
-                    it->div = std::min(it->div, cand.div);
-                }
-            }
         }
     }
 
@@ -143,13 +167,10 @@ propagate(const StaGraph &g)
         const Node &nd = g.nodes[v];
         Tick base = 0;
         if (!nd.isInput && nd.comp >= 0) {
-            const TimingModel &m =
-                g.models[static_cast<std::size_t>(nd.comp)];
-            const auto &outs =
-                g.comps[static_cast<std::size_t>(nd.comp)]->outputPorts();
-            for (const OutputFloor &f : m.floors) {
-                if (f.port < outs.size() &&
-                    g.indexOf(outs[f.port]) == v)
+            const auto ci = static_cast<std::size_t>(nd.comp);
+            const std::size_t numOuts = g.comps[ci]->outputPorts().size();
+            for (const OutputFloor &f : g.models[ci].floors) {
+                if (f.port < numOuts && g.outputNode(ci, f.port) == v)
                     base = std::max(base, f.spacing);
             }
         }
@@ -165,7 +186,7 @@ propagate(const StaGraph &g)
 
         std::uint32_t live = UINT32_MAX;
         std::size_t liveCount = 0;
-        for (std::uint32_t ei : g.inEdges[v]) {
+        for (std::uint32_t ei : g.inEdges.of(v)) {
             const Edge &e = g.edges[ei];
             if (e.cut || !p.windows[e.from].reachable)
                 continue;
@@ -258,6 +279,23 @@ streamMargin(const AnchorInfo &a, Tick lo, Tick hi, Tick setup,
     return margin;
 }
 
+/**
+ * Mark @p f waived when @p nl's own blanket waivers or, failing those,
+ * @p opts' waivers cover its rule (the netlist's reason shadows).
+ */
+void
+resolveWaiver(const Netlist &nl, const StaOptions &opts, LintFinding &f)
+{
+    auto it = nl.blanketWaiverMap().find(f.rule);
+    if (it == nl.blanketWaiverMap().end()) {
+        it = opts.waivers.find(f.rule);
+        if (it == opts.waivers.end())
+            return;
+    }
+    f.waived = true;
+    f.waiverReason = it->second;
+}
+
 struct CheckContext
 {
     const StaGraph &g;
@@ -281,23 +319,6 @@ struct CheckContext
     }
 
     void
-    resolveWaiver(LintFinding &f) const
-    {
-        auto it = nl.blanketWaiverMap().find(f.rule);
-        if (it == nl.blanketWaiverMap().end())
-            it = opts.waivers.find(f.rule);
-        else {
-            f.waived = true;
-            f.waiverReason = it->second;
-            return;
-        }
-        if (it != opts.waivers.end()) {
-            f.waived = true;
-            f.waiverReason = it->second;
-        }
-    }
-
-    void
     addFinding(LintRule rule, std::string subject, std::string component,
                std::string message, Tick margin)
     {
@@ -307,7 +328,7 @@ struct CheckContext
         f.component = std::move(component);
         f.message = std::move(message);
         f.margin = margin;
-        resolveWaiver(f);
+        resolveWaiver(nl, opts, f);
         report.findings.push_back(std::move(f));
     }
 };
@@ -329,8 +350,8 @@ runChecks(CheckContext &ctx)
                 panic("sta: %s: timing check ports %u/%u outside the "
                       "registered inputs",
                       comp->name().c_str(), chk.data, chk.ref);
-            const std::uint32_t d = g.indexOf(ins[chk.data]);
-            const std::uint32_t r = g.indexOf(ins[chk.ref]);
+            const std::uint32_t d = g.inputNode(ci, chk.data);
+            const std::uint32_t r = g.inputNode(ci, chk.ref);
             if (!p.windows[d].reachable || !p.windows[r].reachable)
                 continue;
 
@@ -347,8 +368,8 @@ runChecks(CheckContext &ctx)
             // both ports with a separation inside [lo, hi]; neighbour
             // pulses of the stream shift that interval by multiples of
             // the anchor spacing (only the +/-1 shifts can bind).
-            for (const AnchorBound &ad : p.bounds[d]) {
-                for (const AnchorBound &ar : p.bounds[r]) {
+            for (const AnchorBound &ad : p.boundsOf(d)) {
+                for (const AnchorBound &ar : p.boundsOf(r)) {
                     if (ad.anchor != ar.anchor)
                         continue;
                     const AnchorInfo &a = g.anchors[
@@ -369,8 +390,8 @@ runChecks(CheckContext &ctx)
             // unrelated streams against each other.
             if (ctx.opts.strictRaces) {
                 bool distinct = false;
-                for (const AnchorBound &ad : p.bounds[d])
-                    for (const AnchorBound &ar : p.bounds[r])
+                for (const AnchorBound &ad : p.boundsOf(d))
+                    for (const AnchorBound &ar : p.boundsOf(r))
                         distinct |= ad.anchor != ar.anchor;
                 if (distinct) {
                     const ArrivalWindow &wd = p.windows[d];
@@ -432,15 +453,15 @@ runRateChecks(CheckContext &ctx)
         if (m.recovery <= 0)
             continue;
 
-        for (InputPort *port : comp->inputPorts()) {
-            const std::uint32_t v = g.indexOf(port);
+        for (std::size_t k = 0; k < comp->inputPorts().size(); ++k) {
+            const std::uint32_t v = g.inputNode(ci, k);
             if (!p.windows[v].reachable)
                 continue;
 
             // A cell `div` rate-divisions downstream of the anchor
             // sees every div-th pulse: its recovery constrains the
             // anchor spacing to recovery / div.
-            for (const AnchorBound &ab : p.bounds[v]) {
+            for (const AnchorBound &ab : p.boundsOf(v)) {
                 const Tick req = (m.recovery +
                                   static_cast<Tick>(ab.div) - 1) /
                                  static_cast<Tick>(ab.div);
@@ -530,7 +551,7 @@ runSta(Netlist &nl, const StaOptions &opts)
     ctx.compSlack.assign(g.comps.size(), {false, 0});
 
     for (LintFinding &f : g.loopFindings) {
-        ctx.resolveWaiver(f);
+        resolveWaiver(nl, opts, f);
         report.findings.push_back(std::move(f));
     }
 
@@ -570,10 +591,12 @@ runSta(Netlist &nl, const StaOptions &opts)
     return report;
 }
 
-StaReport
-runStaChecked(Netlist &nl, const StaOptions &opts)
+void
+gateStaReport(const Netlist &nl, StaReport &report, const StaOptions &opts)
 {
-    StaReport report = runSta(nl, opts);
+    for (LintFinding &f : report.findings)
+        if (!f.waived)
+            resolveWaiver(nl, opts, f);
     if (report.errors() > 0) {
         for (const LintFinding &f : report.findings)
             if (!f.waived)
@@ -582,6 +605,13 @@ runStaChecked(Netlist &nl, const StaOptions &opts)
         fatal("sta: %s: %zu unwaived timing violations",
               nl.name().c_str(), report.errors());
     }
+}
+
+StaReport
+runStaChecked(Netlist &nl, const StaOptions &opts)
+{
+    StaReport report = runSta(nl, opts);
+    gateStaReport(nl, report, opts);
     return report;
 }
 

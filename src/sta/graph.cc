@@ -55,12 +55,14 @@ cutLoops(StaGraph &g)
     std::vector<std::uint8_t> color(n);  // 0 white, 1 grey, 2 black
     std::vector<std::uint32_t> viaEdge(n, UINT32_MAX);
 
-    // DFS frame: node plus a cursor into its out-edge list.
+    // DFS frame: node plus a cursor into its out-edge list.  One stack
+    // serves every root and every restart.
     struct Frame
     {
         std::uint32_t node;
         std::size_t next = 0;
     };
+    std::vector<Frame> stack;
 
     for (std::size_t attempt = 0; attempt <= g.edges.size(); ++attempt) {
         std::fill(color.begin(), color.end(), 0);
@@ -69,11 +71,13 @@ cutLoops(StaGraph &g)
         for (std::uint32_t root = 0; root < n && !cutSomething; ++root) {
             if (color[root] != 0)
                 continue;
-            std::vector<Frame> stack{{root}};
+            stack.clear();
+            stack.push_back({root});
             color[root] = 1;
             while (!stack.empty() && !cutSomething) {
                 Frame &f = stack.back();
-                const auto &outs = g.outEdges[f.node];
+                const std::span<const std::uint32_t> outs =
+                    g.outEdges.of(f.node);
                 if (f.next >= outs.size()) {
                     color[f.node] = 2;
                     stack.pop_back();
@@ -156,6 +160,7 @@ topoSort(StaGraph &g)
             ++indeg[e.to];
 
     std::vector<std::uint32_t> ready;
+    ready.reserve(n);
     for (std::uint32_t v = 0; v < n; ++v)
         if (indeg[v] == 0)
             ready.push_back(v);
@@ -165,7 +170,7 @@ topoSort(StaGraph &g)
     for (std::size_t head = 0; head < ready.size(); ++head) {
         const std::uint32_t u = ready[head];
         g.topo.push_back(u);
-        for (std::uint32_t ei : g.outEdges[u]) {
+        for (std::uint32_t ei : g.outEdges.of(u)) {
             const Edge &e = g.edges[ei];
             if (!e.cut && --indeg[e.to] == 0)
                 ready.push_back(e.to);
@@ -177,6 +182,40 @@ topoSort(StaGraph &g)
               n - g.topo.size());
 }
 
+/** Register one port as the next node. */
+void
+addNode(StaGraph &g, const void *port, const std::string &name,
+        std::size_t comp, bool isInput)
+{
+    const auto v = static_cast<std::uint32_t>(g.nodes.size());
+    if (!g.nodeOf.emplace(port, v).second)
+        panic("sta: port %s registered twice", name.c_str());
+    g.nodes.push_back(
+        {port, &name, static_cast<std::int32_t>(comp), isInput, -1});
+}
+
+/** CSR lists of @p edges grouped by endpoint @p key. */
+Adjacency
+groupEdges(const std::vector<Edge> &edges, std::size_t numNodes,
+           std::uint32_t Edge::*key)
+{
+    Adjacency adj;
+    adj.start.assign(numNodes + 1, 0);
+    adj.index.resize(edges.size());
+    for (const Edge &e : edges)
+        ++adj.start[e.*key + 1];
+    for (std::size_t v = 0; v < numNodes; ++v)
+        adj.start[v + 1] += adj.start[v];
+    // Scatter in edge order, using start[v] as v's cursor; afterwards
+    // start[v] holds v's end, so shift the offsets back by one node.
+    for (std::uint32_t ei = 0; ei < edges.size(); ++ei)
+        adj.index[adj.start[edges[ei].*key]++] = ei;
+    for (std::size_t v = numNodes; v > 0; --v)
+        adj.start[v] = adj.start[v - 1];
+    adj.start[0] = 0;
+    return adj;
+}
+
 } // namespace
 
 StaGraph
@@ -184,7 +223,22 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
 {
     StaGraph g;
     g.comps = nl.graphComponents();
+
+    // Size the node, edge and port-index storage up front from the port
+    // and connection counts (arcs are added once the models exist).
+    std::size_t numPorts = 0;
+    std::size_t maxEdges = 0;
+    for (const Component *comp : g.comps) {
+        numPorts +=
+            comp->inputPorts().size() + comp->outputPorts().size();
+        maxEdges += comp->portAliases().size();
+        for (const OutputPort *out : comp->outputPorts())
+            maxEdges += out->connectionList().size();
+    }
+    g.nodes.reserve(numPorts);
+    g.nodeOf.reserve(numPorts);
     g.models.reserve(g.comps.size());
+    g.firstNode.reserve(g.comps.size());
 
     // Nodes: every registered port of every live component, plus the
     // per-component timing model (with jitter folded in).
@@ -199,22 +253,16 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
                             (*opts.delayDelta)[static_cast<std::size_t>(
                                 id)]);
         }
+        maxEdges += model.arcs.size();
         g.models.push_back(std::move(model));
 
-        for (InputPort *p : comp->inputPorts()) {
-            g.nodeOf.emplace(p, static_cast<std::uint32_t>(
-                                    g.nodes.size()));
-            g.nodes.push_back({p, &p->name(),
-                               static_cast<std::int32_t>(ci), true, -1});
-        }
-        for (OutputPort *p : comp->outputPorts()) {
-            g.nodeOf.emplace(p, static_cast<std::uint32_t>(
-                                    g.nodes.size()));
-            g.nodes.push_back({p, &p->name(),
-                               static_cast<std::int32_t>(ci), false,
-                               -1});
-        }
+        g.firstNode.push_back(static_cast<std::uint32_t>(g.nodes.size()));
+        for (InputPort *p : comp->inputPorts())
+            addNode(g, p, p->name(), ci, true);
+        for (OutputPort *p : comp->outputPorts())
+            addNode(g, p, p->name(), ci, false);
     }
+    g.edges.reserve(maxEdges);
 
     // Edges.
     for (std::size_t ci = 0; ci < g.comps.size(); ++ci) {
@@ -228,8 +276,8 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
                 panic("sta: %s: timing arc %u -> %u outside the "
                       "registered ports",
                       comp->name().c_str(), arc.from, arc.to);
-            g.edges.push_back({g.indexOf(ins[arc.from]),
-                               g.indexOf(outs[arc.to]), arc.minDelay,
+            g.edges.push_back({g.inputNode(ci, arc.from),
+                               g.outputNode(ci, arc.to), arc.minDelay,
                                arc.maxDelay, EdgeKind::Arc, arc.rateDiv,
                                static_cast<std::int32_t>(ci), false});
         }
@@ -241,10 +289,10 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
             g.edges.push_back(
                 {from, to, 0, 0, EdgeKind::Alias, 1, -1, false});
         }
-        for (OutputPort *out : outs) {
-            const std::uint32_t from = g.indexOf(out);
+        for (std::size_t k = 0; k < outs.size(); ++k) {
+            const std::uint32_t from = g.outputNode(ci, k);
             for (const OutputPort::Connection &conn :
-                 out->connectionList()) {
+                 outs[k]->connectionList()) {
                 if (conn.dst->isObserver())
                     continue; // measurement probes don't load the wire
                 const std::uint32_t to = g.indexOf(conn.dst);
@@ -256,13 +304,8 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
         }
     }
 
-    // Adjacency.
-    g.outEdges.assign(g.nodes.size(), {});
-    g.inEdges.assign(g.nodes.size(), {});
-    for (std::uint32_t ei = 0; ei < g.edges.size(); ++ei) {
-        g.outEdges[g.edges[ei].from].push_back(ei);
-        g.inEdges[g.edges[ei].to].push_back(ei);
-    }
+    g.outEdges = groupEdges(g.edges, g.nodes.size(), &Edge::from);
+    g.inEdges = groupEdges(g.edges, g.nodes.size(), &Edge::to);
 
     // Anchors.
     if (opts.anchorMode == StaOptions::AnchorMode::Stimulus) {
@@ -270,8 +313,9 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
             const PulseAnchor *a = g.comps[ci]->stimulusAnchor();
             if (!a || a->count == 0)
                 continue;
-            for (OutputPort *out : g.comps[ci]->outputPorts()) {
-                const std::uint32_t v = g.indexOf(out);
+            for (std::size_t k = 0;
+                 k < g.comps[ci]->outputPorts().size(); ++k) {
+                const std::uint32_t v = g.outputNode(ci, k);
                 g.nodes[v].anchor =
                     static_cast<std::int32_t>(g.anchors.size());
                 g.anchors.push_back({v, a->first, a->last,
@@ -285,7 +329,7 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
         // setup/hold checks against a reachable clock still evaluate.
         for (std::uint32_t v = 0;
              v < static_cast<std::uint32_t>(g.nodes.size()); ++v) {
-            if (!g.inEdges[v].empty())
+            if (!g.inEdges.of(v).empty())
                 continue;
             g.nodes[v].anchor =
                 static_cast<std::int32_t>(g.anchors.size());

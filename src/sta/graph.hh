@@ -9,18 +9,18 @@
 #define USFQ_STA_GRAPH_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/component.hh"
 #include "sim/timing.hh"
 #include "sta/sta.hh"
 #include "util/types.hh"
 
 namespace usfq
 {
-
-class Component;
 
 namespace sta_detail
 {
@@ -68,17 +68,38 @@ struct AnchorInfo
     bool periodic = false; ///< exactly uniform schedule
 };
 
+/**
+ * Compressed (CSR) per-node edge lists: the edges of node v are
+ * index[start[v] .. start[v + 1]), in ascending edge order.
+ */
+struct Adjacency
+{
+    std::vector<std::uint32_t> start; ///< nodes + 1 offsets
+    std::vector<std::uint32_t> index; ///< one entry per edge
+
+    std::span<const std::uint32_t>
+    of(std::uint32_t v) const
+    {
+        return {index.data() + start[v], start[v + 1] - start[v]};
+    }
+};
+
 struct StaGraph
 {
     std::vector<Node> nodes;
     std::vector<Edge> edges;
-    std::vector<std::vector<std::uint32_t>> outEdges; ///< per node
-    std::vector<std::vector<std::uint32_t>> inEdges;  ///< per node
+    Adjacency outEdges; ///< by Edge::from
+    Adjacency inEdges;  ///< by Edge::to
     std::vector<AnchorInfo> anchors;
 
     std::vector<Component *> comps;
     /** Per-component model, with any delayDelta jitter already applied. */
     std::vector<TimingModel> models;
+    /**
+     * First node of each component: its input ports are nodes
+     * firstNode[c] + i, its output ports follow them in addPort order.
+     */
+    std::vector<std::uint32_t> firstNode;
 
     std::unordered_map<const void *, std::uint32_t> nodeOf;
 
@@ -94,6 +115,20 @@ struct StaGraph
     {
         auto it = nodeOf.find(port);
         return it == nodeOf.end() ? UINT32_MAX : it->second;
+    }
+
+    /** Node of input port @p port of component @p comp. */
+    std::uint32_t
+    inputNode(std::size_t comp, std::size_t port) const
+    {
+        return firstNode[comp] + static_cast<std::uint32_t>(port);
+    }
+
+    /** Node of output port @p port of component @p comp. */
+    std::uint32_t
+    outputNode(std::size_t comp, std::size_t port) const
+    {
+        return inputNode(comp, comps[comp]->inputPorts().size() + port);
     }
 };
 

@@ -193,6 +193,17 @@ StaReport runSta(Netlist &nl, const StaOptions &opts = {});
  */
 StaReport runStaChecked(Netlist &nl, const StaOptions &opts = {});
 
+/**
+ * runStaChecked()'s gate applied to a report runSta() already produced
+ * for @p nl: mark the findings @p opts' waivers cover, then, if any
+ * finding is still unwaived, warn once per such finding and fatal.
+ * Waivers only mark findings -- no window, floor, slack or rate figure
+ * depends on them -- so gating a report computed without @p opts'
+ * waivers is exactly runStaChecked(nl, opts), minus the second analysis.
+ */
+void gateStaReport(const Netlist &nl, StaReport &report,
+                   const StaOptions &opts);
+
 } // namespace usfq
 
 #endif // USFQ_STA_STA_HH

@@ -87,6 +87,20 @@ parseIntent(const char *intent, svc::RequestIntent &out)
     return true;
 }
 
+/** Store @p message in @p slot when there is one; never throws (a
+ *  message that cannot be stored leaves the slot empty). */
+void
+recordError(std::string *slot, const char *message) noexcept
+{
+    if (slot == nullptr)
+        return;
+    try {
+        *slot = message;
+    } catch (...) {
+        slot->clear();
+    }
+}
+
 } // namespace
 
 extern "C" {
@@ -134,23 +148,27 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
     if (broker == nullptr || spec_json == nullptr ||
         out_json == nullptr)
         return USFQ_ERR_INVALID_ARG;
-    std::string &lastError = broker->lastError();
-    lastError.clear();
+    // Acquiring the slot allocates (first call on this thread), so it
+    // happens inside the armor; without a slot there is nowhere to put
+    // a message.
+    std::string *lastError = nullptr;
     try {
+        lastError = &broker->lastError();
+        lastError->clear();
         svc::Request request;
         std::string err;
         if (!api::specFromJson(spec_json, request.spec, &err)) {
-            lastError = err;
+            *lastError = err;
             return USFQ_ERR_PARSE;
         }
         if (params_json != nullptr &&
             !api::runParamsFromJson(params_json, request.params,
                                     &err)) {
-            lastError = err;
+            *lastError = err;
             return USFQ_ERR_PARSE;
         }
         if (!parseIntent(intent, request.intent)) {
-            lastError =
+            *lastError =
                 "broker: intent must be default, throughput or audit";
             return USFQ_ERR_INVALID_ARG;
         }
@@ -167,12 +185,12 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
         }
         const svc::Response response = future->get();
         if (response.status != api::Status::Ok) {
-            lastError = response.error;
+            *lastError = response.error;
             return toStatus(response.status);
         }
         char *copy = dupString(response.json);
         if (copy == nullptr) {
-            lastError = "out of memory";
+            *lastError = "out of memory";
             return USFQ_ERR_INTERNAL;
         }
         if (out_cache_hit != nullptr)
@@ -180,10 +198,10 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
         *out_json = copy;
         return USFQ_OK;
     } catch (const std::exception &e) {
-        lastError = e.what();
+        recordError(lastError, e.what());
         return USFQ_ERR_INTERNAL;
     } catch (...) {
-        lastError = "unknown exception";
+        recordError(lastError, "unknown exception");
         return USFQ_ERR_INTERNAL;
     }
 }

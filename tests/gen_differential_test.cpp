@@ -3,7 +3,8 @@
  * Generator differential tier (ctest label `gen`): an unbounded supply
  * of circuits nobody hand-wrote.  Seeded random DesignSpecs compile
  * through the balancing pass, must elaborate lint-clean, must pass the
- * checked STA gate under genStaOptions(), and their pulse-level
+ * checked STA gate under genStaOptions() with exactly the rate and
+ * slack figures the balancer reported, and their pulse-level
  * simulation must match the functional slot-algebra mirror exactly --
  * per-epoch counts and the order-sensitive digest.  A facade slice
  * re-runs a subset through the service layer and pins the scalar /
@@ -89,10 +90,21 @@ TEST(GenDifferential, RandomSpecsPulseVsFunctional)
             for (const LintFinding &f : nl.lint())
                 EXPECT_TRUE(f.waived)
                     << what << ": unwaived lint finding: " << f.message;
+            StaReport checked;
             ASSERT_NO_THROW({
                 ScopedFatalThrow guard;
-                runStaChecked(nl, genStaOptions(spec));
+                checked = runStaChecked(nl, genStaOptions(spec));
             }) << what;
+            // The balancer reads its outcome figures off the converged
+            // iteration's own analysis, with no checked rebuild: they
+            // must equal this independent checked run's, bit for bit.
+            EXPECT_EQ(bo.requiredStreamSpacing,
+                      checked.requiredStreamSpacing)
+                << what;
+            EXPECT_EQ(bo.maxStreamRateHz, checked.maxStreamRateHz())
+                << what;
+            EXPECT_EQ(bo.worstSlack, checked.worstSlack) << what;
+            EXPECT_EQ(bo.hasWorstSlack, checked.hasWorstSlack) << what;
         }
 
         // Pulse vs functional, exact per-epoch counts + digests.
