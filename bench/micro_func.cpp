@@ -10,6 +10,11 @@
  * func::DotProductUnit.  The bench FAILS (exit 1) if the functional
  * engine is less than 50x faster -- that floor is the reason the
  * backend exists (docs/functional.md).
+ *
+ * BM_RunWorkload/<leg> times whole api::runWorkload calls from
+ * precomputed design facts, one per engine leg (scalar, batched, FIR,
+ * functional NoC, and the pulse-level DPU, gen and NoC rigs); items
+ * are epochs, so 1e9 / items_per_second is the leg's ns per epoch.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,8 +22,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "api/facade.hh"
+#include "api/spec.hh"
 #include "bench_gbench.hh"
 #include "core/dpu.hh"
 #include "core/encoding.hh"
@@ -116,6 +124,87 @@ BM_PulseStreamProduct(benchmark::State &state)
             func::bipolarProductStream(a, cfg.nmax() / 2).count());
 }
 BENCHMARK(BM_PulseStreamProduct)->Arg(6)->Arg(10)->Arg(14);
+
+/** One runWorkload leg: a usfq_serve-sized spec on one engine. */
+struct WorkloadLeg
+{
+    const char *name;
+    api::NetlistSpec spec;
+    api::RunParams params;
+};
+
+api::NetlistSpec
+legSpec(api::WorkloadKind kind, int taps, int bits, DpuMode mode)
+{
+    api::NetlistSpec spec;
+    spec.kind = kind;
+    spec.name = "leg";
+    spec.taps = taps;
+    spec.bits = bits;
+    spec.mode = mode;
+    return spec;
+}
+
+api::RunParams
+legParams(Backend backend, int epochs, int batch)
+{
+    api::RunParams params;
+    params.backend = backend;
+    params.epochs = epochs;
+    params.batch = batch;
+    params.threads = 1;
+    return params;
+}
+
+std::vector<WorkloadLeg>
+workloadLegs()
+{
+    using K = api::WorkloadKind;
+    const auto F = Backend::Functional;
+    const auto P = Backend::PulseLevel;
+    api::NetlistSpec mesh4 = legSpec(K::NocMesh, 2, 4, DpuMode::Bipolar);
+    mesh4.gridRows = mesh4.gridCols = 4;
+    api::NetlistSpec mesh2 = mesh4;
+    mesh2.gridRows = mesh2.gridCols = 2;
+    api::NetlistSpec gen4 = legSpec(K::Gen, 16, 8, DpuMode::Bipolar);
+    gen4.gen.lanes = 4;
+    gen4.gen.bits = 4;
+    gen4.gen.clockPeriodPs = 24;
+    gen4.gen.tree = gen::TreeKind::Balancer;
+    gen4.gen.shape = gen::LaneShape::Skewed;
+    return {
+        {"dpu16", legSpec(K::Dpu, 16, 6, DpuMode::Bipolar),
+         legParams(F, 256, 1)},
+        {"dpu16_batch8", legSpec(K::Dpu, 16, 6, DpuMode::Bipolar),
+         legParams(F, 256, 8)},
+        {"fir4_batch4", legSpec(K::Fir, 4, 6, DpuMode::Unipolar),
+         legParams(F, 256, 4)},
+        {"noc4x4", mesh4, legParams(F, 32, 1)},
+        {"pulse_dpu4", legSpec(K::Dpu, 4, 4, DpuMode::Bipolar),
+         legParams(P, 16, 1)},
+        {"pulse_gen4x4", gen4, legParams(P, 16, 1)},
+        {"pulse_noc2x2", mesh2, legParams(P, 8, 1)},
+    };
+}
+
+/** Whole runWorkload calls of one leg, from precomputed facts. */
+void
+BM_RunWorkload(benchmark::State &state, const WorkloadLeg &leg)
+{
+    api::Session session(leg.spec);
+    api::DesignFacts facts;
+    if (session.designFacts(facts) != api::Status::Ok) {
+        state.SkipWithError(session.lastError().c_str());
+        return;
+    }
+    api::RunParams params = leg.params;
+    for (auto _ : state) {
+        params.seed += 1;
+        benchmark::DoNotOptimize(
+            api::runWorkload(leg.spec, params, facts).checksum);
+    }
+    state.SetItemsProcessed(state.iterations() * leg.params.epochs);
+}
 
 /**
  * Measured head-to-head on the BM_DpuEpochPulseLevel/8 workload.
@@ -299,6 +388,10 @@ main(int argc, char **argv)
 
     bench::Artifact artifact("micro_func", &argc, argv);
     bench::ArtifactReporter reporter(artifact);
+    for (const WorkloadLeg &leg : workloadLegs())
+        benchmark::RegisterBenchmark(
+            (std::string("BM_RunWorkload/") + leg.name).c_str(),
+            BM_RunWorkload, leg);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

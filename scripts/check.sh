@@ -20,9 +20,12 @@
 #   ./scripts/check.sh tsan            # concurrency gate: the svc tier
 #                                      # (broker facts table + result
 #                                      # cache under N workers, the C ABI
-#                                      # hammer tests) plus the
-#                                      # svc_serve_smoke, under
-#                                      # ThreadSanitizer only
+#                                      # hammer tests, the run lock, the
+#                                      # svc_serve_smoke), the noc and
+#                                      # batch tiers and the determinism
+#                                      # tests (sweep workers owning
+#                                      # per-worker rigs and arenas),
+#                                      # under ThreadSanitizer only
 #   ./scripts/check.sh gen             # design-space compiler gate: the
 #                                      # gen and sta tiers (spec
 #                                      # round-trips, balancer convergence,
@@ -98,10 +101,13 @@ elif [[ "$mode" == "svc" ]]; then
 elif [[ "$mode" == "tsan" ]]; then
     # The concurrency gate (docs/service.md, "Thread safety"): the svc
     # tier -- broker workers sharing the design-facts table and the
-    # result cache, per-thread fatal() modes, the C ABI hammer tests --
-    # and the svc_serve_smoke (already in the svc label), under
-    # ThreadSanitizer.
-    ctest_args=(-L 'svc' "${ctest_args[@]}")
+    # result cache, per-thread fatal() modes, the C ABI hammer tests,
+    # the run lock at 3 sweep threads -- and the svc_serve_smoke
+    # (already in the svc label); plus the noc, batch and determinism
+    # tiers, whose multi-threaded sweeps hand every pool thread its
+    # own mutable rig, operand buffers and arena (sim/sweep.hh,
+    # WorkerLocal).  Under ThreadSanitizer.
+    ctest_args=(-L 'svc|noc|batch|determinism' "${ctest_args[@]}")
 elif [[ "$mode" == "gen" ]]; then
     # The design-space compiler gate (docs/synthesis.md): spec JSON
     # round-trips and hash determinism, balancer convergence/budget

@@ -7,6 +7,7 @@
 #include "core/fir.hh"
 #include "core/multiplier.hh"
 #include "core/pe.hh"
+#include "func/batch.hh"
 #include "func/components.hh"
 #include "func/noc.hh"
 #include "gen/balance.hh"
@@ -118,89 +119,7 @@ inverterPeriod(const NetlistSpec &spec)
     return std::max<Tick>(1, static_cast<Tick>(ticks + 0.5));
 }
 
-// --- pulse-level run harnesses (the differential-test drives) -----------
-
-Tick
-dpuSetLag(int length)
-{
-    int depth = 0, n = 1;
-    while (n < length) {
-        n <<= 1;
-        ++depth;
-    }
-    return static_cast<Tick>(depth) * 3 * kPicosecond;
-}
-
-int
-runPulseDpu(const EpochConfig &cfg, DpuMode mode,
-            const std::vector<int> &streams, const std::vector<int> &ids)
-{
-    const int length = static_cast<int>(streams.size());
-    Netlist nl;
-    auto &dpu = nl.create<DotProductUnit>("dpu", length, mode);
-    auto &src_e = nl.create<PulseSource>("e");
-    auto &src_clk = nl.create<PulseSource>("clk");
-    PulseTrace out;
-    src_e.out.connect(dpu.epochIn());
-    if (mode == DpuMode::Bipolar)
-        src_clk.out.connect(dpu.clkIn());
-    dpu.out().connect(out.input());
-
-    std::vector<PulseSource *> rl_srcs, st_srcs;
-    for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
-        r.out.connect(dpu.rlIn(i));
-        s.out.connect(dpu.streamIn(i));
-        rl_srcs.push_back(&r);
-        st_srcs.push_back(&s);
-    }
-    const Tick rl_off = dpuSetLag(length) + 1 * kPicosecond;
-    src_e.pulseAt(0);
-    if (mode == DpuMode::Bipolar)
-        src_clk.pulsesAt(BipolarMultiplier::gridClockTimes(cfg, 0));
-    for (int i = 0; i < length; ++i) {
-        rl_srcs[static_cast<std::size_t>(i)]->pulseAt(
-            rl_off + cfg.rlTime(ids[static_cast<std::size_t>(i)]));
-        st_srcs[static_cast<std::size_t>(i)]->pulsesAt(
-            cfg.streamTimes(streams[static_cast<std::size_t>(i)]));
-    }
-    nl.queue().run();
-    return static_cast<int>(out.count());
-}
-
-int
-runPulsePe(const EpochConfig &cfg, int in1_id, int in2_count,
-           int in3_count)
-{
-    constexpr Tick kRlOff = 5 * kPicosecond;
-    Netlist nl;
-    auto &pe = nl.create<ProcessingElement>("pe", cfg);
-    auto &src_e = nl.create<PulseSource>("e");
-    auto &src1 = nl.create<PulseSource>("in1");
-    auto &src2 = nl.create<PulseSource>("in2");
-    auto &src3 = nl.create<PulseSource>("in3");
-    PulseTrace out;
-    src_e.out.connect(pe.epoch());
-    src1.out.connect(pe.in1());
-    src2.out.connect(pe.in2());
-    src3.out.connect(pe.in3());
-    pe.out().connect(out.input());
-
-    src_e.pulseAt(0);
-    src1.pulseAt(kRlOff + cfg.rlTime(in1_id));
-    src2.pulsesAt(cfg.streamTimes(in2_count));
-    src3.pulsesAt(cfg.streamTimes(in3_count));
-    src_e.pulseAt(cfg.duration()); // conversion trigger
-    nl.queue().run();
-    for (Tick t : out.times()) {
-        if (t > cfg.duration())
-            return cfg.rlSlotOf(t - cfg.duration() - kPeSlot -
-                                3 * kPicosecond -
-                                EpochConfig::kRlPulseOffset);
-    }
-    return -1;
-}
+// --- pulse-level FIR run ---------------------------------------------------
 
 /**
  * Pulse-level FIR run (the fig19 equivalence drive): one netlist, one
@@ -261,12 +180,18 @@ runPulseFir(const NetlistSpec &spec, const RunParams &params)
 }
 
 // --- per-kind sweeps -----------------------------------------------------
+//
+// Every leg builds what depends only on the spec once per sweep (FIR
+// coefficient counts, the NoC routing index) or once per sweep worker
+// (WorkerLocal: operand buffers and arenas, pulse-level rigs), and each
+// shard or lane group only re-programs its stimulus and evaluates.
 
+/** Sweep options of a run, with the thread count resolved once. */
 SweepOptions
 sweepOptions(const RunParams &params)
 {
     SweepOptions opt;
-    opt.threads = params.threads;
+    opt.threads = resolveSweepThreads(params.threads);
     opt.baseSeed = params.seed;
     opt.backend = params.backend;
     opt.batch.width = params.batch;
@@ -279,67 +204,86 @@ widen(const std::vector<int> &counts)
     return {counts.begin(), counts.end()};
 }
 
+/**
+ * A functional leg's per-worker scratch: operand buffers resized in
+ * place per shard or lane group, and an arena reset per group.
+ */
+struct Scratch
+{
+    std::vector<int> a, b, c;
+    WordArena arena;
+};
+
+/**
+ * @p buf resized to @p n entries, as a pointer to fill: its capacity
+ * survives across shards, so a warm worker allocates nothing.
+ */
+int *
+sized(std::vector<int> &buf, std::size_t n)
+{
+    buf.resize(n);
+    return buf.data();
+}
+
 std::vector<long long>
 runDpu(const NetlistSpec &spec, const RunParams &params)
 {
     const int padded = nextPow2(spec.taps);
     const EpochConfig cfg(spec.bits, dpuSlotWidth(padded));
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
-    const auto gen = [&](Rng &rng, std::vector<int> &streams,
-                         std::vector<int> &ids) {
-        for (int i = 0; i < spec.taps; ++i) {
-            streams.push_back(
-                static_cast<int>(rng.uniformInt(0, cfg.nmax())));
-            ids.push_back(
-                static_cast<int>(rng.uniformInt(0, cfg.nmax())));
+    const auto taps = static_cast<std::size_t>(spec.taps);
+    const SweepOptions opt = sweepOptions(params);
+    WorkerLocal<Scratch> scratch(opt);
+    // Element k of one epoch at streams[k * stride], ids[k * stride]:
+    // the draw order (stream, then id, per element) is the seed's.
+    const auto draw = [&](std::uint64_t seed, int *streams, int *ids,
+                          std::size_t stride) {
+        Rng rng(seed);
+        for (std::size_t k = 0; k < taps; ++k) {
+            streams[k * stride] =
+                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+            ids[k * stride] =
+                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
         }
     };
-    if (params.backend == Backend::Functional && params.batch > 1) {
+    if (params.backend == Backend::PulseLevel) {
+        WorkerLocal<DpuEpochRig> rigs(opt);
+        return widen(runSweep(
+            epochs,
+            [&](const ShardContext &ctx) {
+                Scratch &s = scratch.at(ctx.worker);
+                draw(ctx.seed, sized(s.a, taps), sized(s.b, taps), 1);
+                return rigs.at(ctx.worker, cfg, spec.taps, spec.mode)
+                    .run(s.a, s.b);
+            },
+            opt));
+    }
+    if (params.batch > 1) {
         return widen(runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
-                const auto lanes =
-                    static_cast<std::size_t>(ctx.lanes);
-                // Operand-major: element k's lane values contiguous.
-                std::vector<int> streams(
-                    static_cast<std::size_t>(spec.taps) * lanes);
-                std::vector<int> ids(streams.size());
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    Rng rng(ctx.seeds[b]);
-                    std::vector<int> s, d;
-                    gen(rng, s, d);
-                    for (std::size_t k = 0;
-                         k < static_cast<std::size_t>(spec.taps); ++k) {
-                        streams[k * lanes + b] = s[k];
-                        ids[k * lanes + b] = d[k];
-                    }
-                }
-                Netlist fnl;
-                auto &dpu = fnl.create<func::DotProductUnit>(
-                    "dpu", spec.taps, spec.mode);
+                const auto lanes = static_cast<std::size_t>(ctx.lanes);
+                Scratch &s = scratch.at(ctx.worker);
+                int *streams = sized(s.a, taps * lanes);
+                int *ids = sized(s.b, taps * lanes);
+                for (std::size_t b = 0; b < lanes; ++b)
+                    draw(ctx.seeds[b], streams + b, ids + b, lanes);
                 std::vector<int> res(lanes);
-                WordArena arena;
-                dpu.evaluateBatch(cfg, streams, ids, res, arena);
+                s.arena.reset();
+                func::batchDpuExpectedCount(cfg, spec.mode, spec.taps,
+                                            s.a, s.b, res, s.arena);
                 return res;
             },
-            sweepOptions(params)));
+            opt));
     }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
-            Rng rng(ctx.seed);
-            std::vector<int> streams, ids;
-            gen(rng, streams, ids);
-            if (ctx.backend == Backend::Functional) {
-                Netlist fnl;
-                return fnl
-                    .create<func::DotProductUnit>("dpu", spec.taps,
-                                                  spec.mode)
-                    .evaluate(cfg, streams, ids);
-            }
-            return runPulseDpu(cfg, spec.mode, streams, ids);
+            Scratch &s = scratch.at(ctx.worker);
+            draw(ctx.seed, sized(s.a, taps), sized(s.b, taps), 1);
+            return dpuExpectedCount(cfg, spec.mode, s.a, s.b);
         },
-        sweepOptions(params)));
+        opt));
 }
 
 std::vector<long long>
@@ -347,49 +291,61 @@ runPe(const NetlistSpec &spec, const RunParams &params)
 {
     const EpochConfig cfg(spec.bits, kPeSlot);
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
-    if (params.backend == Backend::Functional && params.batch > 1) {
+    const SweepOptions opt = sweepOptions(params);
+    struct Operands
+    {
+        int in1, in2, in3;
+    };
+    const auto draw = [&](std::uint64_t seed) {
+        Rng rng(seed);
+        Operands op;
+        op.in1 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        op.in2 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        op.in3 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        return op;
+    };
+    if (params.backend == Backend::PulseLevel) {
+        WorkerLocal<PeEpochRig> rigs(opt);
+        return widen(runSweep(
+            epochs,
+            [&](const ShardContext &ctx) {
+                const Operands op = draw(ctx.seed);
+                return rigs.at(ctx.worker, cfg).run(op.in1, op.in2,
+                                                    op.in3);
+            },
+            opt));
+    }
+    if (params.batch > 1) {
+        WorkerLocal<Scratch> scratch(opt);
         return widen(runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
-                const auto lanes =
-                    static_cast<std::size_t>(ctx.lanes);
-                std::vector<int> in1(lanes), in2(lanes), in3(lanes);
+                const auto lanes = static_cast<std::size_t>(ctx.lanes);
+                Scratch &s = scratch.at(ctx.worker);
+                int *in1 = sized(s.a, lanes);
+                int *in2 = sized(s.b, lanes);
+                int *in3 = sized(s.c, lanes);
                 for (std::size_t b = 0; b < lanes; ++b) {
-                    Rng rng(ctx.seeds[b]);
-                    in1[b] =
-                        static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-                    in2[b] =
-                        static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-                    in3[b] =
-                        static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+                    const Operands op = draw(ctx.seeds[b]);
+                    in1[b] = op.in1;
+                    in2[b] = op.in2;
+                    in3[b] = op.in3;
                 }
-                Netlist fnl;
-                auto &pe = fnl.create<func::ProcessingElement>("pe", cfg);
                 std::vector<int> res(lanes);
-                WordArena arena;
-                pe.evaluateBatch(in1, in2, in3, res, arena);
+                s.arena.reset();
+                func::batchPeExpectedSlot(cfg, s.a, s.b, s.c, res,
+                                          s.arena);
                 return res;
             },
-            sweepOptions(params)));
+            opt));
     }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
-            Rng rng(ctx.seed);
-            const int in1 =
-                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-            const int in2 =
-                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-            const int in3 =
-                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-            if (ctx.backend == Backend::Functional) {
-                Netlist fnl;
-                return fnl.create<func::ProcessingElement>("pe", cfg)
-                    .evaluate(in1, in2, in3);
-            }
-            return runPulsePe(cfg, in1, in2, in3);
+            const Operands op = draw(ctx.seed);
+            return peExpectedSlot(cfg, op.in1, op.in2, op.in3);
         },
-        sweepOptions(params)));
+        opt));
 }
 
 std::vector<long long>
@@ -398,9 +354,15 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
     UsfqFirConfig cfg{.taps = spec.taps, .bits = spec.bits,
                       .mode = spec.mode};
     const EpochConfig ecfg(spec.bits, cfg.clockPeriod());
-    const std::vector<double> h = firCoefficients(spec);
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
     const auto taps = static_cast<std::size_t>(spec.taps);
+    const SweepOptions opt = sweepOptions(params);
+
+    // Quantized once per sweep: every epoch reads the same taps.
+    const std::vector<double> h = firCoefficients(spec);
+    std::vector<int> hCounts(taps);
+    for (std::size_t k = 0; k < taps; ++k)
+        hCounts[k] = func::firCoefficientCount(ecfg, spec.mode, h[k]);
 
     // Sample ids are a pure function of (seed, epoch), never of sweep
     // shape, so the zero-padded windows below are identical at any
@@ -413,42 +375,36 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
     const auto windowId = [&](std::size_t e, std::size_t k) {
         return e >= k ? ids[e - k] : 0;
     };
-    const auto makeFir = [&](Netlist &fnl) -> func::UsfqFir & {
-        auto &fir = fnl.create<func::UsfqFir>(spec.name, cfg);
-        for (int k = 0; k < spec.taps; ++k)
-            fir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
-        return fir;
-    };
+    WorkerLocal<Scratch> scratch(opt);
     if (params.batch > 1) {
         return widen(runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
-                const auto lanes =
-                    static_cast<std::size_t>(ctx.lanes);
-                std::vector<int> windows(taps * lanes);
+                const auto lanes = static_cast<std::size_t>(ctx.lanes);
+                Scratch &s = scratch.at(ctx.worker);
+                int *windows = sized(s.a, taps * lanes);
                 for (std::size_t k = 0; k < taps; ++k)
                     for (std::size_t b = 0; b < lanes; ++b)
                         windows[k * lanes + b] =
                             windowId(ctx.first + b, k);
-                Netlist fnl;
-                auto &fir = makeFir(fnl);
                 std::vector<int> res(lanes);
-                WordArena arena;
-                fir.stepCountBatch(windows, res, arena);
+                s.arena.reset();
+                func::firStepCountBatch(ecfg, spec.mode, hCounts, s.a,
+                                        res, s.arena);
                 return res;
             },
-            sweepOptions(params)));
+            opt));
     }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
-            std::vector<int> window(taps);
+            Scratch &s = scratch.at(ctx.worker);
+            int *window = sized(s.a, taps);
             for (std::size_t k = 0; k < taps; ++k)
                 window[k] = windowId(ctx.index, k);
-            Netlist fnl;
-            return makeFir(fnl).stepCount(window);
+            return func::firStepCount(ecfg, spec.mode, hCounts, s.a);
         },
-        sweepOptions(params)));
+        opt));
 }
 
 /** GridPlan of a NocMesh spec: column-collect traffic by default. */
@@ -480,60 +436,88 @@ nocDigest(const noc::FabricObservation &obs)
     return static_cast<int>(noc::observationDigest(obs) & 0x7fffffff);
 }
 
+/** The functional NoC leg's per-worker scratch. */
+struct NocScratch
+{
+    std::vector<noc::FabricObservation> obs;
+    WordArena arena;
+};
+
+/**
+ * NoC sweep.  Fabric telemetry is summed per worker and exported once
+ * after the sweep; counters add and the utilization gauge keeps the
+ * max, so the registry is the one per-epoch exports would merge to.
+ */
 std::vector<long long>
 runNocMesh(const NetlistSpec &spec, const RunParams &params)
 {
     const noc::GridPlan plan = nocPlan(spec);
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
-    if (params.backend == Backend::Functional && params.batch > 1) {
-        return widen(runBatchedSweep(
+    const SweepOptions opt = sweepOptions(params);
+    WorkerLocal<noc::FabricTelemetry> telemetry(opt);
+    std::vector<int> digests;
+    if (params.backend == Backend::PulseLevel) {
+        WorkerLocal<noc::PulseFabricRig> rigs(opt);
+        digests = runSweep(
+            epochs,
+            [&](const ShardContext &ctx) {
+                const noc::PulseFabricResult res =
+                    rigs.at(ctx.worker, plan).run(ctx.seed);
+                if (res.latePulses != 0 || res.misaligned != 0)
+                    fatal("noc fabric: %llu late / %llu misaligned "
+                          "pulses (TDM schedule bug)",
+                          static_cast<unsigned long long>(
+                              res.latePulses),
+                          static_cast<unsigned long long>(
+                              res.misaligned));
+                telemetry.at(ctx.worker, plan).accumulate(res.obs);
+                return nocDigest(res.obs);
+            },
+            opt);
+    } else if (params.batch > 1) {
+        const func::FabricIndex index(plan);
+        WorkerLocal<NocScratch> scratch(opt);
+        digests = runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
-                std::vector<std::uint64_t> seeds(ctx.seeds.begin(),
-                                                 ctx.seeds.end());
-                std::vector<noc::FabricObservation> obs;
-                WordArena arena;
-                func::evaluateFabricBatch(plan, seeds, obs, arena);
-                std::vector<int> res(obs.size());
-                for (std::size_t b = 0; b < obs.size(); ++b) {
-                    noc::exportFabricTelemetry(plan, obs[b],
-                                               obs::currentStats());
-                    res[b] = nocDigest(obs[b]);
+                NocScratch &s = scratch.at(ctx.worker);
+                s.arena.reset();
+                func::evaluateFabricBatch(plan, index, ctx.seeds, s.obs,
+                                          s.arena);
+                noc::FabricTelemetry &t = telemetry.at(ctx.worker, plan);
+                std::vector<int> res(s.obs.size());
+                for (std::size_t b = 0; b < s.obs.size(); ++b) {
+                    t.accumulate(s.obs[b]);
+                    res[b] = nocDigest(s.obs[b]);
                 }
                 return res;
             },
-            sweepOptions(params)));
-    }
-    return widen(runSweep(
-        epochs,
-        [&](const ShardContext &ctx) {
-            if (ctx.backend == Backend::Functional) {
+            opt);
+    } else {
+        const func::FabricIndex index(plan);
+        digests = runSweep(
+            epochs,
+            [&](const ShardContext &ctx) {
                 const noc::FabricObservation obs =
-                    func::evaluateFabricSeed(plan, ctx.seed);
-                noc::exportFabricTelemetry(plan, obs,
-                                           obs::currentStats());
+                    func::evaluateFabricSeed(plan, index, ctx.seed);
+                telemetry.at(ctx.worker, plan).accumulate(obs);
                 return nocDigest(obs);
-            }
-            const noc::PulseFabricResult res =
-                noc::runPulseFabric(plan, ctx.seed);
-            if (res.latePulses != 0 || res.misaligned != 0)
-                fatal("noc fabric: %llu late / %llu misaligned pulses "
-                      "(TDM schedule bug)",
-                      static_cast<unsigned long long>(res.latePulses),
-                      static_cast<unsigned long long>(res.misaligned));
-            noc::exportFabricTelemetry(plan, res.obs,
-                                       obs::currentStats());
-            return nocDigest(res.obs);
-        },
-        sweepOptions(params)));
+            },
+            opt);
+    }
+    noc::FabricTelemetry total(plan);
+    telemetry.forEach(
+        [&](const noc::FabricTelemetry &t) { total.mergeFrom(t); });
+    total.exportTo(obs::currentStats());
+    return widen(digests);
 }
 
 /**
  * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
  * leg walks the slot-set mirror (gen/functional.hh); the pulse leg
- * rebuilds the balanced datapath per epoch (shard isolation).  The
- * balancing pass @p bo is part of the design, not of any epoch: it
- * arrives with the spec's DesignFacts.
+ * replays one balanced datapath rig per worker.  The balancing pass
+ * @p bo is part of the design, not of any epoch: it arrives with the
+ * spec's DesignFacts.
  */
 std::vector<long long>
 runGen(const NetlistSpec &spec, const RunParams &params,
@@ -543,7 +527,19 @@ runGen(const NetlistSpec &spec, const RunParams &params,
         fatal("gen run: balancing %s: %s",
               gen::balanceStatusName(bo.status), bo.detail.c_str());
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
-    if (params.backend == Backend::Functional && params.batch > 1) {
+    const SweepOptions opt = sweepOptions(params);
+    if (params.backend == Backend::PulseLevel) {
+        WorkerLocal<gen::PulseEpochRig> rigs(opt);
+        return widen(runSweep(
+            epochs,
+            [&](const ShardContext &ctx) {
+                return static_cast<int>(
+                    rigs.at(ctx.worker, spec.gen, bo.plan)
+                        .run(gen::drawEpochInputs(spec.gen, ctx.seed)));
+            },
+            opt));
+    }
+    if (params.batch > 1) {
         return widen(runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
@@ -558,20 +554,17 @@ runGen(const NetlistSpec &spec, const RunParams &params,
                 }
                 return res;
             },
-            sweepOptions(params)));
+            opt));
     }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
-            const gen::EpochInputs in =
-                gen::drawEpochInputs(spec.gen, ctx.seed);
-            if (ctx.backend == Backend::Functional)
-                return static_cast<int>(
-                    gen::evalEpoch(spec.gen, in).count);
             return static_cast<int>(
-                gen::runPulseEpoch(spec.gen, bo.plan, in));
+                gen::evalEpoch(spec.gen,
+                               gen::drawEpochInputs(spec.gen, ctx.seed))
+                    .count);
         },
-        sweepOptions(params)));
+        opt));
 }
 
 std::vector<long long>

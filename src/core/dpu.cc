@@ -135,4 +135,65 @@ DotProductUnit::decode(const EpochConfig &cfg, DpuMode mode, int length,
            (padded_length - length);
 }
 
+Tick
+dpuRlLaunchOffset(int length)
+{
+    int depth = 0, n = 1;
+    while (n < length) {
+        n <<= 1;
+        ++depth;
+    }
+    return static_cast<Tick>(depth) * 3 * kPicosecond + 1 * kPicosecond;
+}
+
+DpuEpochRig::DpuEpochRig(const EpochConfig &config, int length,
+                         DpuMode dpuMode)
+    : cfg(config), mode(dpuMode), nl("dpu_rig"),
+      dpu(nl.create<DotProductUnit>("dpu", length, dpuMode)),
+      epoch(nl.create<PulseSource>("e"))
+{
+    epoch.out.connect(dpu.epochIn());
+    if (mode == DpuMode::Bipolar) {
+        clk = &nl.create<PulseSource>("clk");
+        clk->out.connect(dpu.clkIn());
+        gridClock = BipolarMultiplier::gridClockTimes(cfg, 0);
+    } else {
+        dpu.clkIn().markOptional("unipolar DPU needs no grid clock");
+    }
+    dpu.out().connect(out.input());
+    for (int i = 0; i < length; ++i) {
+        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
+        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        r.out.connect(dpu.rlIn(i));
+        s.out.connect(dpu.streamIn(i));
+        rl.push_back(&r);
+        stream.push_back(&s);
+    }
+    nl.elaborate();
+}
+
+int
+DpuEpochRig::run(const std::vector<int> &streams,
+                 const std::vector<int> &ids)
+{
+    if (static_cast<int>(streams.size()) != length() ||
+        static_cast<int>(ids.size()) != length())
+        panic("DpuEpochRig: %zu/%zu operands for %d elements",
+              streams.size(), ids.size(), length());
+    // Reset first, even on a fresh rig: an epoch that threw half way
+    // cannot leave state behind for the next one.
+    nl.resetAll();
+    out.clear();
+    const Tick rlOff = dpuRlLaunchOffset(length());
+    epoch.pulseAt(0);
+    if (clk != nullptr)
+        clk->pulsesAt(gridClock);
+    for (std::size_t i = 0; i < rl.size(); ++i) {
+        rl[i]->pulseAt(rlOff + cfg.rlTime(ids[i]));
+        stream[i]->pulsesAt(cfg.streamTimes(streams[i]));
+    }
+    nl.queue().run(); // no per-epoch phase span
+    return static_cast<int>(out.count());
+}
+
 } // namespace usfq

@@ -18,8 +18,10 @@
 #include "core/adder.hh"
 #include "core/encoding.hh"
 #include "core/multiplier.hh"
+#include "sfq/sources.hh"
 #include "sim/component.hh"
 #include "sim/netlist.hh"
+#include "sim/trace.hh"
 
 namespace usfq
 {
@@ -106,6 +108,51 @@ class DotProductUnit : public Component
     std::vector<std::unique_ptr<BipolarMultiplier>> bipolar;
     std::vector<std::unique_ptr<Splitter>> fanout;
     std::unique_ptr<TreeCountingNetwork> tree;
+};
+
+/**
+ * Launch time of the RL operands after the epoch marker in the
+ * standard DPU drive: the marker's set lag through the log2(L)-deep
+ * splitter fanout (3 ps per level) plus 1 ps.  The pulse-level DPU
+ * runs of the API facade and the NoC's DPU tiles both drive this way.
+ */
+Tick dpuRlLaunchOffset(int length);
+
+/**
+ * One DotProductUnit with its stimulus -- epoch marker, grid clock
+ * (bipolar), RL and stream operand sources -- and an output trace,
+ * built and elaborated once and replayed per epoch.  run() resets
+ * the netlist and the trace, re-programs every source in a fixed
+ * order and runs to quiescence, so each epoch is bit-identical to one
+ * on a freshly built rig.
+ */
+class DpuEpochRig
+{
+  public:
+    DpuEpochRig(const EpochConfig &cfg, int length, DpuMode mode);
+
+    DpuEpochRig(const DpuEpochRig &) = delete;
+    DpuEpochRig &operator=(const DpuEpochRig &) = delete;
+
+    /** Output pulse count of one epoch (length() operands each). */
+    int run(const std::vector<int> &streams,
+            const std::vector<int> &ids);
+
+    int length() const { return static_cast<int>(rl.size()); }
+    Netlist &netlist() { return nl; }
+    const PulseTrace &output() const { return out; }
+
+  private:
+    EpochConfig cfg;
+    DpuMode mode;
+    Netlist nl;
+    DotProductUnit &dpu;
+    PulseSource &epoch;
+    PulseSource *clk = nullptr; ///< bipolar grid clock
+    std::vector<Tick> gridClock; ///< its schedule, every epoch alike
+    std::vector<PulseSource *> rl;
+    std::vector<PulseSource *> stream;
+    PulseTrace out;
 };
 
 } // namespace usfq

@@ -170,4 +170,43 @@ PeChain::reset()
         pe->reset();
 }
 
+// --- PeEpochRig --------------------------------------------------------------
+
+PeEpochRig::PeEpochRig(const EpochConfig &config)
+    : cfg(config), nl("pe_rig"),
+      pe(nl.create<ProcessingElement>("pe", config)),
+      epoch(nl.create<PulseSource>("e")),
+      in1(nl.create<PulseSource>("in1")),
+      in2(nl.create<PulseSource>("in2")),
+      in3(nl.create<PulseSource>("in3"))
+{
+    epoch.out.connect(pe.epoch());
+    in1.out.connect(pe.in1());
+    in2.out.connect(pe.in2());
+    in3.out.connect(pe.in3());
+    pe.out().connect(out.input());
+    nl.elaborate();
+}
+
+int
+PeEpochRig::run(int in1_id, int in2_count, int in3_count)
+{
+    constexpr Tick kRlOff = 5 * kPicosecond;
+    nl.resetAll();
+    out.clear();
+    epoch.pulseAt(0);
+    in1.pulseAt(kRlOff + cfg.rlTime(in1_id));
+    in2.pulsesAt(cfg.streamTimes(in2_count));
+    in3.pulsesAt(cfg.streamTimes(in3_count));
+    epoch.pulseAt(cfg.duration()); // conversion trigger
+    nl.queue().run(); // no per-epoch phase span
+    for (Tick t : out.times()) {
+        if (t > cfg.duration())
+            return cfg.rlSlotOf(t - cfg.duration() - cfg.slotWidth() -
+                                3 * kPicosecond -
+                                EpochConfig::kRlPulseOffset);
+    }
+    return -1;
+}
+
 } // namespace usfq

@@ -23,8 +23,10 @@
 #include "core/encoding.hh"
 #include "core/multiplier.hh"
 #include "sfq/cells.hh"
+#include "sfq/sources.hh"
 #include "sim/component.hh"
 #include "sim/netlist.hh"
+#include "sim/trace.hh"
 
 namespace usfq
 {
@@ -138,6 +140,37 @@ class PeChain : public Component
     InputPort epochPort;
     std::vector<std::unique_ptr<ProcessingElement>> pes;
     std::vector<std::unique_ptr<Splitter>> fanout;
+};
+
+/**
+ * One ProcessingElement with its stimulus -- epoch marker (plus the
+ * conversion trigger one epoch later), the RL operand and both stream
+ * operands -- and an output trace, built and elaborated once and
+ * replayed per epoch like DpuEpochRig.
+ */
+class PeEpochRig
+{
+  public:
+    explicit PeEpochRig(const EpochConfig &cfg);
+
+    PeEpochRig(const PeEpochRig &) = delete;
+    PeEpochRig &operator=(const PeEpochRig &) = delete;
+
+    /** The RL slot the PE emits after conversion, or -1 if none. */
+    int run(int in1_id, int in2_count, int in3_count);
+
+    Netlist &netlist() { return nl; }
+    const PulseTrace &output() const { return out; }
+
+  private:
+    EpochConfig cfg;
+    Netlist nl;
+    ProcessingElement &pe;
+    PulseSource &epoch;
+    PulseSource &in1;
+    PulseSource &in2;
+    PulseSource &in3;
+    PulseTrace out;
 };
 
 } // namespace usfq

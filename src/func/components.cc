@@ -467,6 +467,76 @@ IntegratorBuffer::push(int rl_id)
 
 // --- FIR --------------------------------------------------------------------
 
+namespace
+{
+
+int
+firPadded(std::size_t taps)
+{
+    int padded = 2;
+    while (static_cast<std::size_t>(padded) < taps)
+        padded <<= 1;
+    return padded;
+}
+
+} // namespace
+
+int
+firCoefficientCount(const EpochConfig &epoch, DpuMode mode, double value)
+{
+    return mode == DpuMode::Unipolar ? epoch.streamCountOfUnipolar(value)
+                                     : epoch.streamCountOfBipolar(value);
+}
+
+int
+firStepCount(const EpochConfig &epoch, DpuMode mode,
+             std::span<const int> h_counts,
+             std::span<const int> window_ids)
+{
+    std::vector<int> products(
+        static_cast<std::size_t>(firPadded(h_counts.size())), 0);
+    for (std::size_t k = 0; k < h_counts.size(); ++k) {
+        const int id = k < window_ids.size()
+                           ? window_ids[k]
+                           : (mode == DpuMode::Unipolar
+                                  ? 0
+                                  : epoch.rlIdOfBipolar(0.0));
+        products[k] = mode == DpuMode::Unipolar
+                          ? unipolarProductCount(epoch, h_counts[k], id)
+                          : bipolarProductCount(epoch, h_counts[k], id);
+    }
+    return treeNetworkCount(std::move(products));
+}
+
+void
+firStepCountBatch(const EpochConfig &epoch, DpuMode mode,
+                  std::span<const int> h_counts,
+                  std::span<const int> window_ids, std::span<int> out,
+                  WordArena &arena)
+{
+    const std::size_t lanes = out.size();
+    const std::size_t taps = h_counts.size();
+    const auto padded = static_cast<std::size_t>(firPadded(taps));
+    int *products = arena.allocAs<int>(padded * lanes);
+    int *hs = arena.allocAs<int>(lanes);
+    for (std::size_t k = 0; k < taps; ++k) {
+        std::fill(hs, hs + lanes, h_counts[k]);
+        const std::size_t off = k * lanes;
+        std::span<int> lane_out(products + off, lanes);
+        if (mode == DpuMode::Unipolar)
+            batchUnipolarProductCount(
+                epoch, std::span<const int>(hs, lanes),
+                window_ids.subspan(off, lanes), lane_out);
+        else
+            batchBipolarProductCount(
+                epoch, std::span<const int>(hs, lanes),
+                window_ids.subspan(off, lanes), lane_out);
+    }
+    std::fill(products + taps * lanes, products + padded * lanes, 0);
+    batchTreeNetworkCount(std::span<int>(products, padded * lanes),
+                          static_cast<int>(lanes), out);
+}
+
 UsfqFir::UsfqFir(Netlist &nl, const std::string &name,
                  const UsfqFirConfig &config)
     : Component(nl, name),
@@ -477,9 +547,7 @@ UsfqFir::UsfqFir(Netlist &nl, const std::string &name,
     if (cfg.taps < 2)
         fatal("func::UsfqFir %s: need at least two taps",
               this->name().c_str());
-    padded = 2;
-    while (padded < cfg.taps)
-        padded <<= 1;
+    padded = firPadded(static_cast<std::size_t>(cfg.taps));
 }
 
 void
@@ -489,63 +557,24 @@ UsfqFir::setCoefficient(int k, double value)
         panic("func::UsfqFir %s: tap %d out of range", name().c_str(),
               k);
     hCounts[static_cast<std::size_t>(k)] =
-        cfg.mode == DpuMode::Unipolar
-            ? epoch.streamCountOfUnipolar(value)
-            : epoch.streamCountOfBipolar(value);
+        firCoefficientCount(epoch, cfg.mode, value);
 }
 
 int
 UsfqFir::stepCount(const std::vector<int> &window_ids)
 {
     recordSwitches(epochSwitches(jjCount()));
-    std::vector<int> products(static_cast<std::size_t>(padded), 0);
-    for (int k = 0; k < cfg.taps; ++k) {
-        const int id = k < static_cast<int>(window_ids.size())
-                           ? window_ids[static_cast<std::size_t>(k)]
-                           : (cfg.mode == DpuMode::Unipolar
-                                  ? 0
-                                  : epoch.rlIdOfBipolar(0.0));
-        products[static_cast<std::size_t>(k)] =
-            cfg.mode == DpuMode::Unipolar
-                ? unipolarProductCount(
-                      epoch, hCounts[static_cast<std::size_t>(k)], id)
-                : bipolarProductCount(
-                      epoch, hCounts[static_cast<std::size_t>(k)], id);
-    }
-    return treeNetworkCount(std::move(products));
+    return firStepCount(epoch, cfg.mode, hCounts, window_ids);
 }
 
 void
 UsfqFir::stepCountBatch(std::span<const int> window_ids,
                         std::span<int> out, WordArena &arena)
 {
-    const std::size_t lanes = out.size();
     checkBatchSpans("func::UsfqFir", name(), window_ids.size(),
-                    cfg.taps, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    int *products = arena.allocAs<int>(
-        static_cast<std::size_t>(padded) * lanes);
-    int *hs = arena.allocAs<int>(lanes);
-    for (int k = 0; k < cfg.taps; ++k) {
-        std::fill(hs, hs + lanes,
-                  hCounts[static_cast<std::size_t>(k)]);
-        const std::size_t off = static_cast<std::size_t>(k) * lanes;
-        std::span<int> lane_out(products + off, lanes);
-        if (cfg.mode == DpuMode::Unipolar)
-            batchUnipolarProductCount(
-                epoch, std::span<const int>(hs, lanes),
-                window_ids.subspan(off, lanes), lane_out);
-        else
-            batchBipolarProductCount(
-                epoch, std::span<const int>(hs, lanes),
-                window_ids.subspan(off, lanes), lane_out);
-    }
-    std::fill(products + static_cast<std::size_t>(cfg.taps) * lanes,
-              products + static_cast<std::size_t>(padded) * lanes, 0);
-    batchTreeNetworkCount(
-        std::span<int>(products,
-                       static_cast<std::size_t>(padded) * lanes),
-        static_cast<int>(lanes), out);
+                    cfg.taps, out.size());
+    recordSwitches(batchSwitches(jjCount(), out.size()));
+    firStepCountBatch(epoch, cfg.mode, hCounts, window_ids, out, arena);
 }
 
 double

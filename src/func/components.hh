@@ -359,6 +359,34 @@ class IntegratorBuffer : public Component
 };
 
 /**
+ * Quantized coefficient stream count of FIR tap value @p value, as the
+ * netlist's CoefficientBank rounds it (what UsfqFir::setCoefficient
+ * stores).
+ */
+int firCoefficientCount(const EpochConfig &epoch, DpuMode mode,
+                        double value);
+
+/**
+ * Output pulse count of one FIR step: tap k multiplies coefficient
+ * count h_counts[k] by RL sample id window_ids[k] (ids past the end
+ * of a short window read as the zero sample), and the counting tree,
+ * padded to a power of two >= 2, sums the products.
+ */
+int firStepCount(const EpochConfig &epoch, DpuMode mode,
+                 std::span<const int> h_counts,
+                 std::span<const int> window_ids);
+
+/**
+ * B full windows at once: @p window_ids is operand-major (tap k's B
+ * lane ids contiguous, taps*B total); out[b] = firStepCount over lane
+ * b's window.  Scratch comes from @p arena.
+ */
+void firStepCountBatch(const EpochConfig &epoch, DpuMode mode,
+                       std::span<const int> h_counts,
+                       std::span<const int> window_ids,
+                       std::span<int> out, WordArena &arena);
+
+/**
  * Functional 16-tap-class FIR: same constructor and arithmetic
  * contract as the pulse-level UsfqFir, evaluated one epoch per step.
  * The error-free integer path (stepCount) is what the differential

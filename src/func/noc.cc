@@ -4,11 +4,45 @@
 #include <map>
 #include <tuple>
 
-#include "func/components.hh"
-#include "sim/netlist.hh"
+#include "core/encoding.hh"
+#include "func/batch.hh"
 
 namespace usfq::func
 {
+
+FabricIndex::FabricIndex(const noc::GridPlan &plan)
+    : cfg(plan.cfg), windows(plan.windows), routers(plan.routers.size()),
+      sinks(plan.sinkTiles())
+{
+    for (std::size_t si = 0; si < sinks.size(); ++si) {
+        for (int w = 0; w < windows; ++w) {
+            SinkWindow sw{si, w, {}};
+            for (const noc::FlowPlan &f : plan.flows)
+                if (f.spec.dst == sinks[si] && f.window == w)
+                    sw.srcs.push_back(f.spec.src);
+            if (!sw.srcs.empty())
+                sinkWindows.push_back(std::move(sw));
+        }
+    }
+    std::map<std::tuple<int, int, int>, std::map<int, std::vector<int>>>
+        via;
+    for (const noc::FlowPlan &f : plan.flows)
+        for (std::size_t k = 0; k < f.routers.size(); ++k)
+            via[{f.routers[k], f.outDir[k], f.window}][f.inDir[k]]
+                .push_back(f.spec.src);
+    for (const auto &[key, byInput] : via) {
+        const auto [r, d, w] = key;
+        Channel ch;
+        ch.router = r;
+        ch.slot = (static_cast<std::size_t>(r) * noc::kDirCount +
+                   static_cast<std::size_t>(d)) *
+                      static_cast<std::size_t>(windows) +
+                  static_cast<std::size_t>(w);
+        for (const auto &[in, srcs] : byInput)
+            ch.inputs.push_back(srcs);
+        channels.push_back(std::move(ch));
+    }
+}
 
 std::vector<int>
 nocTileCounts(const noc::GridPlan &plan, const noc::TileOperands &ops)
@@ -22,53 +56,46 @@ nocTileCounts(const noc::GridPlan &plan, const noc::TileOperands &ops)
             counts[static_cast<std::size_t>(f.spec.src)] = 1;
         return counts;
     }
-    Netlist fnl("noc_func");
-    auto &dpu = fnl.create<DotProductUnit>("dpu", plan.spec.taps,
-                                           plan.spec.mode);
     const std::size_t taps = static_cast<std::size_t>(plan.spec.taps);
+    std::vector<int> streams(taps), ids(taps);
     for (const noc::FlowPlan &f : plan.flows) {
         const std::size_t t = static_cast<std::size_t>(f.spec.src);
-        const std::vector<int> streams(
-            ops.streams.begin() + static_cast<std::ptrdiff_t>(t * taps),
-            ops.streams.begin() +
-                static_cast<std::ptrdiff_t>((t + 1) * taps));
-        const std::vector<int> ids(
-            ops.ids.begin() + static_cast<std::ptrdiff_t>(t * taps),
-            ops.ids.begin() +
-                static_cast<std::ptrdiff_t>((t + 1) * taps));
-        counts[t] = std::min(dpu.evaluate(plan.cfg, streams, ids),
-                             plan.cfg.nmax());
+        std::copy_n(ops.streams.begin() +
+                        static_cast<std::ptrdiff_t>(t * taps),
+                    taps, streams.begin());
+        std::copy_n(ops.ids.begin() + static_cast<std::ptrdiff_t>(t * taps),
+                    taps, ids.begin());
+        counts[t] = std::min(
+            dpuExpectedCount(plan.cfg, plan.spec.mode, streams, ids),
+            plan.cfg.nmax());
     }
     return counts;
 }
 
 noc::FabricObservation
-evaluateFabric(const noc::GridPlan &plan, const std::vector<int> &counts)
+evaluateFabric(const FabricIndex &index, const std::vector<int> &counts)
 {
-    const EpochConfig &cfg = plan.cfg;
+    const EpochConfig &cfg = index.cfg;
+    const std::size_t windows = static_cast<std::size_t>(index.windows);
     noc::FabricObservation obs;
-    obs.sinks = plan.sinkTiles();
-    obs.sinkWindowCounts.assign(
-        obs.sinks.size(),
-        std::vector<std::uint64_t>(
-            static_cast<std::size_t>(plan.windows), 0));
+    obs.sinks = index.sinks;
+    obs.sinkWindowCounts.assign(obs.sinks.size(),
+                                std::vector<std::uint64_t>(windows, 0));
 
     // Sink deliveries: per (sink, window), the slot union of the
     // sharing flows' Euclidean streams.
-    for (std::size_t si = 0; si < obs.sinks.size(); ++si) {
-        for (int w = 0; w < plan.windows; ++w) {
-            std::vector<int> sharing;
-            for (const noc::FlowPlan &f : plan.flows)
-                if (f.spec.dst == obs.sinks[si] && f.window == w)
-                    sharing.push_back(
-                        counts[static_cast<std::size_t>(f.spec.src)]);
-            if (sharing.empty())
-                continue;
-            const std::uint64_t u = static_cast<std::uint64_t>(
-                mergerTreeUnionCount(cfg, sharing));
-            obs.sinkWindowCounts[si][static_cast<std::size_t>(w)] = u;
-            obs.delivered += u;
-        }
+    std::vector<int> flowCounts;
+    const auto gather = [&](const std::vector<int> &srcs) {
+        flowCounts.clear();
+        for (int t : srcs)
+            flowCounts.push_back(counts[static_cast<std::size_t>(t)]);
+        return mergerTreeUnionCount(cfg, flowCounts);
+    };
+    for (const FabricIndex::SinkWindow &sw : index.sinkWindows) {
+        const auto u = static_cast<std::uint64_t>(gather(sw.srcs));
+        obs.sinkWindowCounts[sw.sink][static_cast<std::size_t>(
+            sw.window)] = u;
+        obs.delivered += u;
     }
 
     // Router ledgers: per (router, output, window), the pulses the
@@ -77,36 +104,22 @@ evaluateFabric(const noc::GridPlan &plan, const std::vector<int> &counts)
     // any balanced tree topology.  The overall union is also exactly
     // what survives onto the output -- the occupancy the pulse
     // engine's NocTap counts there.
-    obs.routerCollisions.assign(plan.routers.size(), 0);
-    obs.outputWindowPulses.assign(
-        plan.routers.size() * noc::kDirCount *
-            static_cast<std::size_t>(plan.windows),
-        0);
-    std::map<std::tuple<int, int, int>, std::map<int, std::vector<int>>>
-        via;
-    for (const noc::FlowPlan &f : plan.flows)
-        for (std::size_t k = 0; k < f.routers.size(); ++k)
-            via[{f.routers[k], f.outDir[k], f.window}][f.inDir[k]]
-                .push_back(
-                    counts[static_cast<std::size_t>(f.spec.src)]);
-    for (const auto &[key, byInput] : via) {
-        const auto [r, d, w] = key;
-        std::vector<int> all;
+    obs.routerCollisions.assign(index.routers, 0);
+    obs.outputWindowPulses.assign(index.routers * noc::kDirCount * windows,
+                                  0);
+    std::vector<int> all;
+    for (const FabricIndex::Channel &ch : index.channels) {
+        all.clear();
         long long inputSum = 0;
-        for (const auto &[in, flowCounts] : byInput) {
-            inputSum += mergerTreeUnionCount(cfg, flowCounts);
-            all.insert(all.end(), flowCounts.begin(),
-                       flowCounts.end());
+        for (const std::vector<int> &srcs : ch.inputs) {
+            inputSum += gather(srcs);
+            all.insert(all.end(), flowCounts.begin(), flowCounts.end());
         }
         const long long unionOut = mergerTreeUnionCount(cfg, all);
-        obs.outputWindowPulses
-            [(static_cast<std::size_t>(r) * noc::kDirCount +
-              static_cast<std::size_t>(d)) *
-                 static_cast<std::size_t>(plan.windows) +
-             static_cast<std::size_t>(w)] =
+        obs.outputWindowPulses[ch.slot] =
             static_cast<std::uint64_t>(unionOut);
         const long long loss = inputSum - unionOut;
-        obs.routerCollisions[static_cast<std::size_t>(r)] +=
+        obs.routerCollisions[static_cast<std::size_t>(ch.router)] +=
             static_cast<std::uint64_t>(loss);
         obs.collisions += static_cast<std::uint64_t>(loss);
     }
@@ -114,16 +127,22 @@ evaluateFabric(const noc::GridPlan &plan, const std::vector<int> &counts)
 }
 
 noc::FabricObservation
+evaluateFabricSeed(const noc::GridPlan &plan, const FabricIndex &index,
+                   std::uint64_t seed)
+{
+    return evaluateFabric(
+        index, nocTileCounts(plan, drawTileOperands(plan, seed)));
+}
+
+noc::FabricObservation
 evaluateFabricSeed(const noc::GridPlan &plan, std::uint64_t seed)
 {
-    return evaluateFabric(plan,
-                          nocTileCounts(plan, drawTileOperands(plan,
-                                                               seed)));
+    return evaluateFabricSeed(plan, FabricIndex(plan), seed);
 }
 
 void
-evaluateFabricBatch(const noc::GridPlan &plan,
-                    const std::vector<std::uint64_t> &seeds,
+evaluateFabricBatch(const noc::GridPlan &plan, const FabricIndex &index,
+                    std::span<const std::uint64_t> seeds,
                     std::vector<noc::FabricObservation> &out,
                     WordArena &arena)
 {
@@ -142,12 +161,9 @@ evaluateFabricBatch(const noc::GridPlan &plan,
             for (std::size_t l = 0; l < lanes; ++l)
                 counts[l][static_cast<std::size_t>(f.spec.src)] = 1;
     } else {
-        Netlist fnl("noc_func");
-        auto &dpu = fnl.create<DotProductUnit>("dpu", plan.spec.taps,
-                                               plan.spec.mode);
-        std::vector<int> streams(taps * lanes);
-        std::vector<int> ids(taps * lanes);
-        std::vector<int> res(lanes);
+        int *streams = arena.allocAs<int>(taps * lanes);
+        int *ids = arena.allocAs<int>(taps * lanes);
+        int *res = arena.allocAs<int>(lanes);
         for (const noc::FlowPlan &f : plan.flows) {
             const std::size_t t = static_cast<std::size_t>(f.spec.src);
             for (std::size_t k = 0; k < taps; ++k)
@@ -156,7 +172,11 @@ evaluateFabricBatch(const noc::GridPlan &plan,
                         ops[l].streams[t * taps + k];
                     ids[k * lanes + l] = ops[l].ids[t * taps + k];
                 }
-            dpu.evaluateBatch(plan.cfg, streams, ids, res, arena);
+            batchDpuExpectedCount(
+                plan.cfg, plan.spec.mode, plan.spec.taps,
+                std::span<const int>(streams, taps * lanes),
+                std::span<const int>(ids, taps * lanes),
+                std::span<int>(res, lanes), arena);
             for (std::size_t l = 0; l < lanes; ++l)
                 counts[l][t] = std::min(res[l], plan.cfg.nmax());
         }
@@ -165,7 +185,16 @@ evaluateFabricBatch(const noc::GridPlan &plan,
     out.clear();
     out.reserve(lanes);
     for (std::size_t l = 0; l < lanes; ++l)
-        out.push_back(evaluateFabric(plan, counts[l]));
+        out.push_back(evaluateFabric(index, counts[l]));
+}
+
+void
+evaluateFabricBatch(const noc::GridPlan &plan,
+                    const std::vector<std::uint64_t> &seeds,
+                    std::vector<noc::FabricObservation> &out,
+                    WordArena &arena)
+{
+    evaluateFabricBatch(plan, FabricIndex(plan), seeds, out, arena);
 }
 
 } // namespace usfq::func

@@ -24,6 +24,7 @@
 #define USFQ_FUNC_NOC_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noc/plan.hh"
@@ -33,6 +34,42 @@ namespace usfq::func
 {
 
 /**
+ * A plan's routing structure, flattened once (per sweep, not per
+ * epoch): the source tiles sharing every (sink, window), and the ones
+ * crossing every (router, output, window) channel grouped by router
+ * input.  evaluateFabric walks these lists instead of re-deriving
+ * them from the routes.
+ */
+struct FabricIndex
+{
+    explicit FabricIndex(const noc::GridPlan &plan);
+
+    /** Flows delivered at one sink in one window. */
+    struct SinkWindow
+    {
+        std::size_t sink = 0; ///< row of sinks / sinkWindowCounts
+        int window = 0;
+        std::vector<int> srcs; ///< source tiles, flow order
+    };
+
+    /** Flows leaving one router output in one window. */
+    struct Channel
+    {
+        int router = 0;
+        std::size_t slot = 0; ///< index into outputWindowPulses
+        /** Source tiles per feeding router input, ascending input. */
+        std::vector<std::vector<int>> inputs;
+    };
+
+    EpochConfig cfg;
+    int windows = 1;
+    std::size_t routers = 0;
+    std::vector<int> sinks; ///< plan.sinkTiles()
+    std::vector<SinkWindow> sinkWindows;
+    std::vector<Channel> channels;
+};
+
+/**
  * Injected result count per tile (capped at nmax, as the injector
  * caps) for one operand draw; non-source tiles report 0.
  */
@@ -40,10 +77,15 @@ std::vector<int> nocTileCounts(const noc::GridPlan &plan,
                                const noc::TileOperands &ops);
 
 /** Fabric counting algebra over per-tile injected counts. */
-noc::FabricObservation evaluateFabric(const noc::GridPlan &plan,
+noc::FabricObservation evaluateFabric(const FabricIndex &index,
                                       const std::vector<int> &counts);
 
 /** One full functional evaluation of a seeded epoch. */
+noc::FabricObservation evaluateFabricSeed(const noc::GridPlan &plan,
+                                          const FabricIndex &index,
+                                          std::uint64_t seed);
+
+/** evaluateFabricSeed on a plan indexed for this one call. */
 noc::FabricObservation evaluateFabricSeed(const noc::GridPlan &plan,
                                           std::uint64_t seed);
 
@@ -53,6 +95,13 @@ noc::FabricObservation evaluateFabricSeed(const noc::GridPlan &plan,
  * fabric algebra.  out[b] == evaluateFabricSeed(plan, seeds[b])
  * bit-identically (the batch tier's contract).
  */
+void evaluateFabricBatch(const noc::GridPlan &plan,
+                         const FabricIndex &index,
+                         std::span<const std::uint64_t> seeds,
+                         std::vector<noc::FabricObservation> &out,
+                         WordArena &arena);
+
+/** evaluateFabricBatch on a plan indexed for this one call. */
 void evaluateFabricBatch(const noc::GridPlan &plan,
                          const std::vector<std::uint64_t> &seeds,
                          std::vector<noc::FabricObservation> &out,

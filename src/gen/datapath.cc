@@ -458,18 +458,33 @@ StreamDatapath::jjsFor(const DesignSpec &spec, const PaddingPlan &plan)
 
 // --- pulse-level epoch harness ---------------------------------------------
 
+PulseEpochRig::PulseEpochRig(const DesignSpec &spec,
+                             const PaddingPlan &plan)
+    : nl("gen"), dp(nl.create<StreamDatapath>("dp", spec, plan)),
+      trace("gen.out")
+{
+    trace.input().markObserver();
+    dp.out().connect(trace.input());
+    nl.elaborate();
+}
+
+long long
+PulseEpochRig::run(const EpochInputs &in)
+{
+    // Reset first, even on a fresh rig: an epoch that threw half way
+    // cannot leave state behind for the next one.
+    nl.resetAll();
+    trace.clear();
+    dp.programEpoch(in);
+    nl.run();
+    return static_cast<long long>(trace.totalCount());
+}
+
 long long
 runPulseEpoch(const DesignSpec &spec, const PaddingPlan &plan,
               const EpochInputs &in)
 {
-    Netlist nl("gen");
-    auto &dp = nl.create<StreamDatapath>("dp", spec, plan);
-    PulseTrace trace("gen.out");
-    trace.input().markObserver();
-    dp.out().connect(trace.input());
-    dp.programEpoch(in);
-    nl.run();
-    return static_cast<long long>(trace.totalCount());
+    return PulseEpochRig(spec, plan).run(in);
 }
 
 } // namespace usfq::gen

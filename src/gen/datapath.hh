@@ -13,10 +13,10 @@
  * (on the capture clock tap) and `post` (between the lane and its
  * counting-tree leaf).
  *
- * The datapath is rebuilt per epoch by the evaluation harness
- * (runPulseEpoch): every epoch is an independent world with its own
- * clock count and gate states, matching the runSweep shard isolation
- * contract.
+ * The evaluation harness (PulseEpochRig) builds the datapath once and
+ * replays it per epoch: every epoch resets the netlist first and then
+ * programs its own clock count and gate states, so epochs stay
+ * independent, as the runSweep determinism contract requires.
  */
 
 #ifndef USFQ_GEN_DATAPATH_HH
@@ -32,6 +32,7 @@
 #include "sfq/sources.hh"
 #include "sim/component.hh"
 #include "sim/netlist.hh"
+#include "sim/trace.hh"
 
 namespace usfq::gen
 {
@@ -184,10 +185,32 @@ class StreamDatapath : public Component
 };
 
 /**
- * Evaluate one epoch at pulse level: build (spec, plan) into a fresh
- * netlist, program @p in, run to quiescence and return the output
- * pulse count.
+ * A (spec, plan) datapath in a netlist of its own with an observer
+ * trace on its output, built and elaborated once and replayed per
+ * epoch: run() resets the netlist and the trace, programs @p in and
+ * runs to quiescence -- bit-identical to a freshly built datapath.
  */
+class PulseEpochRig
+{
+  public:
+    PulseEpochRig(const DesignSpec &spec, const PaddingPlan &plan);
+
+    PulseEpochRig(const PulseEpochRig &) = delete;
+    PulseEpochRig &operator=(const PulseEpochRig &) = delete;
+
+    /** Output pulse count of one epoch. */
+    long long run(const EpochInputs &in);
+
+    Netlist &netlist() { return nl; }
+    const PulseTrace &output() const { return trace; }
+
+  private:
+    Netlist nl;
+    StreamDatapath &dp;
+    PulseTrace trace;
+};
+
+/** One epoch on a rig built for it alone. */
 long long runPulseEpoch(const DesignSpec &spec, const PaddingPlan &plan,
                         const EpochInputs &in);
 

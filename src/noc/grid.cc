@@ -17,18 +17,6 @@ namespace usfq::noc
 namespace
 {
 
-/** RL operand skew of the DPU drive (same as the API facade's). */
-Tick
-dpuSetLag(int length)
-{
-    int depth = 0, n = 1;
-    while (n < length) {
-        n <<= 1;
-        ++depth;
-    }
-    return static_cast<Tick>(depth) * 3 * kPicosecond;
-}
-
 constexpr Tick kPeRlOff = 5 * kPicosecond;
 
 std::string
@@ -61,6 +49,14 @@ TileGrid::TileGrid(Netlist &netlist, const GridPlan &plan)
     buildRouters();
     buildLinks();
     buildTaps();
+    programSchedule();
+}
+
+void
+TileGrid::programSchedule()
+{
+    for (const auto &[src, times] : schedule)
+        src->pulsesAt(times);
 }
 
 void
@@ -76,8 +72,7 @@ TileGrid::buildTile(int t, int flow)
         tile.pe = &nl.create<ProcessingElement>(tn + ".pe", cfg);
         auto &e = nl.create<PulseSource>(tn + ".e");
         e.out.connect(tile.pe->epoch());
-        e.pulseAt(0);
-        e.pulseAt(cfg.duration()); // conversion trigger
+        schedule.push_back({&e, {0, cfg.duration()}}); // + conversion
         tile.in1 = &nl.create<PulseSource>(tn + ".in1");
         tile.in2 = &nl.create<PulseSource>(tn + ".in2");
         tile.in3 = &nl.create<PulseSource>(tn + ".in3");
@@ -90,11 +85,12 @@ TileGrid::buildTile(int t, int flow)
                                               gp.spec.mode);
         auto &e = nl.create<PulseSource>(tn + ".e");
         e.out.connect(tile.dpu->epochIn());
-        e.pulseAt(0);
+        schedule.push_back({&e, {0}});
         if (gp.spec.mode == DpuMode::Bipolar) {
             auto &clk = nl.create<PulseSource>(tn + ".clk");
             clk.out.connect(tile.dpu->clkIn());
-            clk.pulsesAt(BipolarMultiplier::gridClockTimes(cfg, 0));
+            schedule.push_back(
+                {&clk, BipolarMultiplier::gridClockTimes(cfg, 0)});
         } else {
             tile.dpu->clkIn().markOptional(
                 "noc tile: unipolar DPU needs no grid clock");
@@ -120,7 +116,7 @@ TileGrid::buildTile(int t, int flow)
         result->connect(tile.inj->in);
         auto &trig = nl.create<PulseSource>(tn + ".trig");
         trig.out.connect(tile.inj->trigger);
-        trig.pulseAt(gp.triggerTime(flow));
+        schedule.push_back({&trig, {gp.triggerTime(flow)}});
     } else {
         result->markOpen(
             "noc: tile result not sourced into the fabric");
@@ -199,8 +195,8 @@ TileGrid::buildRouters()
             auto &src = nl.create<PulseSource>(
                 routerName(gp, r) + ".sel_" + dirName(in) + "_" +
                 std::to_string(node) + "_" + std::to_string(side));
-            src.pulsesAt(times);
             src.out.connect(router.sel(in, node, side));
+            schedule.push_back({&src, std::move(times)});
         }
     }
 
@@ -276,7 +272,7 @@ void
 TileGrid::programOperands(const TileOperands &ops)
 {
     const EpochConfig &cfg = gp.cfg;
-    const Tick rlOff = dpuSetLag(gp.spec.taps) + 1 * kPicosecond;
+    const Tick rlOff = dpuRlLaunchOffset(gp.spec.taps);
     for (int t = 0; t < gp.tiles(); ++t) {
         Tile &tile = tiles[static_cast<std::size_t>(t)];
         const std::size_t base =
@@ -366,20 +362,33 @@ TileGrid::misaligned() const
     return total;
 }
 
+PulseFabricRig::PulseFabricRig(const GridPlan &plan)
+    : nl("noc"), tileGrid(nl, plan)
+{
+    nl.elaborate();
+}
+
+PulseFabricResult
+PulseFabricRig::run(std::uint64_t seed)
+{
+    // Reset first, even on a fresh rig: a run that threw half way
+    // cannot leave state behind for the next one.
+    nl.resetAll();
+    tileGrid.programSchedule();
+    tileGrid.programOperands(drawTileOperands(tileGrid.plan(), seed));
+    nl.run(tileGrid.plan().horizon);
+    PulseFabricResult res;
+    res.obs = tileGrid.observe();
+    res.latePulses = tileGrid.latePulses();
+    res.misaligned = tileGrid.misaligned();
+    res.totalJJ = nl.totalJJs();
+    return res;
+}
+
 PulseFabricResult
 runPulseFabric(const GridPlan &plan, std::uint64_t seed)
 {
-    Netlist nl("noc");
-    TileGrid grid(nl, plan);
-    grid.programOperands(drawTileOperands(plan, seed));
-    nl.elaborate();
-    nl.run(plan.horizon);
-    PulseFabricResult res;
-    res.obs = grid.observe();
-    res.latePulses = grid.latePulses();
-    res.misaligned = grid.misaligned();
-    res.totalJJ = nl.totalJJs();
-    return res;
+    return PulseFabricRig(plan).run(seed);
 }
 
 } // namespace usfq::noc

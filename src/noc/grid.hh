@@ -10,14 +10,17 @@
  * create<>'d on the netlist (correct totalJJs() and report() without
  * double counting), and the builder object itself is just handles.
  *
- * One TileGrid == one computing epoch: program the seeded operands
- * once (programOperands), elaborate, run(plan.horizon), observe().
+ * One TileGrid run == one computing epoch: program the seeded operands
+ * (programOperands), elaborate, run(plan.horizon), observe().  The
+ * same grid replays further epochs after Netlist::resetAll() and
+ * programSchedule() -- PulseFabricRig below.
  */
 
 #ifndef USFQ_NOC_GRID_HH
 #define USFQ_NOC_GRID_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dpu.hh"
@@ -38,9 +41,18 @@ class TileGrid
     const GridPlan &plan() const { return gp; }
 
     /**
+     * Program the planned stimulus -- epoch markers, bipolar grid
+     * clocks, injector triggers and demux selects -- in construction
+     * order.  The constructor calls it; after Netlist::resetAll() call
+     * it again before programOperands(), so the event queue sees the
+     * same schedule, in the same order, as a freshly built grid.
+     */
+    void programSchedule();
+
+    /**
      * Program the per-tile operand sources (the only seed-dependent
-     * stimulus; triggers / selects / epoch markers are planned and
-     * programmed at construction).  Call exactly once, before run.
+     * stimulus).  Call once per epoch, after programSchedule's
+     * stimulus, before run.
      */
     void programOperands(const TileOperands &ops);
 
@@ -85,13 +97,16 @@ class TileGrid
     Netlist &nl;
     GridPlan gp;
     std::vector<Tile> tiles;
+
+    /** Planned stimulus, construction order (programSchedule()). */
+    std::vector<std::pair<PulseSource *, std::vector<Tick>>> schedule;
     std::vector<NocRouter *> routers;
 
     /** Output occupancy taps, router * kDirCount + dir (sparse). */
     std::vector<NocTap *> taps;
 };
 
-/** One pulse-level fabric evaluation (fresh netlist, one epoch). */
+/** One pulse-level fabric evaluation (one epoch). */
 struct PulseFabricResult
 {
     FabricObservation obs;
@@ -100,6 +115,32 @@ struct PulseFabricResult
     long long totalJJ = 0;
 };
 
+/**
+ * A TileGrid in a netlist of its own, built and elaborated once and
+ * replayed per epoch: run() resets every component and the event
+ * queue, re-programs the planned schedule and the seed's operands, and
+ * runs to the horizon -- bit-identical to a freshly built grid, since
+ * the queue sees the same events in the same order.
+ */
+class PulseFabricRig
+{
+  public:
+    explicit PulseFabricRig(const GridPlan &plan);
+
+    PulseFabricRig(const PulseFabricRig &) = delete;
+    PulseFabricRig &operator=(const PulseFabricRig &) = delete;
+
+    PulseFabricResult run(std::uint64_t seed);
+
+    Netlist &netlist() { return nl; }
+    const TileGrid &grid() const { return tileGrid; }
+
+  private:
+    Netlist nl;
+    TileGrid tileGrid;
+};
+
+/** One epoch on a rig built for it alone. */
 PulseFabricResult runPulseFabric(const GridPlan &plan,
                                  std::uint64_t seed);
 

@@ -502,26 +502,43 @@ outputWindowBases(const GridPlan &plan)
     return bases;
 }
 
+namespace
+{
+
+/** nmax * #(sink, window) pairs carrying any flow. */
 double
-windowUtilization(const GridPlan &plan, const FabricObservation &obs)
+windowCapacity(const GridPlan &plan)
 {
     std::set<std::pair<int, int>> scheduled;
     for (const FlowPlan &f : plan.flows)
         scheduled.insert({f.spec.dst, f.window});
-    const double capacity =
-        static_cast<double>(scheduled.size()) *
-        static_cast<double>(plan.cfg.nmax());
-    return capacity > 0.0
-               ? static_cast<double>(obs.delivered) / capacity
-               : 0.0;
+    return static_cast<double>(scheduled.size()) *
+           static_cast<double>(plan.cfg.nmax());
 }
 
-void
-exportFabricTelemetry(const GridPlan &plan,
-                      const FabricObservation &obs,
-                      obs::StatsRegistry &reg,
-                      const std::string &prefix)
+double
+utilizationOf(std::uint64_t delivered, double capacity)
 {
+    return capacity > 0.0 ? static_cast<double>(delivered) / capacity
+                          : 0.0;
+}
+
+} // namespace
+
+double
+windowUtilization(const GridPlan &plan, const FabricObservation &obs)
+{
+    return utilizationOf(obs.delivered, windowCapacity(plan));
+}
+
+FabricTelemetry::FabricTelemetry(const GridPlan &plan,
+                                 const std::string &prefix)
+    : capacity(windowCapacity(plan))
+{
+    const auto add = [this](std::string name) {
+        names.push_back(std::move(name));
+        return names.size() - 1;
+    };
     const auto bases = outputWindowBases(plan);
     const std::size_t windows = static_cast<std::size_t>(plan.windows);
     for (std::size_t r = 0; r < plan.routers.size(); ++r) {
@@ -529,37 +546,82 @@ exportFabricTelemetry(const GridPlan &plan,
             continue;
         const std::string rb =
             prefix + "/" + routerLabel(plan.spec, static_cast<int>(r));
-        reg.counter(rb + "/collisions")
-            .inc(r < obs.routerCollisions.size()
-                     ? obs.routerCollisions[r]
-                     : 0);
+        collisionTerms.emplace_back(add(rb + "/collisions"), r);
         for (int d = 0; d < kDirCount; ++d) {
             const std::size_t ch =
                 r * kDirCount + static_cast<std::size_t>(d);
             if (bases[ch].empty())
                 continue;
             const std::string ob = rb + "/out_" + dirName(d);
-            std::uint64_t total = 0;
-            for (const OutputWindowBase &b : bases[ch]) {
-                const std::size_t idx =
-                    ch * windows + static_cast<std::size_t>(b.window);
-                const std::uint64_t v =
-                    idx < obs.outputWindowPulses.size()
-                        ? obs.outputWindowPulses[idx]
-                        : 0;
-                reg.counter(ob + "/w" + std::to_string(b.window))
-                    .inc(v);
-                total += v;
-            }
-            if (d != kDirLocal)
-                reg.counter(ob + "/link_pulses").inc(total);
+            const std::size_t link = d != kDirLocal
+                                         ? add(ob + "/link_pulses")
+                                         : std::string::npos;
+            for (const OutputWindowBase &b : bases[ch])
+                windowTerms.push_back(
+                    {add(ob + "/w" + std::to_string(b.window)), link,
+                     ch * windows + static_cast<std::size_t>(b.window)});
         }
     }
-    reg.counter(prefix + "/fabric/delivered").inc(obs.delivered);
-    reg.counter(prefix + "/fabric/collisions").inc(obs.collisions);
-    reg.gauge(prefix + "/fabric/window_utilization",
-              obs::Gauge::Merge::Max)
-        .high(windowUtilization(plan, obs));
+    delivered = add(prefix + "/fabric/delivered");
+    collisions = add(prefix + "/fabric/collisions");
+    utilizationName = prefix + "/fabric/window_utilization";
+    counters.assign(names.size(), 0);
+}
+
+void
+FabricTelemetry::accumulate(const FabricObservation &obs)
+{
+    for (const auto &[counter, r] : collisionTerms)
+        counters[counter] += r < obs.routerCollisions.size()
+                                 ? obs.routerCollisions[r]
+                                 : 0;
+    for (const WindowTerm &t : windowTerms) {
+        const std::uint64_t v = t.pulses < obs.outputWindowPulses.size()
+                                    ? obs.outputWindowPulses[t.pulses]
+                                    : 0;
+        counters[t.counter] += v;
+        if (t.link != std::string::npos)
+            counters[t.link] += v;
+    }
+    counters[delivered] += obs.delivered;
+    counters[collisions] += obs.collisions;
+    const double u = utilizationOf(obs.delivered, capacity);
+    if (epochs == 0 || u > utilization)
+        utilization = u;
+    ++epochs;
+}
+
+void
+FabricTelemetry::mergeFrom(const FabricTelemetry &other)
+{
+    if (other.names != names)
+        panic("FabricTelemetry: merging telemetry of another plan");
+    if (other.epochs == 0)
+        return;
+    for (std::size_t i = 0; i < counters.size(); ++i)
+        counters[i] += other.counters[i];
+    if (epochs == 0 || other.utilization > utilization)
+        utilization = other.utilization;
+    epochs += other.epochs;
+}
+
+void
+FabricTelemetry::exportTo(obs::StatsRegistry &reg) const
+{
+    if (epochs == 0)
+        return;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        reg.counter(names[i]).inc(counters[i]);
+    reg.gauge(utilizationName, obs::Gauge::Merge::Max).high(utilization);
+}
+
+void
+exportFabricTelemetry(const GridPlan &plan, const FabricObservation &obs,
+                      obs::StatsRegistry &reg, const std::string &prefix)
+{
+    FabricTelemetry telemetry(plan, prefix);
+    telemetry.accumulate(obs);
+    telemetry.exportTo(reg);
 }
 
 TileOperands

@@ -276,14 +276,55 @@ double windowUtilization(const GridPlan &plan,
                          const FabricObservation &obs);
 
 /**
- * Register @p obs in @p reg under router hierarchy paths
- * ("<prefix>/r<row>_<col>/out_<dir>/w<k>", ".../out_<dir>/link_pulses"
- * for mesh outputs, ".../collisions" per used router, and the
- * "<prefix>/fabric/..." rollups including the window_utilization
- * high-water gauge).  Names depend only on the plan, values only on
- * the observation, so the export is identical for both engines --
+ * Fabric telemetry summed over epochs in flat counters, under names
+ * fixed per plan ("<prefix>/r<row>_<col>/out_<dir>/w<k>",
+ * ".../out_<dir>/link_pulses" for mesh outputs, ".../collisions" per
+ * used router, and the "<prefix>/fabric/..." rollups including the
+ * window_utilization high-water gauge).  accumulate() adds one
+ * observation; exportTo() registers the totals.  Counters add and the
+ * gauge keeps the max, so the export equals per-epoch exports merged
+ * in any order -- a sweep accumulates per worker, merges the workers
+ * and exports once.  Names depend only on the plan, values only on the
+ * observations, so the export is identical for both engines --
  * extending the flit-for-flit differential contract to telemetry.
  */
+class FabricTelemetry
+{
+  public:
+    explicit FabricTelemetry(const GridPlan &plan,
+                             const std::string &prefix = "noc");
+
+    void accumulate(const FabricObservation &obs);
+
+    /** Fold another accumulator of the same plan and prefix in. */
+    void mergeFrom(const FabricTelemetry &other);
+
+    /** Add the totals to @p reg (nothing when no epoch accumulated). */
+    void exportTo(obs::StatsRegistry &reg) const;
+
+  private:
+    /** counters[counter] += outputWindowPulses[pulses] (and links). */
+    struct WindowTerm
+    {
+        std::size_t counter;
+        std::size_t link; ///< link_pulses counter, or npos for Local
+        std::size_t pulses;
+    };
+
+    std::vector<std::string> names; ///< counter names, table order
+    std::vector<std::uint64_t> counters;
+    std::vector<std::pair<std::size_t, std::size_t>>
+        collisionTerms; ///< (counter, router)
+    std::vector<WindowTerm> windowTerms;
+    std::size_t delivered = 0; ///< counter index
+    std::size_t collisions = 0;
+    std::string utilizationName;
+    double capacity = 0.0; ///< windowUtilization's denominator
+    double utilization = 0.0;
+    std::uint64_t epochs = 0;
+};
+
+/** One observation's telemetry: FabricTelemetry, accumulate, export. */
 void exportFabricTelemetry(const GridPlan &plan,
                            const FabricObservation &obs,
                            obs::StatsRegistry &reg,

@@ -43,7 +43,7 @@ namespace detail
 
 void
 runIndexed(std::size_t n, int threads,
-           const std::function<void(std::size_t)> &fn)
+           const std::function<void(std::size_t, int)> &fn)
 {
     if (n == 0)
         return;
@@ -54,7 +54,7 @@ runIndexed(std::size_t n, int threads,
 
     if (threads == 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(i);
+            fn(i, 0);
         return;
     }
 
@@ -65,7 +65,7 @@ runIndexed(std::size_t n, int threads,
     // way the caller asked (exit, or throw into the rethrow below).
     const FatalMode callerMode = fatalMode();
 
-    auto worker = [&] {
+    auto worker = [&](int w) {
         setFatalMode(callerMode);
         for (;;) {
             const std::size_t i =
@@ -73,7 +73,7 @@ runIndexed(std::size_t n, int threads,
             if (i >= n)
                 return;
             try {
-                fn(i);
+                fn(i, w);
             } catch (...) {
                 std::lock_guard<std::mutex> g(errorLock);
                 if (!firstError)
@@ -85,7 +85,7 @@ runIndexed(std::size_t n, int threads,
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
+        pool.emplace_back(worker, t);
     for (auto &th : pool)
         th.join();
     if (firstError)

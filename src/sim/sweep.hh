@@ -3,12 +3,16 @@
  * Parallel sweep runner: shards independent simulations (parameter
  * sweeps, fault Monte-Carlo, design-space grids) across a thread pool.
  *
- * Determinism contract: each shard gets an isolated world — its own
- * Netlist/EventQueue built inside the shard function — plus a seed
- * derived only from (base seed, shard index).  Results are merged in
- * shard order.  A sweep therefore produces bit-identical output at 1
- * thread and at N threads; the thread count changes wall-clock time and
- * nothing else.
+ * Determinism contract: a shard computes a pure function of its seed,
+ * derived only from (base seed, shard index).  Shards may reuse
+ * per-worker state -- a netlist built once, operand buffers, an arena
+ * (WorkerLocal below, indexed by ShardContext::worker) -- provided every
+ * shard resets whatever of it it reads before it reads it, so no shard
+ * sees what an earlier one left behind (a shard that threw included).
+ * Which worker runs which shard is scheduling, never an input.  Results
+ * are merged in shard order.  A sweep therefore produces bit-identical
+ * output at 1 thread and at N threads; the thread count changes
+ * wall-clock time and nothing else.
  *
  * The same contract covers observability: every shard runs under a
  * private obs::StatsRegistry (installed as the thread's current
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -94,6 +99,7 @@ struct ShardContext
     std::uint64_t seed; ///< deterministic per-shard RNG seed
     Backend backend;   ///< engine requested via SweepOptions
     int batchWidth = 1; ///< SweepOptions::batch.width pass-through
+    int worker = 0;     ///< dense index of the worker running the shard
 };
 
 /** What a batched shard function receives: one group of lanes. */
@@ -103,6 +109,7 @@ struct LaneGroupContext
     std::size_t total; ///< total items in the sweep
     int lanes;         ///< lanes in this group (tail groups are short)
     Backend backend;   ///< engine requested via SweepOptions
+    int worker;        ///< dense index of the worker running the group
 
     /** seeds[b] = shardSeed(base, first + b): identical to what the
      *  scalar sweep hands item first+b, whatever the batch width. */
@@ -124,17 +131,61 @@ std::uint64_t shardSeed(std::uint64_t base, std::size_t index);
 /** Resolve an options thread count to a concrete worker count >= 1. */
 int resolveSweepThreads(int requested);
 
+/**
+ * One T per sweep worker, indexed by ShardContext::worker or
+ * LaneGroupContext::worker.  at(w, args...) builds slot w from args on
+ * worker w's first shard and returns that object for the rest of the
+ * sweep.  Only worker w touches slot w, so shard functions use it
+ * without locks; the determinism contract above makes them reset what
+ * they read.  Sized by resolveSweepThreads(opt.threads), the worker
+ * count the sweep itself resolves, so construct it from the options
+ * the sweep runs under.
+ */
+template <typename T>
+class WorkerLocal
+{
+  public:
+    explicit WorkerLocal(const SweepOptions &opt)
+        : slots(static_cast<std::size_t>(resolveSweepThreads(opt.threads)))
+    {
+    }
+
+    template <typename... Args>
+    T &
+    at(int worker, Args &&...args)
+    {
+        std::unique_ptr<T> &slot = slots[static_cast<std::size_t>(worker)];
+        if (!slot)
+            slot = std::make_unique<T>(std::forward<Args>(args)...);
+        return *slot;
+    }
+
+    /** Visit every slot a worker built, in worker order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const std::unique_ptr<T> &slot : slots)
+            if (slot)
+                fn(*slot);
+    }
+
+  private:
+    std::vector<std::unique_ptr<T>> slots;
+};
+
 namespace detail
 {
 
 /**
- * Run @p fn(i) for every i in [0, n), self-scheduled over @p threads
- * workers (inline when threads == 1).  Pool threads run in the
- * caller's fatal() mode (util/logging.hh); the first exception thrown
- * by any shard is rethrown on the caller after all workers join.
+ * Run @p fn(i, worker) for every i in [0, n), self-scheduled over
+ * @p threads workers numbered 0.. (inline as worker 0 when threads ==
+ * 1).  Pool threads run in the caller's fatal() mode
+ * (util/logging.hh); the first exception thrown by any shard is
+ * rethrown on the caller after all workers join.
  */
 void runIndexed(std::size_t n, int threads,
-                const std::function<void(std::size_t)> &fn);
+                const std::function<void(std::size_t, int)> &fn);
 
 /** Panic unless a batched shard returned one result per lane. */
 void checkGroupResultSize(std::size_t got, int lanes,
@@ -145,9 +196,9 @@ void checkGroupResultSize(std::size_t got, int lanes,
 /**
  * Run @p fn once per shard and return the results in shard order.
  *
- * @p fn is invoked as fn(const ShardContext &) and must build any
- * Netlist/EventQueue it needs locally (shards share nothing).  The
- * result type only needs to be movable.
+ * @p fn is invoked as fn(const ShardContext &) and builds what it
+ * needs locally or keeps it per worker (WorkerLocal), resetting it at
+ * the start of every shard.  The result type only needs to be movable.
  */
 template <typename Fn>
 auto
@@ -158,11 +209,14 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
     std::vector<obs::StatsRegistry> shardStats(num_shards);
     obs::StatsRegistry &parent = obs::currentStats();
     const int threads = resolveSweepThreads(opt.threads);
-    detail::runIndexed(num_shards, threads, [&](std::size_t i) {
-        const ShardContext ctx{i, num_shards,
-                               shardSeed(opt.baseSeed, i), opt.backend,
-                               opt.batch.width < 1 ? 1
-                                                   : opt.batch.width};
+    detail::runIndexed(num_shards, threads, [&](std::size_t i,
+                                                int worker) {
+        const ShardContext ctx{i,
+                               num_shards,
+                               shardSeed(opt.baseSeed, i),
+                               opt.backend,
+                               opt.batch.width < 1 ? 1 : opt.batch.width,
+                               worker};
         // Shard-private registry: stats recorded inside fn (netlist
         // exports, kernel counters) land here, not in the caller's.
         obs::ScopedStatsRegistry guard(shardStats[i]);
@@ -212,7 +266,7 @@ runBatchedSweep(std::size_t num_items, Fn &&fn,
     std::vector<obs::StatsRegistry> groupStats(groups);
     obs::StatsRegistry &parent = obs::currentStats();
     const int threads = resolveSweepThreads(opt.threads);
-    detail::runIndexed(groups, threads, [&](std::size_t g) {
+    detail::runIndexed(groups, threads, [&](std::size_t g, int worker) {
         const std::size_t first = g * stride;
         const int lanes = opt.batch.lanesFor(first, num_items);
         std::vector<std::uint64_t> seeds(
@@ -220,8 +274,8 @@ runBatchedSweep(std::size_t num_items, Fn &&fn,
         for (int b = 0; b < lanes; ++b)
             seeds[static_cast<std::size_t>(b)] = shardSeed(
                 opt.baseSeed, first + static_cast<std::size_t>(b));
-        const LaneGroupContext ctx{first, num_items, lanes,
-                                   opt.backend, seeds};
+        const LaneGroupContext ctx{first,       num_items, lanes,
+                                   opt.backend, worker,    seeds};
         obs::ScopedStatsRegistry guard(groupStats[g]);
         slots[g].emplace(fn(ctx));
         detail::checkGroupResultSize(slots[g]->size(), lanes, first);

@@ -8,9 +8,17 @@
 namespace usfq::svc
 {
 
+namespace
+{
+
+/** Floor of the design-facts table's capacity (BrokerOptions). */
+constexpr std::size_t kMinFactsCapacity = 1024;
+
+} // namespace
+
 Broker::Broker(BrokerOptions options)
     : opts(options), cache(options.cacheCapacity),
-      factsTable(options.cacheCapacity)
+      factsTable(std::max(options.cacheCapacity, kMinFactsCapacity))
 {
     if (opts.workers < 1)
         opts.workers = 1;

@@ -61,8 +61,14 @@ struct BrokerOptions
      */
     std::size_t queueCapacity = 64;
 
-    /** Result-cache capacity in entries (the design-facts table is
-     *  bounded by the same number). */
+    /**
+     * Result-cache capacity in entries.  The design-facts table holds
+     * max(cacheCapacity, 1024) specs: facts are small (about 3.6 KB
+     * for the largest gen spec, whose 64-lane padding plan dominates),
+     * and a result cache sized for payload memory must not make a
+     * stream of more distinct specs than it holds re-derive -- rebuild
+     * and rebalance -- its designs on every request.
+     */
     std::size_t cacheCapacity = 256;
 };
 

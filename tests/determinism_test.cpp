@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "core/encoding.hh"
@@ -171,6 +172,49 @@ TEST(Determinism, SweepPoolThreadsRunInTheCallersFatalMode)
                      },
                      opt),
                  FatalError);
+}
+
+TEST(Determinism, WorkerLocalStateIsPerWorkerAndReplayable)
+{
+    // Shards see a dense worker index, each worker builds its slot at
+    // most once and reuses it, and a shard that resets the state it
+    // reads computes the same result on any worker at any thread
+    // count -- the per-worker half of the determinism contract.
+    struct Rig
+    {
+        int served = 0;
+        std::vector<std::uint64_t> scratch;
+    };
+    const std::size_t shards = 64;
+    for (const int threads : {1, 3, 8}) {
+        SweepOptions opt;
+        opt.threads = threads;
+        WorkerLocal<Rig> rigs(opt);
+        const auto results = runSweep(
+            shards,
+            [&](const ShardContext &ctx) {
+                EXPECT_GE(ctx.worker, 0);
+                EXPECT_LT(ctx.worker, threads);
+                Rig &rig = rigs.at(ctx.worker);
+                ++rig.served;
+                rig.scratch.assign(4, ctx.seed); // reset before reading
+                std::uint64_t sum = 0;
+                for (std::uint64_t v : rig.scratch)
+                    sum += v ^ ctx.index;
+                return sum;
+            },
+            opt);
+        int slots = 0, total = 0;
+        rigs.forEach([&](const Rig &rig) {
+            ++slots;
+            total += rig.served;
+        });
+        EXPECT_GE(slots, 1);
+        EXPECT_LE(slots, threads);
+        EXPECT_EQ(total, static_cast<int>(shards));
+        for (std::size_t i = 0; i < shards; ++i)
+            EXPECT_EQ(results[i], 4 * (shardSeed(opt.baseSeed, i) ^ i));
+    }
 }
 
 TEST(Determinism, ShardSeedsAreStableAndDistinct)

@@ -1,12 +1,18 @@
 /**
  * @file
  * Cross-module integration and property tests: composed accelerator
- * datapaths (coefficient bank feeding a DPU, PE-to-PE chaining), reset
- * idempotence across the block library, and determinism of full
- * simulations.
+ * datapaths (coefficient bank feeding a DPU, PE-to-PE chaining),
+ * reset-and-replay of every epoch rig the engines reuse against fresh
+ * builds, and determinism of full simulations.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/adder.hh"
 #include "core/dpu.hh"
@@ -16,6 +22,12 @@
 #include "core/pe.hh"
 #include "core/pnm.hh"
 #include "core/shift_register.hh"
+#include "gen/balance.hh"
+#include "gen/datapath.hh"
+#include "gen/functional.hh"
+#include "noc/grid.hh"
+#include "noc/plan.hh"
+#include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/random.hh"
@@ -126,48 +138,295 @@ TEST(Integration, PeOutputDrivesNextPeRlInput)
     EXPECT_NEAR(slot, 2, 1);
 }
 
-// --- reset idempotence across the block library --------------------------------
+// --- reset-and-replay across the epoch rigs ----------------------------------
+
+/** What one epoch shows: the rig-vs-fresh comparison surface. */
+struct EpochTrace
+{
+    long long value = 0;       ///< count, or the PE's RL slot
+    std::vector<Tick> times;   ///< output pulse times
+    std::uint64_t switches = 0;
+    noc::FabricObservation fabric;
+    std::uint64_t late = 0;
+    std::uint64_t misaligned = 0;
+
+    bool operator==(const EpochTrace &other) const = default;
+};
+
+/**
+ * One reset-and-replay case: rig() builds a rig and returns its epoch
+ * runner; fresh() builds the same device from scratch for every epoch,
+ * programs it without any reset, and runs it once.
+ */
+struct ReplayCase
+{
+    std::string name;
+    std::function<std::function<EpochTrace(std::uint64_t)>()> rig;
+    std::function<EpochTrace(std::uint64_t)> fresh;
+};
+
+/** Seeded DPU operands: a stream count and an RL id per element. */
+void
+drawDpuOperands(const EpochConfig &cfg, int length, std::uint64_t seed,
+                std::vector<int> &streams, std::vector<int> &ids)
+{
+    Rng rng(seed);
+    streams.assign(static_cast<std::size_t>(length), 0);
+    ids.assign(static_cast<std::size_t>(length), 0);
+    for (int i = 0; i < length; ++i) {
+        streams[static_cast<std::size_t>(i)] =
+            static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        ids[static_cast<std::size_t>(i)] =
+            static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+    }
+}
+
+ReplayCase
+dpuCase(int length, DpuMode mode)
+{
+    const EpochConfig cfg(4, 40 * kPicosecond);
+    ReplayCase c;
+    c.name = "dpu" + std::to_string(length) +
+             (mode == DpuMode::Unipolar ? "u" : "b");
+    c.rig = [=] {
+        auto rig = std::make_shared<DpuEpochRig>(cfg, length, mode);
+        return [=](std::uint64_t seed) {
+            std::vector<int> streams, ids;
+            drawDpuOperands(cfg, length, seed, streams, ids);
+            EpochTrace t;
+            t.value = rig->run(streams, ids);
+            t.times = rig->output().times();
+            t.switches = rig->netlist().totalSwitches();
+            return t;
+        };
+    };
+    c.fresh = [=](std::uint64_t seed) {
+        std::vector<int> streams, ids;
+        drawDpuOperands(cfg, length, seed, streams, ids);
+        Netlist nl;
+        auto &dpu = nl.create<DotProductUnit>("dpu", length, mode);
+        auto &e = nl.create<PulseSource>("e");
+        PulseTrace out;
+        e.out.connect(dpu.epochIn());
+        PulseSource *clk = nullptr;
+        if (mode == DpuMode::Bipolar) {
+            clk = &nl.create<PulseSource>("clk");
+            clk->out.connect(dpu.clkIn());
+        }
+        dpu.out().connect(out.input());
+        e.pulseAt(0);
+        if (clk != nullptr)
+            clk->pulsesAt(BipolarMultiplier::gridClockTimes(cfg, 0));
+        for (int i = 0; i < length; ++i) {
+            const auto k = static_cast<std::size_t>(i);
+            auto &a = nl.create<PulseSource>("a" + std::to_string(i));
+            auto &b = nl.create<PulseSource>("b" + std::to_string(i));
+            a.out.connect(dpu.rlIn(i));
+            b.out.connect(dpu.streamIn(i));
+            a.pulseAt(dpuRlLaunchOffset(length) + cfg.rlTime(ids[k]));
+            b.pulsesAt(cfg.streamTimes(streams[k]));
+        }
+        nl.queue().run();
+        EpochTrace t;
+        t.value = static_cast<long long>(out.count());
+        t.times = out.times();
+        t.switches = nl.totalSwitches();
+        return t;
+    };
+    return c;
+}
+
+ReplayCase
+peCase()
+{
+    const EpochConfig cfg(5, 30 * kPicosecond);
+    const auto draw = [cfg](std::uint64_t seed) {
+        Rng rng(seed);
+        std::array<int, 3> in{};
+        for (int &v : in)
+            v = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        return in;
+    };
+    ReplayCase c;
+    c.name = "pe";
+    c.rig = [=] {
+        auto rig = std::make_shared<PeEpochRig>(cfg);
+        return [=](std::uint64_t seed) {
+            const auto in = draw(seed);
+            EpochTrace t;
+            t.value = rig->run(in[0], in[1], in[2]);
+            t.times = rig->output().times();
+            t.switches = rig->netlist().totalSwitches();
+            return t;
+        };
+    };
+    c.fresh = [=](std::uint64_t seed) {
+        const auto in = draw(seed);
+        Netlist nl;
+        auto &pe = nl.create<ProcessingElement>("pe", cfg);
+        auto &e = nl.create<PulseSource>("e");
+        auto &in1 = nl.create<PulseSource>("in1");
+        auto &in2 = nl.create<PulseSource>("in2");
+        auto &in3 = nl.create<PulseSource>("in3");
+        PulseTrace out;
+        e.out.connect(pe.epoch());
+        in1.out.connect(pe.in1());
+        in2.out.connect(pe.in2());
+        in3.out.connect(pe.in3());
+        pe.out().connect(out.input());
+        e.pulseAt(0);
+        in1.pulseAt(5 * kPicosecond + cfg.rlTime(in[0]));
+        in2.pulsesAt(cfg.streamTimes(in[1]));
+        in3.pulsesAt(cfg.streamTimes(in[2]));
+        e.pulseAt(cfg.duration());
+        nl.queue().run();
+        EpochTrace t;
+        t.value = -1;
+        for (Tick at : out.times()) {
+            if (at > cfg.duration()) {
+                t.value = cfg.rlSlotOf(at - cfg.duration() -
+                                       cfg.slotWidth() - 3 * kPicosecond -
+                                       EpochConfig::kRlPulseOffset);
+                break;
+            }
+        }
+        t.times = out.times();
+        t.switches = nl.totalSwitches();
+        return t;
+    };
+    return c;
+}
+
+ReplayCase
+genCase(gen::TreeKind tree, gen::LaneShape shape)
+{
+    gen::DesignSpec spec;
+    spec.lanes = 4;
+    spec.bits = 4;
+    spec.clockPeriodPs = 28;
+    spec.tree = tree;
+    spec.shape = shape;
+    const gen::BalanceOutcome bo = gen::balanceDesign(spec);
+    EXPECT_TRUE(bo.converged()) << bo.detail;
+    ReplayCase c;
+    c.name = std::string("gen_") + gen::treeKindName(tree) + "_" +
+             gen::laneShapeName(shape);
+    c.rig = [=] {
+        auto rig = std::make_shared<gen::PulseEpochRig>(spec, bo.plan);
+        return [=](std::uint64_t seed) {
+            EpochTrace t;
+            t.value = rig->run(gen::drawEpochInputs(spec, seed));
+            t.times = rig->output().times();
+            t.switches = rig->netlist().totalSwitches();
+            return t;
+        };
+    };
+    c.fresh = [=](std::uint64_t seed) {
+        Netlist nl("gen");
+        auto &dp = nl.create<gen::StreamDatapath>("dp", spec, bo.plan);
+        PulseTrace out("gen.out");
+        out.input().markObserver();
+        dp.out().connect(out.input());
+        dp.programEpoch(gen::drawEpochInputs(spec, seed));
+        nl.run();
+        EpochTrace t;
+        t.value = static_cast<long long>(out.totalCount());
+        t.times = out.times();
+        t.switches = nl.totalSwitches();
+        return t;
+    };
+    return c;
+}
+
+ReplayCase
+nocCase(int side, bool shared)
+{
+    noc::GridSpec gs;
+    gs.rows = side;
+    gs.cols = side;
+    gs.taps = 2;
+    gs.bits = 4;
+    gs.mode = DpuMode::Bipolar;
+    gs.flows = noc::columnCollectFlows(side, side);
+    gs.sharedSinkWindows = shared;
+    const noc::GridPlan plan = noc::planGrid(gs);
+    const auto observe = [](const noc::TileGrid &grid, Netlist &nl) {
+        EpochTrace t;
+        t.fabric = grid.observe();
+        t.late = grid.latePulses();
+        t.misaligned = grid.misaligned();
+        t.switches = nl.totalSwitches();
+        return t;
+    };
+    ReplayCase c;
+    c.name = "noc" + std::to_string(side) + "x" + std::to_string(side) +
+             (shared ? "_shared" : "");
+    c.rig = [=] {
+        auto rig = std::make_shared<noc::PulseFabricRig>(plan);
+        return [=](std::uint64_t seed) {
+            const noc::PulseFabricResult res = rig->run(seed);
+            EpochTrace t = observe(rig->grid(), rig->netlist());
+            EXPECT_EQ(res.obs, t.fabric);
+            EXPECT_EQ(res.latePulses, t.late);
+            EXPECT_EQ(res.misaligned, t.misaligned);
+            return t;
+        };
+    };
+    c.fresh = [=](std::uint64_t seed) {
+        Netlist nl("noc");
+        noc::TileGrid grid(nl, plan);
+        grid.programOperands(noc::drawTileOperands(plan, seed));
+        nl.elaborate();
+        nl.run(plan.horizon);
+        return observe(grid, nl);
+    };
+    return c;
+}
 
 TEST(Integration, ResetRestoresIdenticalBehaviour)
 {
-    // Run the same DPU epoch twice around resetAll(); results and
-    // switch counts must match exactly.
-    const EpochConfig cfg(5, 40 * kPicosecond);
-    Netlist nl;
-    auto &dpu = nl.create<DotProductUnit>("dpu", 4, DpuMode::Unipolar);
-    auto &src_e = nl.create<PulseSource>("e");
-    PulseTrace out;
-    src_e.out.connect(dpu.epochIn());
-    dpu.out().connect(out.input());
-    std::vector<PulseSource *> rl, st;
-    for (int i = 0; i < 4; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
-        r.out.connect(dpu.rlIn(i));
-        s.out.connect(dpu.streamIn(i));
-        rl.push_back(&r);
-        st.push_back(&s);
-    }
+    // Every epoch rig the engines replay (DPU 2..64 taps in both modes,
+    // PE, generated datapaths of every tree and lane shape, NoC tile
+    // grids) runs >= 200 seeded epochs on ONE rig -- reset, re-program,
+    // run -- and each must match a device built from scratch for that
+    // epoch: value, output pulse times, switching activity, and for the
+    // NoC the whole fabric observation and the late/misaligned counts.
+    std::vector<ReplayCase> cases;
+    for (const DpuMode mode : {DpuMode::Unipolar, DpuMode::Bipolar})
+        for (const int length : {2, 3, 4, 7, 8, 16, 64})
+            cases.push_back(dpuCase(length, mode));
+    cases.push_back(peCase());
+    for (const gen::TreeKind tree :
+         {gen::TreeKind::Balancer, gen::TreeKind::Merger,
+          gen::TreeKind::Tff2})
+        for (const gen::LaneShape shape :
+             {gen::LaneShape::Balanced, gen::LaneShape::Skewed,
+              gen::LaneShape::Random})
+            cases.push_back(genCase(tree, shape));
+    cases.push_back(nocCase(2, false));
+    cases.push_back(nocCase(4, true));
 
-    auto drive = [&] {
-        src_e.pulseAt(0);
-        for (int i = 0; i < 4; ++i) {
-            rl[static_cast<std::size_t>(i)]->pulseAt(
-                10 * kPicosecond + cfg.rlTime(8 * (i + 1) % 33));
-            st[static_cast<std::size_t>(i)]->pulsesAt(
-                cfg.streamTimes(5 * (i + 1)));
+    constexpr std::size_t kEpochs = 200;
+    for (const ReplayCase &c : cases) {
+        const auto epoch = c.rig();
+        bool sawOutput = false;
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            const std::uint64_t seed = shardSeed(0x7e5e7ULL, e);
+            const EpochTrace replayed = epoch(seed);
+            const EpochTrace fresh = c.fresh(seed);
+            ASSERT_TRUE(replayed == fresh)
+                << c.name << " epoch " << e << ": value "
+                << replayed.value << " vs " << fresh.value
+                << ", switches " << replayed.switches << " vs "
+                << fresh.switches << ", pulse times "
+                << (replayed.times == fresh.times ? "equal" : "differ")
+                << ", fabric "
+                << (replayed.fabric == fresh.fabric ? "equal" : "differs");
+            sawOutput = sawOutput || !fresh.times.empty() ||
+                        fresh.fabric.delivered > 0;
         }
-        nl.queue().run();
-    };
-
-    drive();
-    const auto count1 = out.count();
-    const auto switches1 = nl.totalSwitches();
-    nl.resetAll();
-    out.clear();
-    drive();
-    EXPECT_EQ(out.count(), count1);
-    EXPECT_EQ(nl.totalSwitches(), switches1);
+        EXPECT_TRUE(sawOutput) << c.name << ": no epoch produced output";
+    }
 }
 
 TEST(Integration, SimulationIsDeterministic)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -679,21 +680,52 @@ TEST(SvcFacts, FailuresRepeatExactlyAndAreNeverMemoised)
     EXPECT_EQ(broker.stats().failed, 2u * kRounds);
 }
 
-TEST(SvcFacts, TableStaysWithinTheCacheCapacity)
+TEST(SvcFacts, TableIsBoundedAtTheLargerOfCacheCapacityAnd1024)
 {
+    // The facts table holds max(cacheCapacity, 1024) specs: a 3-entry
+    // result cache keeps the facts of its first 1024 specs, and the
+    // table stops growing there.
     svc::BrokerOptions opts;
     opts.workers = 2;
     opts.cacheCapacity = 3;
     svc::Broker broker(opts);
-    for (int taps = 2; taps < 12; ++taps) {
+    constexpr std::size_t kBound = 1024;
+    constexpr std::size_t kSpecs = kBound + 6;
+    for (std::size_t i = 0; i < kSpecs; ++i) {
+        api::NetlistSpec spec = dpuSpec(2, 3);
+        spec.name = "d" + std::to_string(i);
         const svc::Response r = runOne(
-            broker, svc::Request{dpuSpec(taps), functionalParams(2),
+            broker, svc::Request{spec, functionalParams(1),
                                  svc::RequestIntent::Default});
         ASSERT_EQ(r.status, api::Status::Ok) << r.error;
-        EXPECT_LE(broker.factsSize(), opts.cacheCapacity);
+        ASSERT_EQ(broker.factsSize(), std::min(i + 1, kBound));
     }
-    EXPECT_EQ(broker.factsSize(), opts.cacheCapacity);
-    EXPECT_EQ(broker.stats().keyDerivations, 10u);
+    EXPECT_EQ(broker.stats().keyDerivations, kSpecs);
+}
+
+TEST(SvcFacts, SmallResultCacheDoesNotForceRederivation)
+{
+    // Twelve distinct specs round-robin through a 2-entry result
+    // cache: every request misses and evicts, yet each spec's facts
+    // are derived once.  (A table bounded by the cache derives 120.)
+    svc::BrokerOptions opts;
+    opts.workers = 2;
+    opts.cacheCapacity = 2;
+    svc::Broker broker(opts);
+    constexpr int kSpecs = 12;
+    constexpr int kRounds = 10;
+    for (int round = 0; round < kRounds; ++round) {
+        for (int taps = 2; taps < 2 + kSpecs; ++taps) {
+            const svc::Response r = runOne(
+                broker, svc::Request{dpuSpec(taps), functionalParams(2),
+                                     svc::RequestIntent::Default});
+            ASSERT_EQ(r.status, api::Status::Ok) << r.error;
+            EXPECT_FALSE(r.cacheHit);
+        }
+    }
+    EXPECT_EQ(broker.stats().keyDerivations,
+              static_cast<std::uint64_t>(kSpecs));
+    EXPECT_EQ(broker.factsSize(), static_cast<std::size_t>(kSpecs));
 }
 
 TEST(SvcFacts, EachDistinctSpecIsDerivedOnce)
