@@ -15,6 +15,11 @@
  * precomputed design facts, one per engine leg (scalar, batched, FIR,
  * functional NoC, and the pulse-level DPU, gen and NoC rigs); items
  * are epochs, so 1e9 / items_per_second is the leg's ns per epoch.
+ *
+ * BM_ResultToJson/<template> times api::resultToJson -- the broker's
+ * serialize step -- on a precomputed result of a serve_fresh-sized
+ * request; items are per-epoch counts, so 1e9 / items_per_second is
+ * ns per serialized count.
  */
 
 #include <benchmark/benchmark.h>
@@ -206,6 +211,36 @@ BM_RunWorkload(benchmark::State &state, const WorkloadLeg &leg)
     state.SetItemsProcessed(state.iterations() * leg.params.epochs);
 }
 
+/** serve_fresh-sized results to serialize (perfbench templates). */
+std::vector<WorkloadLeg>
+serializeLegs()
+{
+    using K = api::WorkloadKind;
+    const auto F = Backend::Functional;
+    api::NetlistSpec mesh4 = legSpec(K::NocMesh, 2, 4, DpuMode::Bipolar);
+    mesh4.gridRows = mesh4.gridCols = 4;
+    return {
+        {"fir4", legSpec(K::Fir, 4, 6, DpuMode::Unipolar),
+         legParams(F, 12288, 4)},
+        {"dpu16", legSpec(K::Dpu, 16, 6, DpuMode::Bipolar),
+         legParams(F, 3072, 1)},
+        {"mesh4x4", mesh4, legParams(F, 192, 1)},
+    };
+}
+
+/** api::resultToJson of one precomputed result. */
+void
+BM_ResultToJson(benchmark::State &state, const WorkloadLeg &leg)
+{
+    const api::RunResult result = api::runWorkload(leg.spec, leg.params);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            api::resultToJson(leg.spec, leg.params, result));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(result.counts.size()));
+}
+
 /**
  * Measured head-to-head on the BM_DpuEpochPulseLevel/8 workload.
  * Returns the speedup (pulse time / functional time).
@@ -392,6 +427,10 @@ main(int argc, char **argv)
         benchmark::RegisterBenchmark(
             (std::string("BM_RunWorkload/") + leg.name).c_str(),
             BM_RunWorkload, leg);
+    for (const WorkloadLeg &leg : serializeLegs())
+        benchmark::RegisterBenchmark(
+            (std::string("BM_ResultToJson/") + leg.name).c_str(),
+            BM_ResultToJson, leg);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

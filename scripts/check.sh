@@ -56,6 +56,12 @@
 #                                      # tiers rerun with tracing forced
 #                                      # on (USFQ_TRACE_OUT), then the
 #                                      # regress stage
+#   ./scripts/check.sh perfbench       # benchmark gate: build perfbench/
+#                                      # against this tree (Release) and
+#                                      # run every BENCHMARK.json
+#                                      # workload at --tiny through
+#                                      # perfbench/smoke.py (correct
+#                                      # results, repeatable digests)
 #
 # docs/observability.md describes the artifact format; docs/functional.md
 # describes the diff tier (differential fuzzer + functional goldens).
@@ -69,7 +75,8 @@ mode="default"
 if [[ "${1:-}" == "bench-artifacts" || "${1:-}" == "diff" ||
       "${1:-}" == "batch" || "${1:-}" == "svc" ||
       "${1:-}" == "gen" || "${1:-}" == "noc" || "${1:-}" == "tsan" ||
-      "${1:-}" == "regress" || "${1:-}" == "obs" ]]; then
+      "${1:-}" == "regress" || "${1:-}" == "obs" ||
+      "${1:-}" == "perfbench" ]]; then
     mode="$1"
     shift
 fi
@@ -139,6 +146,18 @@ run_config() {
     ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" \
         "${ctest_args[@]}"
 }
+
+if [[ "$mode" == "perfbench" ]]; then
+    # The repository benchmark (perfbench/README.md) builds from this
+    # tree in its own Release build dir, which no other stage compiles:
+    # smoke.py builds it and runs every workload at a tiny size,
+    # checking correct=true, the metric set, and that a seed repeats
+    # its input and output digests.
+    echo "==> [perfbench] smoke (build + tiny runs of every workload)"
+    (cd "$repo" && python3 perfbench/smoke.py)
+    echo "==> perfbench gate passed"
+    exit 0
+fi
 
 if [[ "$mode" == "bench-artifacts" ]]; then
     # Build, then run the bench tiers with USFQ_BENCH_JSON pointed at

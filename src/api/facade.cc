@@ -1,7 +1,6 @@
 #include "api/facade.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/dpu.hh"
 #include "core/fir.hh"
@@ -514,10 +513,10 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
 
 /**
  * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
- * leg walks the slot-set mirror (gen/functional.hh); the pulse leg
- * replays one balanced datapath rig per worker.  The balancing pass
- * @p bo is part of the design, not of any epoch: it arrives with the
- * spec's DesignFacts.
+ * legs walk one slot-set mirror (gen::EpochMirror) per worker; the
+ * pulse leg replays one balanced datapath rig per worker.  The
+ * balancing pass @p bo is part of the design, not of any epoch: it
+ * arrives with the spec's DesignFacts.
  */
 std::vector<long long>
 runGen(const NetlistSpec &spec, const RunParams &params,
@@ -539,10 +538,12 @@ runGen(const NetlistSpec &spec, const RunParams &params,
             },
             opt));
     }
+    WorkerLocal<gen::EpochMirror> mirrors(opt);
     if (params.batch > 1) {
         return widen(runBatchedSweep(
             epochs,
             [&](const LaneGroupContext &ctx) {
+                gen::EpochMirror &mirror = mirrors.at(ctx.worker);
                 const auto lanes =
                     static_cast<std::size_t>(ctx.lanes);
                 std::vector<int> res(lanes);
@@ -550,7 +551,7 @@ runGen(const NetlistSpec &spec, const RunParams &params,
                     const gen::EpochInputs in =
                         gen::drawEpochInputs(spec.gen, ctx.seeds[b]);
                     res[b] = static_cast<int>(
-                        gen::evalEpoch(spec.gen, in).count);
+                        mirror.eval(spec.gen, in).count);
                 }
                 return res;
             },
@@ -560,8 +561,9 @@ runGen(const NetlistSpec &spec, const RunParams &params,
         epochs,
         [&](const ShardContext &ctx) {
             return static_cast<int>(
-                gen::evalEpoch(spec.gen,
-                               gen::drawEpochInputs(spec.gen, ctx.seed))
+                mirrors.at(ctx.worker)
+                    .eval(spec.gen,
+                          gen::drawEpochInputs(spec.gen, ctx.seed))
                     .count);
         },
         opt));
@@ -940,8 +942,8 @@ resultToJson(const NetlistSpec &spec, const RunParams &params,
 std::string
 findingsToJson(const std::vector<LintFinding> &findings)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     std::size_t errors = 0;
     for (const LintFinding &f : findings)
@@ -952,14 +954,14 @@ findingsToJson(const std::vector<LintFinding> &findings)
         writeFinding(w, f);
     w.endArray();
     w.endObject();
-    return os.str();
+    return out;
 }
 
 std::string
 staReportToJson(const StaReport &report)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.kv("errors", static_cast<std::uint64_t>(report.errors()));
     w.key("findings").beginArray();
@@ -984,7 +986,7 @@ staReportToJson(const StaReport &report)
     }
     w.endObject();
     w.endObject();
-    return os.str();
+    return out;
 }
 
 // --- Session -------------------------------------------------------------

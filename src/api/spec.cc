@@ -1,8 +1,9 @@
 #include "api/spec.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 
 #include "util/json.hh"
 
@@ -216,8 +217,8 @@ specFromJson(const std::string &json, NetlistSpec &out,
 std::string
 specToJson(const NetlistSpec &spec)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.kv("kind", workloadKindName(spec.kind));
     w.kv("name", spec.name);
@@ -242,7 +243,7 @@ specToJson(const NetlistSpec &spec)
         gen::designSpecToJson(spec.gen, w);
     }
     w.endObject();
-    return os.str();
+    return out;
 }
 
 bool
@@ -309,22 +310,24 @@ runParamsFromJson(const std::string &json, RunParams &out,
 std::string
 runParamsToJson(const RunParams &params)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.kv("backend", backendName(params.backend));
     w.kv("epochs", params.epochs);
     {
         // Hex string, not a JSON number: doubles drop the low bits of
         // 64-bit seeds.
-        std::ostringstream seed;
-        seed << "0x" << std::hex << params.seed;
-        w.kv("seed", seed.str());
+        char hex[2 + 16] = {'0', 'x'};
+        const auto r = std::to_chars(hex + 2, hex + sizeof hex,
+                                     params.seed, 16);
+        w.kv("seed", std::string_view(
+                         hex, static_cast<std::size_t>(r.ptr - hex)));
     }
     w.kv("batch", params.batch);
     w.kv("threads", params.threads);
     w.endObject();
-    return os.str();
+    return out;
 }
 
 std::uint64_t

@@ -10,7 +10,6 @@
 #include "api/usfq.h"
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "api/facade.hh"
@@ -186,9 +185,7 @@ usfq_engine_metrics(usfq_engine *engine, char **out_json)
     if (out_json == nullptr)
         return USFQ_ERR_INVALID_ARG;
     return guarded(engine, [&] {
-        std::ostringstream os;
-        usfq::obs::writeStatsJson(os, engine->metrics);
-        char *copy = dupString(os.str());
+        char *copy = dupString(usfq::obs::statsToJson(engine->metrics));
         if (copy == nullptr) {
             engine->lastError = "out of memory";
             return api::Status::Internal;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -175,15 +176,14 @@ treeNetworkCount(std::vector<int> inputs)
     if ((inputs.size() & (inputs.size() - 1)) != 0)
         panic("treeNetworkCount: %zu inputs (need a power of two)",
               inputs.size());
-    while (inputs.size() > 1) {
-        std::vector<int> next;
-        next.reserve(inputs.size() / 2);
-        for (std::size_t i = 0; i < inputs.size(); i += 2) {
+    // Halve in place: node k of the next level lands in slot k, whose
+    // old value fed node k / 2 <= k and has been read already.
+    for (std::size_t n = inputs.size(); n > 1; n /= 2) {
+        for (std::size_t k = 0; k < n / 2; ++k) {
             // A balancer sends the first of each pulse pair to Y1, so
             // the Y1 chain carries the ceiling half.
-            next.push_back((inputs[i] + inputs[i + 1] + 1) / 2);
+            inputs[k] = (inputs[2 * k] + inputs[2 * k + 1] + 1) / 2;
         }
-        inputs = std::move(next);
     }
     return inputs.front();
 }
@@ -266,7 +266,7 @@ dpuExpectedCount(const EpochConfig &cfg, DpuMode mode,
     }
     // Padded inputs carry no pulses (a bipolar -1); the DPU decode
     // compensates for their contribution.
-    return treeNetworkCount(products);
+    return treeNetworkCount(std::move(products));
 }
 
 int

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sfq/params.hh"
 #include "util/logging.hh"
@@ -167,7 +168,7 @@ UsfqFirModel::step(const std::vector<double> &window)
         products[static_cast<std::size_t>(k)] =
             productCount(hCounts[static_cast<std::size_t>(k)], id);
     }
-    const int count = treeNetworkCount(products);
+    const int count = treeNetworkCount(std::move(products));
     return DotProductUnit::decode(epoch, cfg.mode, cfg.taps, padded,
                                   static_cast<std::size_t>(count)) /
            hScale;

@@ -1,5 +1,9 @@
 #include "gen/functional.hh"
 
+#include <algorithm>
+#include <span>
+#include <utility>
+
 #include "util/random.hh"
 
 namespace usfq::gen
@@ -14,11 +18,10 @@ namespace
  * single pulse exits y1 when the quantizing loop is "0" and y2 when it
  * is "1", toggling the loop.  Only y1 chains in the counting tree.
  */
-std::vector<int>
-balancerY1(const std::vector<int> &a, const std::vector<int> &b)
+void
+balancerY1(std::span<const int> a, std::span<const int> b,
+           std::vector<int> &y1)
 {
-    std::vector<int> y1;
-    y1.reserve((a.size() + b.size() + 1) / 2 + 1);
     std::size_t i = 0;
     std::size_t j = 0;
     bool state = false;
@@ -43,45 +46,48 @@ balancerY1(const std::vector<int> &a, const std::vector<int> &b)
             state = !state;
         }
     }
-    return y1;
 }
 
-/** Confluence buffer: set union; a coincident pair loses one pulse. */
-std::vector<int>
-mergerOut(const std::vector<int> &a, const std::vector<int> &b,
-          long long &lost)
+/** Confluence buffer: set union, handed to @p emit slot by slot; a
+ *  coincident pair loses one pulse. */
+template <typename Emit>
+void
+mergeUnion(std::span<const int> a, std::span<const int> b,
+           long long &lost, Emit &&emit)
 {
-    std::vector<int> out;
-    out.reserve(a.size() + b.size());
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < a.size() || j < b.size()) {
         if (j >= b.size() || (i < a.size() && a[i] < b[j])) {
-            out.push_back(a[i++]);
+            emit(a[i++]);
         } else if (i >= a.size() || b[j] < a[i]) {
-            out.push_back(b[j++]);
+            emit(b[j++]);
         } else {
-            out.push_back(a[i]);
+            emit(a[i]);
             ++i;
             ++j;
             ++lost;
         }
     }
-    return out;
 }
 
-/** Cheap balancer [31]: merger union, then the TFF2 demultiplexes the
- *  survivors -- q1 takes the 1st, 3rd, 5th... pulse. */
-std::vector<int>
-cheapY1(const std::vector<int> &a, const std::vector<int> &b,
-        long long &lost)
+/** Slots @p lane emits, appended to @p out (the rule laneSlots()
+ *  documents). */
+void
+appendLaneSlots(const DesignSpec &spec, int lane, int n, bool gate_on,
+                std::vector<int> &out)
 {
-    const std::vector<int> merged = mergerOut(a, b, lost);
-    std::vector<int> y1;
-    y1.reserve((merged.size() + 1) / 2);
-    for (std::size_t k = 0; k < merged.size(); k += 2)
-        y1.push_back(merged[k]);
-    return y1;
+    // The divider chain keeps every 2^k-th clock slot when the gate is
+    // on.  Bipolar lanes go through a clocked inverter, which emits at
+    // clock slot m iff no data pulse arrived since the previous clock,
+    // i.e. the complement within [0, n).
+    const int mask = (1 << spec.dividersOf(lane)) - 1;
+    const bool bipolar = spec.encoding == StreamEncoding::Bipolar;
+    for (int m = 0; m < n; ++m) {
+        const bool data = gate_on && ((m + 1) & mask) == 0;
+        if (data != bipolar)
+            out.push_back(m);
+    }
 }
 
 } // namespace
@@ -89,27 +95,9 @@ cheapY1(const std::vector<int> &a, const std::vector<int> &b,
 std::vector<int>
 laneSlots(const DesignSpec &spec, int lane, int n, bool gate_on)
 {
-    const int k = spec.dividersOf(lane);
-    std::vector<int> data;
-    if (gate_on) {
-        const int step = 1 << k;
-        for (int m = step - 1; m < n; m += step)
-            data.push_back(m);
-    }
-    if (spec.encoding != StreamEncoding::Bipolar)
-        return data;
-    // Clocked inverter: emits at clock slot m iff no data pulse arrived
-    // since the previous clock, i.e. the complement within [0, n).
-    std::vector<int> comp;
-    comp.reserve(static_cast<std::size_t>(n) - data.size());
-    std::size_t next = 0;
-    for (int m = 0; m < n; ++m) {
-        if (next < data.size() && data[next] == m)
-            ++next;
-        else
-            comp.push_back(m);
-    }
-    return comp;
+    std::vector<int> slots;
+    appendLaneSlots(spec, lane, n, gate_on, slots);
+    return slots;
 }
 
 EpochInputs
@@ -126,39 +114,73 @@ drawEpochInputs(const DesignSpec &spec, std::uint64_t seed)
 }
 
 EpochEval
-evalEpoch(const DesignSpec &spec, const EpochInputs &in)
+EpochMirror::eval(const DesignSpec &spec, const EpochInputs &in)
 {
     EpochEval eval;
-    std::vector<std::vector<int>> level;
-    level.reserve(static_cast<std::size_t>(spec.lanes));
+    // No level holds more slots than the lanes emit together.
+    const std::size_t capacity =
+        static_cast<std::size_t>(spec.lanes) *
+        static_cast<std::size_t>(std::max(in.n, 0));
+    Level *cur = &levels[0];
+    Level *next = &levels[1];
+    cur->slots.clear();
+    cur->slots.reserve(capacity);
+    next->slots.reserve(capacity);
+    cur->offsets.assign(1, 0);
     for (int i = 0; i < spec.lanes; ++i) {
         const bool gate =
             in.gates.empty() || in.gates[static_cast<std::size_t>(i)];
-        level.push_back(laneSlots(spec, i, in.n, gate));
-        eval.laneSum += static_cast<long long>(level.back().size());
+        appendLaneSlots(spec, i, in.n, gate, cur->slots);
+        cur->offsets.push_back(cur->slots.size());
     }
-    while (level.size() > 1) {
-        std::vector<std::vector<int>> next;
-        next.reserve(level.size() / 2);
-        for (std::size_t i = 0; i < level.size(); i += 2) {
+    eval.laneSum = static_cast<long long>(cur->slots.size());
+
+    for (std::size_t nodes = cur->offsets.size() - 1; nodes > 1;
+         nodes /= 2) {
+        next->slots.clear();
+        next->offsets.assign(1, 0);
+        const std::span<const int> all(cur->slots);
+        for (std::size_t k = 0; k < nodes; k += 2) {
+            const std::span<const int> a =
+                all.subspan(cur->offsets[k],
+                            cur->offsets[k + 1] - cur->offsets[k]);
+            const std::span<const int> b =
+                all.subspan(cur->offsets[k + 1],
+                            cur->offsets[k + 2] - cur->offsets[k + 1]);
+            std::vector<int> &out = next->slots;
             switch (spec.tree) {
             case TreeKind::Balancer:
-                next.push_back(balancerY1(level[i], level[i + 1]));
+                balancerY1(a, b, out);
                 break;
             case TreeKind::Merger:
-                next.push_back(
-                    mergerOut(level[i], level[i + 1], eval.lost));
+                mergeUnion(a, b, eval.lost,
+                           [&out](int slot) { out.push_back(slot); });
                 break;
-            case TreeKind::Tff2:
-                next.push_back(
-                    cheapY1(level[i], level[i + 1], eval.lost));
+            case TreeKind::Tff2: {
+                // Cheap balancer [31]: merger union, then the TFF2
+                // demultiplexes the survivors -- q1 takes the 1st,
+                // 3rd, 5th... pulse.
+                bool q1 = true;
+                mergeUnion(a, b, eval.lost, [&out, &q1](int slot) {
+                    if (q1)
+                        out.push_back(slot);
+                    q1 = !q1;
+                });
                 break;
             }
+            }
+            next->offsets.push_back(out.size());
         }
-        level = std::move(next);
+        std::swap(cur, next);
     }
-    eval.count = static_cast<long long>(level.front().size());
+    eval.count = static_cast<long long>(cur->slots.size());
     return eval;
+}
+
+EpochEval
+evalEpoch(const DesignSpec &spec, const EpochInputs &in)
+{
+    return EpochMirror().eval(spec, in);
 }
 
 std::uint64_t

@@ -15,6 +15,7 @@
 #ifndef USFQ_GEN_FUNCTIONAL_HH
 #define USFQ_GEN_FUNCTIONAL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,7 +51,31 @@ std::vector<int> laneSlots(const DesignSpec &spec, int lane, int n,
 /** Draw one epoch's stimulus deterministically from @p seed. */
 EpochInputs drawEpochInputs(const DesignSpec &spec, std::uint64_t seed);
 
-/** Evaluate one epoch functionally (no event simulation). */
+/**
+ * The slot-set mirror on reused storage: all nodes of one tree level
+ * share one flat slot buffer (node k holds [offsets[k], offsets[k+1])),
+ * and the next level merges into the other buffer, so once the buffers
+ * have grown to the largest spec seen an epoch allocates nothing.  One
+ * mirror serves any sequence of specs; each eval() overwrites what the
+ * last one left.  Not thread-safe: hold one per sweep worker.
+ */
+class EpochMirror
+{
+  public:
+    /** Evaluate one epoch functionally (no event simulation). */
+    EpochEval eval(const DesignSpec &spec, const EpochInputs &in);
+
+  private:
+    /** Ping-pong level storage: flat slots plus node offsets. */
+    struct Level
+    {
+        std::vector<int> slots;
+        std::vector<std::size_t> offsets;
+    };
+    Level levels[2];
+};
+
+/** Evaluate one epoch functionally: a one-epoch EpochMirror. */
 EpochEval evalEpoch(const DesignSpec &spec, const EpochInputs &in);
 
 /** FNV-1a fold of one 64-bit value -- the digest primitive the gen

@@ -1,7 +1,5 @@
 #include "obs/artifact.hh"
 
-#include <sstream>
-
 #include "obs/phase.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -20,10 +18,17 @@ ArtifactHostState::capture()
 }
 
 void
-ArtifactPayload::writeJson(std::ostream &os, const StatsRegistry &reg,
-                           const ArtifactHostState &host) const
+ArtifactPayload::append(std::string &out, const StatsRegistry &reg,
+                        const ArtifactHostState &host) const
 {
-    JsonWriter w(os);
+    // Room for the series (a count takes about a dozen bytes with its
+    // indentation) plus the rest, so the buffer rarely regrows.
+    std::size_t values = 0;
+    for (const auto &entry : seriesData)
+        values += entry.second.size();
+    out.reserve(out.size() + 16 * values + 4096);
+
+    JsonWriter w(out);
     w.beginObject();
     w.kv("bench", payloadName);
     w.kv("schema", kArtifactSchemaVersion);
@@ -117,23 +122,41 @@ writeStatsSections(JsonWriter &w, const StatsRegistry &reg)
     w.endObject();
 }
 
-void
-writeStatsJson(std::ostream &os, const StatsRegistry &reg)
+std::string
+statsToJson(const StatsRegistry &reg)
 {
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     writeStatsSections(w, reg);
     w.endObject();
+    return out;
+}
+
+void
+writeStatsJson(std::ostream &os, const StatsRegistry &reg)
+{
+    const std::string doc = statsToJson(reg);
+    os.write(doc.data(), static_cast<std::streamsize>(doc.size()));
+}
+
+void
+ArtifactPayload::writeJson(std::ostream &os, const StatsRegistry &reg,
+                           const ArtifactHostState &host) const
+{
+    std::string doc;
+    append(doc, reg, host);
+    os.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 std::string
 ArtifactPayload::toJson(const StatsRegistry &reg,
                         const ArtifactHostState &host) const
 {
-    std::ostringstream os;
-    writeJson(os, reg, host);
-    os << "\n";
-    return os.str();
+    std::string doc;
+    append(doc, reg, host);
+    doc += '\n';
+    return doc;
 }
 
 } // namespace usfq::obs

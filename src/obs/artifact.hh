@@ -97,16 +97,21 @@ class ArtifactPayload
     /**
      * Serialize the full artifact document: payload + @p reg snapshot
      * + @p host.  The output is byte-deterministic in (payload, reg,
-     * host).
+     * host).  The document is built in one string and written to
+     * @p os in one call.
      */
     void writeJson(std::ostream &os, const StatsRegistry &reg,
                    const ArtifactHostState &host = {}) const;
 
-    /** writeJson into a string (with the trailing newline). */
+    /** The writeJson document as a string, with a trailing newline. */
     std::string toJson(const StatsRegistry &reg,
                        const ArtifactHostState &host = {}) const;
 
   private:
+    /** The document into @p out (no trailing newline). */
+    void append(std::string &out, const StatsRegistry &reg,
+                const ArtifactHostState &host) const;
+
     struct Metric
     {
         std::string key;
@@ -126,6 +131,9 @@ class ArtifactPayload
  * also the payload of the usfq_engine_metrics / usfq_broker_metrics
  * C ABI entry points, so registries egress in exactly one shape.
  */
+std::string statsToJson(const StatsRegistry &reg);
+
+/** statsToJson written to @p os in one call. */
 void writeStatsJson(std::ostream &os, const StatsRegistry &reg);
 
 /**

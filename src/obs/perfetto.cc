@@ -36,7 +36,8 @@ writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
                  const std::vector<TraceSpan> &requestSpans,
                  const std::vector<PulseTrack> &tracks)
 {
-    JsonWriter w(os, 1);
+    std::string doc;
+    JsonWriter w(doc, 1);
     w.beginObject();
     w.kv("displayTimeUnit", "ns");
     w.key("traceEvents").beginArray();
@@ -113,7 +114,8 @@ writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
 
     w.endArray();
     w.endObject();
-    os << "\n";
+    doc += '\n';
+    os.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 void

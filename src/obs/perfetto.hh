@@ -45,7 +45,8 @@ struct PulseTrack
  * trace/span/parent ids in "args" (one request = one span chain, real
  * thread ids so worker activity reads per-row), @p tracks as sim-time
  * instant events.  Host threads named via obs::setCurrentThreadName
- * get thread_name metadata rows.
+ * get thread_name metadata rows.  The document is built in one string
+ * and written to @p os in one call.
  */
 void writeChromeTrace(std::ostream &os,
                       const std::vector<PhaseSpan> &spans,

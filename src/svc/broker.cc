@@ -14,6 +14,17 @@ namespace
 /** Floor of the design-facts table's capacity (BrokerOptions). */
 constexpr std::size_t kMinFactsCapacity = 1024;
 
+/** A request that failed outside the engines (no document). */
+Response
+internalFailure(std::uint64_t id, const char *what)
+{
+    Response r;
+    r.requestId = id;
+    r.status = api::Status::Internal;
+    r.error = what;
+    return r;
+}
+
 } // namespace
 
 Broker::Broker(BrokerOptions options)
@@ -96,13 +107,9 @@ Broker::shutdown()
         }
     }
     cvQueue.notify_all();
-    for (Pending &p : orphaned) {
-        Response r;
-        r.requestId = p.id;
-        r.status = api::Status::Internal;
-        r.error = "broker shut down before the request ran";
-        p.promise.set_value(std::move(r));
-    }
+    for (Pending &p : orphaned)
+        p.promise.set_value(internalFailure(
+            p.id, "broker shut down before the request ran"));
     for (std::thread &t : workers)
         if (t.joinable())
             t.join();
@@ -161,8 +168,20 @@ Broker::workerLoop(int workerIndex)
             obs::ScopedSpan wait(root.context(), "queue_wait");
             wait.startAt(job.enqueueUs);
         }
-        Response response =
-            process(job.id, job.request, root.context());
+        // The armor Session::run puts around the engines, over the
+        // whole request: an exception from a facts or cache lookup,
+        // from serializing the result (a bad_alloc on a 2^20-epoch
+        // document) or from caching it fails this request with
+        // Status::Internal and leaves the worker serving.
+        Response response;
+        try {
+            ScopedFatalThrow guard;
+            response = process(job.id, job.request, root.context());
+        } catch (const std::exception &e) {
+            response = internalFailure(job.id, e.what());
+        } catch (...) {
+            response = internalFailure(job.id, "unknown exception");
+        }
         root.finish();
 
         {

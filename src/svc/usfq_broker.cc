@@ -19,7 +19,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -214,8 +213,8 @@ usfq_broker_metrics(const usfq_broker *broker, char **out_json)
     try {
         const svc::BrokerStats stats = broker->broker.stats();
         const svc::CacheStats cache = broker->broker.cacheStats();
-        std::ostringstream os;
-        JsonWriter w(os);
+        std::string json;
+        JsonWriter w(json);
         w.beginObject();
 
         w.key("broker").beginObject();
@@ -249,7 +248,7 @@ usfq_broker_metrics(const usfq_broker *broker, char **out_json)
         w.endObject();
 
         w.endObject();
-        char *copy = dupString(os.str());
+        char *copy = dupString(json);
         if (copy == nullptr)
             return USFQ_ERR_INTERNAL;
         *out_json = copy;

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -62,8 +61,8 @@ usfq_cache_stats(const usfq_cache *cache, char **out_json)
         return USFQ_ERR_INVALID_ARG;
     try {
         const svc::CacheStats stats = cache->cache.stats();
-        std::ostringstream os;
-        JsonWriter w(os);
+        std::string json;
+        JsonWriter w(json);
         w.beginObject();
         w.kv("capacity",
              static_cast<std::uint64_t>(cache->cache.capacity()));
@@ -74,7 +73,7 @@ usfq_cache_stats(const usfq_cache *cache, char **out_json)
         w.kv("evictions", stats.evictions);
         w.kv("hit_rate", stats.hitRate());
         w.endObject();
-        char *copy = dupString(os.str());
+        char *copy = dupString(json);
         if (copy == nullptr)
             return USFQ_ERR_INTERNAL;
         *out_json = copy;

@@ -1,8 +1,8 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -11,6 +11,27 @@ namespace usfq
 {
 
 // --- writer ----------------------------------------------------------------
+
+namespace
+{
+
+template <typename Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, r.ptr);
+}
+
+} // namespace
+
+void
+JsonWriter::newline()
+{
+    out += '\n';
+    out.append(stack.size() * static_cast<std::size_t>(indentWidth), ' ');
+}
 
 void
 JsonWriter::prefix(bool is_key)
@@ -28,21 +49,17 @@ JsonWriter::prefix(bool is_key)
     if (top.isObject && !is_key)
         panic("JsonWriter: bare value inside an object (missing key)");
     if (top.hasEntries)
-        out << ',';
+        out += ',';
     top.hasEntries = true;
-    if (indentWidth > 0) {
-        out << '\n';
-        for (std::size_t i = 0; i < stack.size(); ++i)
-            for (int s = 0; s < indentWidth; ++s)
-                out << ' ';
-    }
+    if (indentWidth > 0)
+        newline();
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
     prefix(false);
-    out << '{';
+    out += '{';
     stack.push_back(Level{true});
     return *this;
 }
@@ -54,13 +71,9 @@ JsonWriter::endObject()
         panic("JsonWriter: endObject() outside an object");
     const bool had = stack.back().hasEntries;
     stack.pop_back();
-    if (had && indentWidth > 0) {
-        out << '\n';
-        for (std::size_t i = 0; i < stack.size(); ++i)
-            for (int s = 0; s < indentWidth; ++s)
-                out << ' ';
-    }
-    out << '}';
+    if (had && indentWidth > 0)
+        newline();
+    out += '}';
     return *this;
 }
 
@@ -68,7 +81,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     prefix(false);
-    out << '[';
+    out += '[';
     stack.push_back(Level{false});
     return *this;
 }
@@ -80,13 +93,9 @@ JsonWriter::endArray()
         panic("JsonWriter: endArray() outside an array");
     const bool had = stack.back().hasEntries;
     stack.pop_back();
-    if (had && indentWidth > 0) {
-        out << '\n';
-        for (std::size_t i = 0; i < stack.size(); ++i)
-            for (int s = 0; s < indentWidth; ++s)
-                out << ' ';
-    }
-    out << ']';
+    if (had && indentWidth > 0)
+        newline();
+    out += ']';
     return *this;
 }
 
@@ -96,7 +105,8 @@ JsonWriter::key(std::string_view k)
     if (stack.empty() || !stack.back().isObject)
         panic("JsonWriter: key() outside an object");
     prefix(true);
-    out << escape(k) << (indentWidth > 0 ? ": " : ":");
+    appendEscaped(out, k);
+    out += indentWidth > 0 ? ": " : ":";
     keyPending = true;
     return *this;
 }
@@ -105,7 +115,7 @@ JsonWriter &
 JsonWriter::value(std::string_view v)
 {
     prefix(false);
-    out << escape(v);
+    appendEscaped(out, v);
     return *this;
 }
 
@@ -114,12 +124,23 @@ JsonWriter::value(double v)
 {
     prefix(false);
     if (!std::isfinite(v)) {
-        out << "null";
+        out += "null";
         return *this;
     }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out << buf;
+    // Integral values below 1e17 have at most 17 digits, which "%.17g"
+    // prints in full with no exponent: the integer formatter writes
+    // the same bytes, faster.  -0.0 keeps its sign through "%.17g".
+    if (std::fabs(v) < 1e17 && std::trunc(v) == v &&
+        !(v == 0.0 && std::signbit(v))) {
+        appendInt(out, static_cast<std::int64_t>(v));
+        return *this;
+    }
+    // to_chars' general format at a given precision is defined as
+    // printf's "%.*g", in the C locale whatever the global one is.
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+    out.append(buf, r.ptr);
     return *this;
 }
 
@@ -127,7 +148,7 @@ JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
     prefix(false);
-    out << v;
+    appendInt(out, v);
     return *this;
 }
 
@@ -135,7 +156,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     prefix(false);
-    out << v;
+    appendInt(out, v);
     return *this;
 }
 
@@ -143,7 +164,7 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     prefix(false);
-    out << (v ? "true" : "false");
+    out += v ? "true" : "false";
     return *this;
 }
 
@@ -151,8 +172,48 @@ JsonWriter &
 JsonWriter::null()
 {
     prefix(false);
-    out << "null";
+    out += "null";
     return *this;
+}
+
+void
+JsonWriter::appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    // Bytes that need no escape go in as whole runs.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+            out.append(esc, sizeof esc);
+          }
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+    out += '"';
 }
 
 std::string
@@ -160,35 +221,7 @@ JsonWriter::escape(std::string_view s)
 {
     std::string r;
     r.reserve(s.size() + 2);
-    r += '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            r += "\\\"";
-            break;
-          case '\\':
-            r += "\\\\";
-            break;
-          case '\n':
-            r += "\\n";
-            break;
-          case '\r':
-            r += "\\r";
-            break;
-          case '\t':
-            r += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                r += buf;
-            } else {
-                r += static_cast<char>(c);
-            }
-        }
-    }
-    r += '"';
+    appendEscaped(r, s);
     return r;
 }
 

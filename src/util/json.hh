@@ -1,9 +1,10 @@
 /**
  * @file
- * Minimal JSON support with no third-party dependency: a streaming
- * writer for the machine-readable bench artifacts and Perfetto traces
- * (docs/observability.md), and a small recursive-descent parser used
- * by tests and the artifact linter to validate what was written.
+ * Minimal JSON support with no third-party dependency: a writer for
+ * the machine-readable bench artifacts, the service wire format and
+ * Perfetto traces (docs/observability.md), and a small
+ * recursive-descent parser used by tests and the artifact linter to
+ * validate what was written.
  */
 
 #ifndef USFQ_UTIL_JSON_HH
@@ -11,24 +12,29 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace usfq
 {
 
 /**
- * Streaming JSON writer: begin/end nesting with automatic commas and
- * indentation, full string escaping, and non-finite doubles mapped to
- * null so the output always parses.
+ * JSON writer appending to a caller-owned string: begin/end nesting
+ * with automatic commas and indentation, full string escaping, and
+ * non-finite doubles mapped to null so the output always parses.
+ *
+ * Numbers print exactly as printf would, independent of the locale:
+ * integers as "%lld" / "%llu", finite doubles as "%.17g" (integral
+ * doubles below 1e17 in magnitude, other than -0.0, take the integer
+ * formatter, which prints the same digits).
  */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::ostream &os, int indent = 2)
-        : out(os), indentWidth(indent)
+    explicit JsonWriter(std::string &sink, int indent = 2)
+        : out(sink), indentWidth(indent)
     {
     }
 
@@ -65,13 +71,19 @@ class JsonWriter
     /** Comma/indent bookkeeping before a new value or key. */
     void prefix(bool is_key);
 
+    /** Newline plus the current nesting's indentation. */
+    void newline();
+
+    /** Append @p s as a quoted, escaped literal. */
+    static void appendEscaped(std::string &out, std::string_view s);
+
     struct Level
     {
         bool isObject;
         bool hasEntries = false;
     };
 
-    std::ostream &out;
+    std::string &out;
     int indentWidth;
     std::vector<Level> stack;
     bool keyPending = false;

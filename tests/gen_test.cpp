@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/balance.hh"
@@ -36,12 +37,12 @@ namespace
 DesignSpec
 roundTrip(const DesignSpec &spec)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     designSpecToJson(spec, w);
     JsonValue doc;
     std::string err;
-    EXPECT_TRUE(parseJson(os.str(), doc, &err)) << err;
+    EXPECT_TRUE(parseJson(out, doc, &err)) << err;
     DesignSpec back;
     EXPECT_TRUE(designSpecFromJson(doc, back, &err)) << err;
     return back;
@@ -464,6 +465,99 @@ TEST(GenFunctional, PulseMatchesMirrorSpotCheck)
                       evalEpoch(s, in).count)
                 << treeKindName(tree) << " epoch " << e;
         }
+    }
+}
+
+// --- mirror lock -------------------------------------------------------------
+
+/** Every tree x shape x encoding x lane count x resolution; two divider
+ *  levels and a per-spec shape seed make the lanes differ. */
+std::vector<DesignSpec>
+mirrorLockSpecs()
+{
+    std::vector<DesignSpec> specs;
+    for (const TreeKind tree :
+         {TreeKind::Balancer, TreeKind::Merger, TreeKind::Tff2})
+        for (const LaneShape shape :
+             {LaneShape::Balanced, LaneShape::Skewed, LaneShape::Random})
+            for (const StreamEncoding encoding :
+                 {StreamEncoding::Unipolar, StreamEncoding::Bipolar})
+                for (const int lanes : {2, 4, 8, 16, 32, 64})
+                    for (const int bits : {3, 5, 8}) {
+                        DesignSpec s;
+                        s.tree = tree;
+                        s.shape = shape;
+                        s.encoding = encoding;
+                        s.lanes = lanes;
+                        s.bits = bits;
+                        s.maxDividers = 2;
+                        s.shapeSeed = 0x5eedULL + specs.size();
+                        specs.push_back(s);
+                    }
+    return specs;
+}
+
+constexpr int kMirrorLockEpochs = 200;
+
+/** Epoch @p e of spec @p index; every tenth epoch leaves the gates
+ *  empty (all lanes on). */
+EpochInputs
+mirrorLockInputs(const DesignSpec &spec, std::size_t index, int e)
+{
+    EpochInputs in = drawEpochInputs(
+        spec, 0x9e3779b97f4a7c15ULL * (index + 1) +
+                  static_cast<std::uint64_t>(e));
+    if (e % 10 == 9)
+        in.gates.clear();
+    return in;
+}
+
+std::uint64_t
+foldEval(std::uint64_t h, const EpochEval &ev)
+{
+    h = hashFold(h, static_cast<std::uint64_t>(ev.count));
+    h = hashFold(h, static_cast<std::uint64_t>(ev.lost));
+    return hashFold(h, static_cast<std::uint64_t>(ev.laneSum));
+}
+
+TEST(GenMirrorLock, EvalEpochDigest)
+{
+    const std::vector<DesignSpec> specs = mirrorLockSpecs();
+    ASSERT_EQ(specs.size(), 324u);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        for (int e = 0; e < kMirrorLockEpochs; ++e)
+            h = foldEval(h, evalEpoch(specs[i],
+                                      mirrorLockInputs(specs[i], i, e)));
+    std::ostringstream hex;
+    hex << std::hex << h;
+    EXPECT_EQ(h, 0x6a4cb4424a8f5585ULL)
+        << "mirror digest is now 0x" << hex.str();
+}
+
+TEST(GenMirrorLock, ReusedMirrorMatchesFreshMirrors)
+{
+    // One mirror fed every (spec, epoch) of the lock grid in shuffled
+    // order -- lane counts, resolutions and trees change from one
+    // epoch to the next -- must give what a fresh mirror gives.
+    const std::vector<DesignSpec> specs = mirrorLockSpecs();
+    std::vector<std::pair<std::size_t, int>> order;
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        for (int e = 0; e < kMirrorLockEpochs; ++e)
+            order.emplace_back(i, e);
+    Rng rng(0x5eedULL);
+    for (std::size_t k = order.size() - 1; k > 0; --k)
+        std::swap(order[k], order[rng.next() % (k + 1)]);
+
+    EpochMirror reused;
+    for (const auto &[i, e] : order) {
+        const EpochInputs in = mirrorLockInputs(specs[i], i, e);
+        const EpochEval got = reused.eval(specs[i], in);
+        const EpochEval want = EpochMirror().eval(specs[i], in);
+        ASSERT_EQ(got.count, want.count) << "spec " << i << " epoch " << e;
+        ASSERT_EQ(got.lost, want.lost) << "spec " << i << " epoch " << e;
+        ASSERT_EQ(got.laneSum, want.laneSum)
+            << "spec " << i << " epoch " << e;
     }
 }
 

@@ -483,8 +483,8 @@ TEST(Perfetto, TraceParsesBackAndCarriesEvents)
 
 TEST(Json, WriterProducesParseableNestedDocument)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
+    std::string out;
+    JsonWriter w(out);
     w.beginObject();
     w.kv("name", "bench \"x\"\n");
     w.kv("count", std::uint64_t(42));
@@ -500,7 +500,7 @@ TEST(Json, WriterProducesParseableNestedDocument)
 
     JsonValue doc;
     std::string error;
-    ASSERT_TRUE(parseJson(os.str(), doc, &error)) << error;
+    ASSERT_TRUE(parseJson(out, doc, &error)) << error;
     EXPECT_EQ(doc.find("name")->str, "bench \"x\"\n");
     EXPECT_DOUBLE_EQ(doc.find("count")->number, 42.0);
     EXPECT_DOUBLE_EQ(doc.find("ratio")->number, 1.5);
