@@ -4,13 +4,16 @@
  * (src/sta/): graph build + window propagation on linear chains,
  * margin checking on a wide DFF capture grid, and the jitter
  * Monte-Carlo driver (each timing netlist build, elaboration and STA
- * together), plus two per-layer figures of the design-space compiler:
- * runSta alone on a pre-built generated datapath (ns per edge) and
- * gen::balanceDesign over a fixed spec list (us per spec).
+ * together), plus the per-layer figures of the design-space compiler
+ * on one generated datapath: netlist build and elaboration (us per
+ * component), runSta alone (ns per edge), and gen::balanceDesign over
+ * a fixed spec list (us per spec).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,35 +115,108 @@ BM_StaJitterMonteCarlo(benchmark::State &state)
 BENCHMARK(BM_StaJitterMonteCarlo)->Arg(16)->Arg(64);
 
 /**
- * runSta alone, re-run on one pre-built, elaborated and balanced
- * 16-lane generated datapath under genStaOptions (the STA layer of a
+ * The balanced 16-lane generated datapath the compile-layer benches
+ * below share: the spec and its padding plan, balanced once.
+ */
+struct GenDesign
+{
+    gen::DesignSpec spec;
+    gen::BalanceOutcome bo;
+
+    GenDesign()
+    {
+        spec.lanes = 16;
+        spec.bits = 4;
+        spec.clockPeriodPs = 20;
+        spec.tree = gen::TreeKind::Merger;
+        spec.shape = gen::LaneShape::Random;
+        spec.maxDividers = 2;
+        spec.skewStep = 2;
+        bo = gen::balanceDesign(spec);
+    }
+
+    /** Build (not elaborate) the datapath into a fresh netlist. */
+    std::unique_ptr<Netlist>
+    build() const
+    {
+        auto nl = std::make_unique<Netlist>("gen");
+        auto &dp = nl->create<gen::StreamDatapath>("dp", spec, bo.plan);
+        dp.programEpoch({spec.nmax(), {}});
+        return nl;
+    }
+};
+
+const GenDesign &
+genDesign(benchmark::State &state)
+{
+    static const GenDesign design;
+    if (!design.bo.converged())
+        state.SkipWithError(design.bo.detail.c_str());
+    return design;
+}
+
+/**
+ * Netlist build of the generated datapath, construction through
+ * teardown (the build layer of a design-space compile).  Items are
+ * components: 1e6 / items_per_second is us per component.
+ */
+void
+BM_BuildGenDatapath(benchmark::State &state)
+{
+    const GenDesign &design = genDesign(state);
+    if (state.error_occurred())
+        return;
+    const std::size_t comps = design.build()->graphComponents().size();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(design.build());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(comps));
+}
+BENCHMARK(BM_BuildGenDatapath);
+
+/**
+ * Netlist::elaborate alone (lint and edge packing) on a freshly built
+ * generated datapath; building and tearing down each netlist is not
+ * timed.  Items are components: 1e6 / items_per_second is us per
+ * component.
+ */
+void
+BM_ElaborateGenDatapath(benchmark::State &state)
+{
+    const GenDesign &design = genDesign(state);
+    if (state.error_occurred())
+        return;
+    std::unique_ptr<Netlist> nl;
+    std::size_t comps = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        nl = design.build(); // tears down the previous iteration's
+        state.ResumeTiming();
+        comps = nl->elaborate().numComponents;
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(comps));
+}
+BENCHMARK(BM_ElaborateGenDatapath);
+
+/**
+ * runSta alone, re-run on the pre-built, elaborated and balanced
+ * generated datapath under genStaOptions (the STA layer of a
  * design-space compile).  Items are graph edges: 1e9 / items_per_second
  * is ns per edge.
  */
 void
 BM_StaGenDatapath(benchmark::State &state)
 {
-    gen::DesignSpec spec;
-    spec.lanes = 16;
-    spec.bits = 4;
-    spec.clockPeriodPs = 20;
-    spec.tree = gen::TreeKind::Merger;
-    spec.shape = gen::LaneShape::Random;
-    spec.maxDividers = 2;
-    spec.skewStep = 2;
-    const gen::BalanceOutcome bo = gen::balanceDesign(spec);
-    if (!bo.converged()) {
-        state.SkipWithError(bo.detail.c_str());
+    const GenDesign &design = genDesign(state);
+    if (state.error_occurred())
         return;
-    }
-    Netlist nl("gen");
-    auto &dp = nl.create<gen::StreamDatapath>("dp", spec, bo.plan);
-    dp.programEpoch({spec.nmax(), {}});
-    nl.elaborate();
-    const StaOptions opts = gen::genStaOptions(spec);
+    const std::unique_ptr<Netlist> nl = design.build();
+    nl->elaborate();
+    const StaOptions opts = gen::genStaOptions(design.spec);
     std::size_t edges = 0;
     for (auto _ : state) {
-        const StaReport report = runSta(nl, opts);
+        const StaReport report = runSta(*nl, opts);
         edges = report.numEdges;
         benchmark::DoNotOptimize(report.worstSlack);
     }

@@ -27,12 +27,15 @@
 #                                      # per-worker rigs and arenas),
 #                                      # under ThreadSanitizer only
 #   ./scripts/check.sh gen             # design-space compiler gate: the
-#                                      # gen and sta tiers (spec
+#                                      # gen, sta and golden tiers (spec
 #                                      # round-trips, balancer convergence,
 #                                      # the 500-spec generator
 #                                      # differential, generated goldens,
 #                                      # the timing engine and its
-#                                      # bit-identity lock) under default,
+#                                      # bit-identity lock, the golden
+#                                      # traces' STA envelope) plus
+#                                      # json_lock_test (lint and STA
+#                                      # finding text) under default,
 #                                      # ASan and UBSan builds
 #   ./scripts/check.sh noc             # temporal-NoC gate: the noc tier
 #                                      # (plan/router/grid units, the
@@ -122,10 +125,16 @@ elif [[ "$mode" == "gen" ]]; then
     # STA-gated, pulse vs functional at 1 and 4 threads) and the
     # generated-netlist goldens -- plus the sta tier the compiler runs
     # on (docs/sta.md), including the StaReport bit-identity lock.
-    # Runs under UBSan as well -- the slot algebra, the padding
-    # arithmetic and the timing graph's CSR index arithmetic are
-    # integer-heavy code where silent UB would hide.
-    ctest_args=(-L 'gen|sta' "${ctest_args[@]}")
+    # Also every suite that reads the timing graph's port numbering or
+    # pins bytes the compile path formats: the golden tier (its traces
+    # must stay inside windowOf/separationFloor) and json_lock_test
+    # (lint and STA finding text; label svc-obs, whose other member,
+    # the traced usfq_serve smoke, stays out).  Runs under UBSan as
+    # well -- the slot algebra, the padding arithmetic and the timing
+    # graph's CSR and port-slot index arithmetic are integer-heavy code
+    # where silent UB would hide.
+    ctest_args=(-L 'gen|sta|golden|svc-obs' -E '^svc_serve_trace$'
+                "${ctest_args[@]}")
 elif [[ "$mode" == "noc" ]]; then
     # The temporal-NoC gate (docs/noc.md): plan placement and router
     # units, the flit-for-flit fabric differential (sink counts AND

@@ -476,7 +476,7 @@ PulseEpochRig::run(const EpochInputs &in)
     nl.resetAll();
     trace.clear();
     dp.programEpoch(in);
-    nl.run();
+    nl.queue().run(); // elaborated at construction; no per-epoch span
     return static_cast<long long>(trace.totalCount());
 }
 

@@ -376,7 +376,8 @@ PulseFabricRig::run(std::uint64_t seed)
     nl.resetAll();
     tileGrid.programSchedule();
     tileGrid.programOperands(drawTileOperands(tileGrid.plan(), seed));
-    nl.run(tileGrid.plan().horizon);
+    // Elaborated at construction; no per-epoch phase span.
+    nl.queue().run(tileGrid.plan().horizon);
     PulseFabricResult res;
     res.obs = tileGrid.observe();
     res.latePulses = tileGrid.latePulses();

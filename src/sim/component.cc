@@ -34,6 +34,7 @@ void
 Component::addPort(InputPort &port)
 {
     port.ownerComp = this;
+    port.slotIdx = static_cast<std::uint32_t>(ins.size());
     ins.push_back(&port);
 }
 
@@ -41,6 +42,7 @@ void
 Component::addPort(OutputPort &port)
 {
     port.ownerComp = this;
+    port.slotIdx = static_cast<std::uint32_t>(outs.size());
     outs.push_back(&port);
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/timing.hh"
@@ -149,15 +150,25 @@ class Component
     /** Record @p n JJ switching events for the power model. */
     void recordSwitches(int n);
 
-    /** Register a port with this component (and the netlist graph). */
+    /**
+     * Register a port with this component (and the netlist graph); the
+     * port records its slot, its index among this component's inputs
+     * or outputs.
+     */
     void addPort(InputPort &port);
     void addPort(OutputPort &port);
 
-    /** Register several ports at once. */
+    /** Register several ports at once, growing each port list once. */
     template <typename... Ports>
     void
     addPorts(Ports &...ports)
     {
+        ins.reserve(ins.size() +
+                    (std::size_t{0} + ... +
+                     std::is_same_v<Ports, InputPort>));
+        outs.reserve(outs.size() +
+                     (std::size_t{0} + ... +
+                      std::is_same_v<Ports, OutputPort>));
         (addPort(ports), ...);
     }
 

@@ -10,6 +10,7 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/phase.hh"
 #include "sim/netlist.hh"
@@ -84,6 +85,27 @@ struct ElabPasses
         out.push_back(std::move(f));
     }
 
+    /**
+     * "<kind> port <port> of <component><tail>": the lint messages are
+     * built by appending (most of them are waived findings that every
+     * elaboration formats).
+     */
+    static std::string
+    portMessage(std::string_view kind, const std::string &port,
+                const std::string &component, std::string_view tail)
+    {
+        std::string msg;
+        msg.reserve(kind.size() + port.size() + component.size() +
+                    tail.size() + 10);
+        msg += kind;
+        msg += " port ";
+        msg += port;
+        msg += " of ";
+        msg += component;
+        msg += tail;
+        return msg;
+    }
+
     static void
     lintPorts(const Netlist &nl, const std::vector<Component *> &comps,
               std::vector<LintFinding> &out)
@@ -95,11 +117,10 @@ struct ElabPasses
                 if (in->driverCount() == 0 && !in->isObserver()) {
                     addFinding(nl, out, LintRule::DanglingInput,
                                in->name(), comp->name(),
-                               strprintf("input port %s of %s has no "
-                                         "driver -- likely a missed "
-                                         "connect()",
-                                         in->name().c_str(),
-                                         comp->name().c_str()),
+                               portMessage("input", in->name(),
+                                           comp->name(),
+                                           " has no driver -- likely a "
+                                           "missed connect()"),
                                in->optionalReason());
                 }
             }
@@ -107,21 +128,21 @@ struct ElabPasses
                 if (!outp->bound()) {
                     addFinding(nl, out, LintRule::UnboundOutput,
                                outp->name(), comp->name(),
-                               strprintf("output port %s of %s has no "
-                                         "event queue bound -- emit() "
-                                         "would be fatal (two-phase-"
-                                         "construction hazard)",
-                                         outp->name().c_str(),
-                                         comp->name().c_str()),
+                               portMessage("output", outp->name(),
+                                           comp->name(),
+                                           " has no event queue bound "
+                                           "-- emit() would be fatal "
+                                           "(two-phase-construction "
+                                           "hazard)"),
                                outp->openReason());
                 } else if (outp->connectionList().empty()) {
                     addFinding(nl, out, LintRule::OpenOutput,
                                outp->name(), comp->name(),
-                               strprintf("output port %s of %s drives "
-                                         "nothing -- its pulses are "
-                                         "silently discarded",
-                                         outp->name().c_str(),
-                                         comp->name().c_str()),
+                               portMessage("output", outp->name(),
+                                           comp->name(),
+                                           " drives nothing -- its "
+                                           "pulses are silently "
+                                           "discarded"),
                                outp->openReason());
                 }
                 // SFQ fan-out discipline: one pulse drives one load;
@@ -133,12 +154,14 @@ struct ElabPasses
                 if (loads > 1 && !outp->isFanoutOk()) {
                     addFinding(nl, out, LintRule::IllegalFanout,
                                outp->name(), comp->name(),
-                               strprintf("output port %s of %s drives "
-                                         "%zu loads; SFQ pulses fan out "
-                                         "through Splitter trees, not "
-                                         "shared wires",
-                                         outp->name().c_str(),
-                                         comp->name().c_str(), loads),
+                               portMessage("output", outp->name(),
+                                           comp->name(),
+                                           " drives " +
+                                               std::to_string(loads) +
+                                               " loads; SFQ pulses fan "
+                                               "out through Splitter "
+                                               "trees, not shared "
+                                               "wires"),
                                kNoWaiver);
                 }
             }
@@ -184,16 +207,20 @@ struct ElabPasses
         }
 
         // Iterative DFS with tri-colour marking; report one cycle per
-        // back edge found from a fresh root.
+        // back edge found from a fresh root.  Stack of (node,
+        // next-child-index); path mirrors the grey chain so a back edge
+        // can be reported as a named cycle.  Both are allocated once
+        // and cleared per root (a root that reports a cycle leaves them
+        // non-empty).
         enum class Colour : std::uint8_t { White, Grey, Black };
         std::vector<Colour> colour(comps.size(), Colour::White);
+        std::vector<std::pair<std::size_t, std::size_t>> stack;
+        std::vector<std::size_t> path;
         for (std::size_t root = 0; root < comps.size(); ++root) {
             if (colour[root] != Colour::White)
                 continue;
-            // Stack of (node, next-child-index); path mirrors the grey
-            // chain so a back edge can be reported as a named cycle.
-            std::vector<std::pair<std::size_t, std::size_t>> stack;
-            std::vector<std::size_t> path;
+            stack.clear();
+            path.clear();
             stack.emplace_back(root, 0);
             colour[root] = Colour::Grey;
             path.push_back(root);
@@ -220,11 +247,9 @@ struct ElabPasses
                         static const std::string kNoWaiver;
                         addFinding(nl, out, LintRule::ZeroDelayCycle,
                                    names, comps[child]->name(),
-                                   strprintf("zero-delay feedback loop "
-                                             "(%s) -- the event kernel "
-                                             "would livelock at one "
-                                             "tick",
-                                             names.c_str()),
+                                   "zero-delay feedback loop (" + names +
+                                       ") -- the event kernel would "
+                                       "livelock at one tick",
                                    kNoWaiver);
                         reported = true;
                     } else if (colour[child] == Colour::White) {

@@ -71,6 +71,13 @@ class InputPort
     Component *owner() const { return ownerComp; }
 
     /**
+     * Index of this port among its owner's registered inputs (addPort
+     * order); 0 while free-standing.  With the owner's hierarchy node
+     * id it names the port's STA graph node without a lookup table.
+     */
+    std::uint32_t slot() const { return slotIdx; }
+
+    /**
      * Mark as a measurement probe (PulseTrace): observer connections do
      * not load the wire, so they are exempt from the SFQ fan-out lint.
      */
@@ -86,7 +93,7 @@ class InputPort
     const std::string &optionalReason() const { return waiver; }
 
   private:
-    friend class Component;  // sets ownerComp at registration
+    friend class Component;  // sets ownerComp and slotIdx at registration
     friend class OutputPort; // counts drivers in connect()
 
     std::string portName;
@@ -94,6 +101,7 @@ class InputPort
     std::uint64_t delivered = 0;
     Component *ownerComp = nullptr;
     std::uint32_t drivers = 0;
+    std::uint32_t slotIdx = 0;
     bool observer = false;
     std::string waiver;
 };
@@ -144,6 +152,12 @@ class OutputPort
     Component *owner() const { return ownerComp; }
 
     /**
+     * Index of this port among its owner's registered outputs (addPort
+     * order); 0 while free-standing.
+     */
+    std::uint32_t slot() const { return slotIdx; }
+
+    /**
      * Declare that this port may drive more than one load.  Only
      * splitter outputs, ports whose JJ budget includes an internal
      * splitter (BalancerRoutingUnit), and external pad drivers
@@ -168,7 +182,7 @@ class OutputPort
     }
 
   private:
-    friend class Component;   // sets ownerComp at registration
+    friend class Component;   // sets ownerComp and slotIdx at registration
     friend struct ElabPasses; // installs the packed edge span
 
     std::string portName;
@@ -181,6 +195,7 @@ class OutputPort
      */
     const Connection *edges = nullptr;
     std::uint32_t edgeCount = 0;
+    std::uint32_t slotIdx = 0;
     std::uint64_t emitted = 0;
     Component *ownerComp = nullptr;
     bool fanoutOk = false;

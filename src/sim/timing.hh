@@ -16,9 +16,10 @@
 #ifndef USFQ_SIM_TIMING_HH
 #define USFQ_SIM_TIMING_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "sim/inline_vector.hh"
 #include "util/types.hh"
 
 namespace usfq
@@ -88,12 +89,26 @@ struct OutputFloor
     Tick spacing = 0;
 };
 
-/** The full static-timing description of one component. */
+/**
+ * Inline capacities of a TimingModel, sized from the cell library: the
+ * BFF has the most arcs (8), collision pairs (6) and output floors (2)
+ * of any cell.  Larger models -- the behavioral default of a wide
+ * composite block, every input to every output -- spill to the heap.
+ */
+constexpr std::size_t kInlineArcs = 8;
+constexpr std::size_t kInlineChecks = 6;
+constexpr std::size_t kInlineFloors = 2;
+
+/**
+ * The full static-timing description of one component.  Returned by
+ * value from Component::timingModel() on every STA run, so its lists
+ * are inline (no heap allocation for any library cell).
+ */
 struct TimingModel
 {
-    std::vector<TimingArc> arcs;
-    std::vector<TimingCheck> checks;
-    std::vector<OutputFloor> floors;
+    InlineVector<TimingArc, kInlineArcs> arcs;
+    InlineVector<TimingCheck, kInlineChecks> checks;
+    InlineVector<OutputFloor, kInlineFloors> floors;
 
     /**
      * Minimum spacing between successive pulses on any single input

@@ -7,7 +7,6 @@
  */
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <span>
 #include <string>
@@ -34,6 +33,7 @@ using sta_detail::Edge;
 using sta_detail::EdgeKind;
 using sta_detail::Node;
 using sta_detail::StaGraph;
+using sta_detail::fmtPs;
 
 /**
  * Spacing value meaning "provably at most one pulse ever" -- far above
@@ -55,14 +55,6 @@ struct AnchorBound
      */
     std::uint64_t div;
 };
-
-std::string
-fmtPs(Tick t)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f", ticksToPs(t));
-    return buf;
-}
 
 /** Everything the topo-order forward pass computes. */
 struct Propagated
@@ -568,7 +560,7 @@ runSta(Netlist &nl, const StaOptions &opts)
         }
     }
 
-    report.nodeIndex = std::move(g.nodeOf);
+    report.portNodes = std::move(g.portNodes);
     report.nodeWindows = std::move(p.windows);
     report.nodeFloors = std::move(p.floors);
     // A floor at the single-pulse sentinel is reported as "no floor":

@@ -1,7 +1,7 @@
 #include "sta/graph.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <type_traits>
 
 #include "sim/component.hh"
 #include "sim/netlist.hh"
@@ -182,16 +182,21 @@ topoSort(StaGraph &g)
               n - g.topo.size());
 }
 
-/** Register one port as the next node. */
+/**
+ * Add the node of slot @p slot of component @p comp (index @p ci).
+ * The port's owner and slot must point back at this registration: a
+ * port registered by two components, or twice by one, would otherwise
+ * alias another port's node.
+ */
+template <typename Port>
 void
-addNode(StaGraph &g, const void *port, const std::string &name,
-        std::size_t comp, bool isInput)
+addNode(StaGraph &g, const Port &port, const Component *comp,
+        std::size_t ci, std::size_t slot)
 {
-    const auto v = static_cast<std::uint32_t>(g.nodes.size());
-    if (!g.nodeOf.emplace(port, v).second)
-        panic("sta: port %s registered twice", name.c_str());
-    g.nodes.push_back(
-        {port, &name, static_cast<std::int32_t>(comp), isInput, -1});
+    if (port.owner() != comp || port.slot() != slot)
+        panic("sta: port %s registered twice", port.name().c_str());
+    g.nodes.push_back({&port.name(), static_cast<std::int32_t>(ci),
+                       std::is_same_v<Port, InputPort>, -1});
 }
 
 /** CSR lists of @p edges grouped by endpoint @p key. */
@@ -224,8 +229,10 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
     StaGraph g;
     g.comps = nl.graphComponents();
 
-    // Size the node, edge and port-index storage up front from the port
-    // and connection counts (arcs are added once the models exist).
+    // Size the node and edge storage up front from the port and
+    // connection counts (arcs are added once the models exist).  The
+    // components come in hierarchy order, so the last one has the
+    // highest hierarchy node id.
     std::size_t numPorts = 0;
     std::size_t maxEdges = 0;
     for (const Component *comp : g.comps) {
@@ -236,15 +243,20 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
             maxEdges += out->connectionList().size();
     }
     g.nodes.reserve(numPorts);
-    g.nodeOf.reserve(numPorts);
     g.models.reserve(g.comps.size());
     g.firstNode.reserve(g.comps.size());
+    g.portNodes.netlist = &nl;
+    g.portNodes.first.assign(
+        g.comps.empty()
+            ? 0
+            : static_cast<std::size_t>(g.comps.back()->nodeId()) + 1,
+        UINT32_MAX);
 
     // Nodes: every registered port of every live component, plus the
     // per-component timing model (with jitter folded in).
     for (std::size_t ci = 0; ci < g.comps.size(); ++ci) {
-        Component *comp = g.comps[ci];
-        TimingModel model = comp->timingModel();
+        const Component *comp = g.comps[ci];
+        TimingModel &model = g.models.emplace_back(comp->timingModel());
         if (opts.delayDelta) {
             const int id = comp->nodeId();
             if (id >= 0 &&
@@ -254,13 +266,17 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
                                 id)]);
         }
         maxEdges += model.arcs.size();
-        g.models.push_back(std::move(model));
 
-        g.firstNode.push_back(static_cast<std::uint32_t>(g.nodes.size()));
-        for (InputPort *p : comp->inputPorts())
-            addNode(g, p, p->name(), ci, true);
-        for (OutputPort *p : comp->outputPorts())
-            addNode(g, p, p->name(), ci, false);
+        const auto first = static_cast<std::uint32_t>(g.nodes.size());
+        g.firstNode.push_back(first);
+        g.portNodes.first[static_cast<std::size_t>(comp->nodeId())] =
+            first;
+        const auto &ins = comp->inputPorts();
+        for (std::size_t k = 0; k < ins.size(); ++k)
+            addNode(g, *ins[k], comp, ci, k);
+        const auto &outs = comp->outputPorts();
+        for (std::size_t k = 0; k < outs.size(); ++k)
+            addNode(g, *outs[k], comp, ci, k);
     }
     g.edges.reserve(maxEdges);
 
@@ -282,8 +298,8 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
                                static_cast<std::int32_t>(ci), false});
         }
         for (const Component::PortAlias &alias : comp->portAliases()) {
-            const std::uint32_t from = g.indexOf(alias.outer);
-            const std::uint32_t to = g.indexOf(alias.inner);
+            const std::uint32_t from = g.portNodes.of(*alias.outer);
+            const std::uint32_t to = g.portNodes.of(*alias.inner);
             if (from == UINT32_MAX || to == UINT32_MAX)
                 continue; // alias into a free-standing port
             g.edges.push_back(
@@ -295,7 +311,7 @@ buildStaGraph(Netlist &nl, const StaOptions &opts)
                  outs[k]->connectionList()) {
                 if (conn.dst->isObserver())
                     continue; // measurement probes don't load the wire
-                const std::uint32_t to = g.indexOf(conn.dst);
+                const std::uint32_t to = g.portNodes.of(*conn.dst);
                 if (to == UINT32_MAX)
                     continue; // free-standing destination (fixtures)
                 g.edges.push_back({from, to, conn.delay, conn.delay,

@@ -2,7 +2,7 @@
  * @file
  * Internal port-level timing graph shared by the STA passes
  * (graph.cc builds and levelizes it, analysis.cc propagates over it).
- * Not installed API; include only from src/sta/.
+ * Not installed API; include only from src/sta/ and its tests.
  */
 
 #ifndef USFQ_STA_GRAPH_HH
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/component.hh"
@@ -50,7 +49,6 @@ struct Edge
 
 struct Node
 {
-    const void *port = nullptr; ///< InputPort* / OutputPort* address
     const std::string *name = nullptr;
     std::int32_t comp = -1; ///< owning component index
     bool isInput = false;
@@ -97,11 +95,12 @@ struct StaGraph
     std::vector<TimingModel> models;
     /**
      * First node of each component: its input ports are nodes
-     * firstNode[c] + i, its output ports follow them in addPort order.
+     * firstNode[c] + slot, its output ports follow them.
      */
     std::vector<std::uint32_t> firstNode;
 
-    std::unordered_map<const void *, std::uint32_t> nodeOf;
+    /** The same numbering keyed by hierarchy node id (any port). */
+    StaPortNodes portNodes;
 
     /** Node indices in dependency order over uncut edges. */
     std::vector<std::uint32_t> topo;
@@ -109,13 +108,6 @@ struct StaGraph
     /** CombinationalLoop findings raised while cutting. */
     std::vector<LintFinding> loopFindings;
     std::size_t numCut = 0;
-
-    std::uint32_t
-    indexOf(const void *port) const
-    {
-        auto it = nodeOf.find(port);
-        return it == nodeOf.end() ? UINT32_MAX : it->second;
-    }
 
     /** Node of input port @p port of component @p comp. */
     std::uint32_t
@@ -141,6 +133,13 @@ struct StaGraph
  * topological order.
  */
 StaGraph buildStaGraph(Netlist &nl, const StaOptions &opts);
+
+/**
+ * @p t in picoseconds with one decimal, as printf's "%.1f" prints it
+ * (std::to_chars, so locale-independent): the unit of every STA
+ * finding message and report line.
+ */
+std::string fmtPs(Tick t);
 
 } // namespace sta_detail
 

@@ -29,7 +29,6 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/elaborate.hh"
@@ -41,6 +40,25 @@ namespace usfq
 class InputPort;
 class Netlist;
 class OutputPort;
+
+/**
+ * Dense node numbering of the registered ports of one analysed netlist
+ * (docs/sta.md): the inputs of the component with hierarchy node id h
+ * are nodes first[h] + slot, its outputs follow them.  Ports have no
+ * node when they are free-standing (fixtures, PulseTrace probes) or
+ * belong to another netlist -- a second netlist built the same way has
+ * the same ids and slots, so the netlist check is what tells it apart.
+ */
+struct StaPortNodes
+{
+    const Netlist *netlist = nullptr;
+    /** Per hierarchy node id; UINT32_MAX where no component was live. */
+    std::vector<std::uint32_t> first;
+
+    /** Node of @p port, or UINT32_MAX when it has none. */
+    std::uint32_t of(const InputPort &port) const;
+    std::uint32_t of(const OutputPort &port) const;
+};
 
 /** Knobs of one STA run. */
 struct StaOptions
@@ -175,8 +193,8 @@ struct StaReport
 
     // --- implementation storage (filled by runSta) ----------------------
 
-    /** Port address -> dense node index. */
-    std::unordered_map<const void *, std::uint32_t> nodeIndex;
+    /** Port -> node of the analysed graph. */
+    StaPortNodes portNodes;
     std::vector<ArrivalWindow> nodeWindows;
     std::vector<Tick> nodeFloors;
 };

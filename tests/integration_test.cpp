@@ -27,6 +27,7 @@
 #include "gen/functional.hh"
 #include "noc/grid.hh"
 #include "noc/plan.hh"
+#include "obs/phase.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
@@ -427,6 +428,49 @@ TEST(Integration, ResetRestoresIdenticalBehaviour)
         }
         EXPECT_TRUE(sawOutput) << c.name << ": no epoch produced output";
     }
+}
+
+TEST(Integration, PulseRigEpochsLogNoPhaseSpans)
+{
+    // The rigs elaborate in their constructors and run each epoch on
+    // their event queue directly: a broker serving pulse audits must
+    // not grow the process-global phase log (or take its mutex) once
+    // per epoch.
+    gen::DesignSpec spec;
+    spec.lanes = 4;
+    spec.bits = 4;
+    spec.clockPeriodPs = 28;
+    const gen::BalanceOutcome bo = gen::balanceDesign(spec);
+    ASSERT_TRUE(bo.converged()) << bo.detail;
+    gen::PulseEpochRig genRig(spec, bo.plan);
+
+    noc::GridSpec gs;
+    gs.rows = 2;
+    gs.cols = 2;
+    gs.taps = 2;
+    gs.bits = 4;
+    gs.mode = DpuMode::Bipolar;
+    gs.flows = noc::columnCollectFlows(2, 2);
+    noc::PulseFabricRig nocRig(noc::planGrid(gs));
+
+    constexpr std::uint64_t kEpochs = 50;
+    const obs::PhaseLog &log = obs::PhaseLog::global();
+    const std::size_t before = log.snapshot().size();
+    long long pulses = 0;
+    for (std::uint64_t e = 0; e < kEpochs; ++e)
+        pulses += genRig.run(
+            gen::drawEpochInputs(spec, shardSeed(0x5e11ULL, e)));
+    EXPECT_GT(pulses, 0);
+    EXPECT_EQ(log.snapshot().size(), before);
+
+    std::uint64_t delivered = 0;
+    for (std::uint64_t e = 0; e < kEpochs; ++e)
+        delivered += nocRig.run(shardSeed(0xfab1ULL, e)).obs.delivered;
+    EXPECT_GT(delivered, 0u);
+    EXPECT_EQ(log.snapshot().size(), before);
+
+    EXPECT_EQ(genRig.netlist().phaseTimes().count("run"), 0u);
+    EXPECT_EQ(nocRig.netlist().phaseTimes().count("run"), 0u);
 }
 
 TEST(Integration, SimulationIsDeterministic)

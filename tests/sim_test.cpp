@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the event kernel: ordering, determinism, ports/wires,
- * netlist ownership and accounting, and pulse traces.
+ * Unit tests for the event kernel: ordering, determinism, ports/wires
+ * and their registration slots, netlist ownership and accounting, pulse
+ * traces, and the inline storage of timing models.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/inline_vector.hh"
 #include "sim/netlist.hh"
 #include "sim/port.hh"
+#include "sim/timing.hh"
 #include "sim/trace.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
@@ -205,6 +208,156 @@ TEST(Sources, ClockSourceEmitsPeriodicTrain)
     EXPECT_EQ(tr.times()[0], 100);
     EXPECT_EQ(tr.times()[4], 300);
     EXPECT_EQ(tr.minSpacing(), 50);
+}
+
+TEST(Port, AddPortRecordsSlotsPerDirection)
+{
+    Netlist nl;
+    auto &bff = nl.create<Bff>("bff");
+    auto &mux = nl.create<Mux>("mux");
+    for (const Component *c : {static_cast<Component *>(&bff),
+                               static_cast<Component *>(&mux)}) {
+        for (std::size_t k = 0; k < c->inputPorts().size(); ++k) {
+            EXPECT_EQ(c->inputPorts()[k]->owner(), c);
+            EXPECT_EQ(c->inputPorts()[k]->slot(), k);
+        }
+        for (std::size_t k = 0; k < c->outputPorts().size(); ++k) {
+            EXPECT_EQ(c->outputPorts()[k]->owner(), c);
+            EXPECT_EQ(c->outputPorts()[k]->slot(), k);
+        }
+    }
+    EXPECT_EQ(bff.nq2.slot(), 3u);
+    EXPECT_EQ(mux.out.slot(), 0u);
+    const InputPort loose("loose", nullptr);
+    EXPECT_EQ(loose.owner(), nullptr);
+    EXPECT_EQ(loose.slot(), 0u);
+}
+
+// --- InlineVector (TimingModel storage) ------------------------------------
+
+using Arcs = InlineVector<TimingArc, kInlineArcs>;
+
+TimingArc
+arc(int i)
+{
+    return {static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i + 1),
+            i, 2 * i, 1};
+}
+
+void
+expectArcs(const Arcs &v, int n)
+{
+    ASSERT_EQ(v.size(), static_cast<std::size_t>(n));
+    int i = 0;
+    for (const TimingArc &a : v) {
+        EXPECT_EQ(a.from, i);
+        EXPECT_EQ(a.maxDelay, 2 * i);
+        ++i;
+    }
+}
+
+TEST(InlineVector, SpillsToTheHeapOnlyPastCapacity)
+{
+    Arcs v;
+    EXPECT_TRUE(v.empty());
+    for (int i = 0; i < static_cast<int>(kInlineArcs); ++i)
+        v.push_back(arc(i));
+    EXPECT_FALSE(v.onHeap());
+    EXPECT_EQ(v.capacity(), kInlineArcs);
+    expectArcs(v, static_cast<int>(kInlineArcs));
+
+    v.push_back(arc(static_cast<int>(kInlineArcs)));
+    EXPECT_TRUE(v.onHeap());
+    EXPECT_GT(v.capacity(), kInlineArcs);
+    expectArcs(v, static_cast<int>(kInlineArcs) + 1);
+}
+
+TEST(InlineVector, InitListAssignmentMovesBetweenHeapAndInline)
+{
+    Arcs v;
+    for (int i = 0; i < static_cast<int>(kInlineArcs) + 3; ++i)
+        v.push_back(arc(i));
+    ASSERT_TRUE(v.onHeap());
+
+    v = {arc(0), arc(1)};
+    EXPECT_FALSE(v.onHeap());
+    EXPECT_EQ(v.capacity(), kInlineArcs);
+    expectArcs(v, 2);
+
+    v = {arc(0), arc(1), arc(2), arc(3), arc(4), arc(5), arc(6), arc(7),
+         arc(8)};
+    EXPECT_TRUE(v.onHeap());
+    expectArcs(v, 9);
+
+    const Arcs full{arc(0), arc(1), arc(2), arc(3),
+                    arc(4), arc(5), arc(6), arc(7)};
+    EXPECT_FALSE(full.onHeap());
+    expectArcs(full, 8);
+}
+
+TEST(InlineVector, CopyAndMove)
+{
+    Arcs small{arc(0), arc(1), arc(2)};
+    Arcs big;
+    for (int i = 0; i < 12; ++i)
+        big.push_back(arc(i));
+
+    const Arcs smallCopy(small);
+    const Arcs bigCopy(big);
+    EXPECT_FALSE(smallCopy.onHeap());
+    EXPECT_TRUE(bigCopy.onHeap());
+    EXPECT_NE(bigCopy.data(), big.data());
+    expectArcs(smallCopy, 3);
+    expectArcs(bigCopy, 12);
+
+    const TimingArc *block = big.data();
+    Arcs stolen(std::move(big));
+    EXPECT_EQ(stolen.data(), block); // the heap block changes hands
+    EXPECT_TRUE(big.empty());
+    EXPECT_FALSE(big.onHeap());
+    expectArcs(stolen, 12);
+
+    Arcs moved(std::move(small));
+    EXPECT_FALSE(moved.onHeap());
+    expectArcs(moved, 3);
+
+    // Assignment both ways over existing contents.
+    moved = bigCopy;
+    expectArcs(moved, 12);
+    stolen = smallCopy;
+    EXPECT_FALSE(stolen.onHeap());
+    expectArcs(stolen, 3);
+    moved = std::move(stolen);
+    EXPECT_FALSE(moved.onHeap());
+    expectArcs(moved, 3);
+    big.push_back(arc(0)); // a moved-from vector is reusable
+    expectArcs(big, 1);
+}
+
+TEST(InlineVector, EveryLibraryCellModelIsInline)
+{
+    Netlist nl;
+    const Bff &bffCell = nl.create<Bff>("bff");
+    const std::vector<const Component *> cells{
+        &nl.create<Jtl>("jtl"),        &nl.create<Splitter>("spl"),
+        &nl.create<Merger>("mrg"),     &nl.create<Dff>("dff"),
+        &nl.create<Dff2>("dff2"),      &nl.create<Tff>("tff"),
+        &nl.create<Tff2>("tff2"),      &nl.create<Ndro>("ndro"),
+        &nl.create<Inverter>("inv"),   &bffCell,
+        &nl.create<FirstArrival>("fa"), &nl.create<LastArrival>("la"),
+        &nl.create<Inhibit>("inh"),    &nl.create<Mux>("mux"),
+        &nl.create<Demux>("demux")};
+    for (const Component *c : cells) {
+        const TimingModel m = c->timingModel();
+        EXPECT_FALSE(m.arcs.onHeap()) << c->name();
+        EXPECT_FALSE(m.checks.onHeap()) << c->name();
+        EXPECT_FALSE(m.floors.onHeap()) << c->name();
+    }
+    // The BFF fills every list: the capacities are not oversized.
+    const TimingModel bff = bffCell.timingModel();
+    EXPECT_EQ(bff.arcs.size(), kInlineArcs);
+    EXPECT_EQ(bff.checks.size(), kInlineChecks);
+    EXPECT_EQ(bff.floors.size(), kInlineFloors);
 }
 
 } // namespace

@@ -1,20 +1,26 @@
 /**
  * @file
  * Static timing engine tests (src/sta/, docs/sta.md): window
- * arithmetic on hand-computed cell chains, feedback-loop cutting,
- * setup/hold / collision / rate margins, waiver precedence, the
- * critical-path report, and thread-count invariance of the jitter
- * Monte-Carlo.
+ * arithmetic on hand-computed cell chains, port lookups outside the
+ * analysed graph, feedback-loop cutting, setup/hold / collision / rate
+ * margins, waiver precedence, the critical-path report, thread-count
+ * invariance of the jitter Monte-Carlo, and the picosecond formatter.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "sfq/cells.hh"
 #include "sfq/params.hh"
 #include "sfq/sources.hh"
 #include "sim/netlist.hh"
+#include "sim/trace.hh"
+#include "sta/graph.hh"
 #include "sta/monte_carlo.hh"
 #include "sta/sta.hh"
+#include "util/random.hh"
 
 namespace usfq
 {
@@ -165,6 +171,150 @@ TEST(Sta, ChecksSkipUnreachablePorts)
         findingsOf(report, LintRule::SetupHoldViolation).empty());
     EXPECT_FALSE(report.windowOf(dff.d).reachable);
     EXPECT_TRUE(report.windowOf(dff.q).reachable);
+}
+
+// --- port lookups -----------------------------------------------------------
+
+namespace
+{
+
+/** Source -> JTL -> JTL with an observer trace on the last output. */
+struct ChainFixture
+{
+    Netlist nl;
+    PulseSource &src;
+    Jtl &j1;
+    Jtl &j2;
+
+    explicit ChainFixture(PulseTrace &probe)
+        : src(nl.create<PulseSource>("s")), j1(nl.create<Jtl>("j1")),
+          j2(nl.create<Jtl>("j2"))
+    {
+        src.out.connect(j1.in);
+        j1.out.connect(j2.in);
+        probe.input().markObserver();
+        j2.out.connect(probe.input());
+        src.pulseAt(0);
+        src.pulseAt(20 * kPicosecond);
+    }
+};
+
+void
+expectNoNode(const StaReport &report, const InputPort &port)
+{
+    const ArrivalWindow w = report.windowOf(port);
+    EXPECT_FALSE(w.reachable) << port.name();
+    EXPECT_EQ(w.earliest, 0) << port.name();
+    EXPECT_EQ(w.latest, 0) << port.name();
+    EXPECT_EQ(report.separationFloor(port), 0) << port.name();
+}
+
+void
+expectNoNode(const StaReport &report, const OutputPort &port)
+{
+    const ArrivalWindow w = report.windowOf(port);
+    EXPECT_FALSE(w.reachable) << port.name();
+    EXPECT_EQ(w.earliest, 0) << port.name();
+    EXPECT_EQ(w.latest, 0) << port.name();
+    EXPECT_EQ(report.separationFloor(port), 0) << port.name();
+}
+
+} // namespace
+
+TEST(Sta, LookupsOfUnregisteredPortsReturnDefaults)
+{
+    PulseTrace probe("probe");
+    ChainFixture f(probe);
+    const StaReport report = runSta(f.nl);
+    ASSERT_TRUE(report.windowOf(f.j2.out).reachable);
+    EXPECT_EQ(report.separationFloor(f.j2.out), 20 * kPicosecond);
+
+    // A PulseTrace observer port, driven by an analysed output.
+    expectNoNode(report, probe.input());
+    // Free-standing ports, whether or not they share the netlist's
+    // queue.
+    const InputPort looseIn("loose.in", nullptr);
+    const OutputPort looseOut("loose.out", &f.nl.queue());
+    expectNoNode(report, looseIn);
+    expectNoNode(report, looseOut);
+}
+
+TEST(Sta, LookupsOfAnIdenticalNetlistsPortsReturnDefaults)
+{
+    // Same construction, so every port has the same hierarchy node id
+    // and slot in both netlists: only the netlist check separates them.
+    PulseTrace probeA("probe"), probeB("probe");
+    ChainFixture a(probeA), b(probeB);
+    const StaReport report = runSta(a.nl);
+
+    std::size_t ports = 0, reachable = 0;
+    for (const Component *comp : b.nl.graphComponents()) {
+        for (const InputPort *p : comp->inputPorts()) {
+            expectNoNode(report, *p);
+            ++ports;
+        }
+        for (const OutputPort *p : comp->outputPorts()) {
+            expectNoNode(report, *p);
+            ++ports;
+        }
+    }
+    for (const Component *comp : a.nl.graphComponents()) {
+        for (const InputPort *p : comp->inputPorts())
+            reachable += report.windowOf(*p).reachable ? 1 : 0;
+        for (const OutputPort *p : comp->outputPorts())
+            reachable += report.windowOf(*p).reachable ? 1 : 0;
+    }
+    EXPECT_EQ(ports, report.numPorts);
+    EXPECT_EQ(reachable, report.numPorts);
+}
+
+namespace
+{
+
+/** Registers one outside input port @p times times. */
+class SharedPortUser : public Component
+{
+  public:
+    SharedPortUser(Netlist &nl, const std::string &name,
+                   InputPort &shared, int times)
+        : Component(nl, name)
+    {
+        for (int i = 0; i < times; ++i)
+            addPort(shared);
+    }
+
+    int jjCount() const override { return 0; }
+};
+
+} // namespace
+
+TEST(StaDeathTest, PortRegisteredByTwoComponentsPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            InputPort shared("shared", nullptr);
+            shared.markOptional("sta test: undriven");
+            Netlist nl;
+            nl.create<SharedPortUser>("a", shared, 1);
+            nl.create<SharedPortUser>("b", shared, 1);
+            runSta(nl);
+        },
+        "sta: port shared registered twice");
+}
+
+TEST(StaDeathTest, PortRegisteredTwiceByOneComponentPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            InputPort shared("shared", nullptr);
+            shared.markOptional("sta test: undriven");
+            Netlist nl;
+            nl.create<SharedPortUser>("a", shared, 2);
+            runSta(nl);
+        },
+        "sta: port shared registered twice");
 }
 
 // --- collision margins ------------------------------------------------------
@@ -475,6 +625,37 @@ TEST(Sta, MonteCarloZeroAmplitudeIsNominal)
         EXPECT_EQ(s.violations, 0u);
     }
     EXPECT_DOUBLE_EQ(stats.yield(), 1.0);
+}
+
+// --- figure formatting --------------------------------------------------------
+
+TEST(StaFormat, FmtPsMatchesPrintf)
+{
+    // Every STA message and report line prints picoseconds through
+    // fmtPs; it must equal printf's "%.1f" of the same double.
+    char buf[64];
+    const auto printf1 = [&](Tick t) {
+        std::snprintf(buf, sizeof buf, "%.1f", ticksToPs(t));
+        return std::string(buf);
+    };
+    std::size_t checked = 0, mismatches = 0;
+    std::string firstBad;
+    const auto check = [&](Tick t) {
+        ++checked;
+        if (sta_detail::fmtPs(t) == printf1(t))
+            return;
+        if (mismatches++ == 0)
+            firstBad = std::to_string(t) + ": " + sta_detail::fmtPs(t) +
+                       " vs " + printf1(t);
+    };
+    for (Tick t = -2'000'000; t <= 2'000'000; ++t)
+        check(t);
+    Rng rng(0xf3a7ULL);
+    constexpr std::int64_t kSpan = 1'000'000'000'000'000;
+    for (int i = 0; i < 1'000'000; ++i)
+        check(rng.uniformInt(-kSpan, kSpan));
+    EXPECT_EQ(checked, 5'000'001u);
+    EXPECT_EQ(mismatches, 0u) << "first: " << firstBad;
 }
 
 } // namespace
