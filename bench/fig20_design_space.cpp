@@ -45,6 +45,7 @@
 #include "sim/netlist.hh"
 #include "sim/sweep.hh"
 #include "sta/monte_carlo.hh"
+#include "util/hash.hh"
 
 using namespace usfq;
 
@@ -360,7 +361,7 @@ digestOf(const std::vector<std::vector<long long>> &counts)
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const auto &row : counts)
         for (long long c : row)
-            h = gen::hashFold(h, static_cast<std::uint64_t>(c));
+            h = fnvU64(h, static_cast<std::uint64_t>(c));
     return h;
 }
 

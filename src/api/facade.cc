@@ -20,6 +20,7 @@
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "util/arena.hh"
+#include "util/hash.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -29,32 +30,6 @@ namespace usfq::api
 
 namespace
 {
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvU64(std::uint64_t h, std::uint64_t v)
-{
-    return fnv1a(h, &v, sizeof(v));
-}
-
-std::uint64_t
-fnvStr(std::uint64_t h, const std::string &s)
-{
-    h = fnvU64(h, s.size());
-    return fnv1a(h, s.data(), s.size());
-}
 
 std::string
 hexU64(std::uint64_t v)
@@ -67,38 +42,6 @@ hexU64(std::uint64_t v)
 
 /** PE epoch slot width (the differential-test drive geometry). */
 constexpr Tick kPeSlot = 30 * kPicosecond;
-
-int
-nextPow2(int n)
-{
-    int p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
-int
-log2Of(int pow2)
-{
-    int d = 0;
-    while ((1 << d) < pow2)
-        ++d;
-    return d;
-}
-
-/**
- * Slot width for a DPU of @p padded lanes: wide enough for the set-lag
- * plus both grid phases, slot >= 2 * (3 * log2(L) + 1), never below
- * the 9 ps inverter recovery floor.  Reproduces the differential
- * tests' 40 ps at depth 6 and stays tight for shallow trees.
- */
-Tick
-dpuSlotWidth(int padded)
-{
-    const Tick need =
-        2 * (3 * static_cast<Tick>(log2Of(padded)) + 1) + 2;
-    return std::max<Tick>(need, 9) * kPicosecond;
-}
 
 std::vector<double>
 firCoefficients(const NetlistSpec &spec)
@@ -118,6 +61,73 @@ inverterPeriod(const NetlistSpec &spec)
     return std::max<Tick>(1, static_cast<Tick>(ticks + 0.5));
 }
 
+/** The spec's FIR filter in @p nl, its coefficients programmed. */
+UsfqFir &
+buildFir(const NetlistSpec &spec, Netlist &nl)
+{
+    auto &fir = nl.create<UsfqFir>(
+        spec.name, UsfqFirConfig{.taps = spec.taps, .bits = spec.bits,
+                                 .mode = spec.mode});
+    const std::vector<double> h = firCoefficients(spec);
+    for (int k = 0; k < spec.taps; ++k)
+        fir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
+    return fir;
+}
+
+/**
+ * The inverter probe in @p nl: a clock source driving the spec's
+ * inverter `clockCount` times at its period, the data input undriven.
+ * The caller decides where the output goes.
+ */
+Inverter &
+buildInverterProbe(const NetlistSpec &spec, Netlist &nl)
+{
+    auto &clk = nl.create<ClockSource>("clk");
+    auto &inv = nl.create<Inverter>(spec.name);
+    clk.out.connect(inv.clk);
+    inv.d.markOptional("svc inverter probe: clock-only drive");
+    const Tick period = inverterPeriod(spec);
+    clk.program(period, period,
+                static_cast<std::uint64_t>(spec.clockCount));
+    return inv;
+}
+
+/**
+ * Kinds whose netlist brings its own stimulus: the inverter probe is
+ * self-driving, and the NoC mesh and the generated datapath are built
+ * fully wired.  They need no area-study waivers and STA anchors them
+ * on that stimulus; the other kinds are timed from zero anchors.
+ */
+bool
+selfDriven(WorkloadKind kind)
+{
+    return kind == WorkloadKind::Inverter ||
+           kind == WorkloadKind::NocMesh || kind == WorkloadKind::Gen;
+}
+
+/**
+ * "N unwaived <what> finding(s): <first one's message>", or an empty
+ * string when every one of @p findings is waived.
+ */
+std::string
+unwaivedSummary(const std::vector<LintFinding> &findings,
+                const char *what)
+{
+    std::size_t errors = 0;
+    const LintFinding *first = nullptr;
+    for (const LintFinding &f : findings) {
+        if (f.waived)
+            continue;
+        if (first == nullptr)
+            first = &f;
+        ++errors;
+    }
+    if (first == nullptr)
+        return {};
+    return std::to_string(errors) + " unwaived " + what +
+           " finding(s): " + first->message;
+}
+
 // --- pulse-level FIR run ---------------------------------------------------
 
 /**
@@ -130,10 +140,10 @@ inverterPeriod(const NetlistSpec &spec)
 std::vector<long long>
 runPulseFir(const NetlistSpec &spec, const RunParams &params)
 {
-    UsfqFirConfig cfg{.taps = spec.taps, .bits = spec.bits,
-                      .mode = spec.mode};
+    Netlist nl;
+    UsfqFir &fir = buildFir(spec, nl);
+    const UsfqFirConfig &cfg = fir.config();
     const EpochConfig ecfg(spec.bits, cfg.clockPeriod());
-    const std::vector<double> h = firCoefficients(spec);
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
 
     std::vector<int> ids(epochs);
@@ -142,10 +152,6 @@ runPulseFir(const NetlistSpec &spec, const RunParams &params)
         ids[e] = static_cast<int>(rng.uniformInt(0, ecfg.nmax()));
     }
 
-    Netlist nl;
-    auto &fir = nl.create<UsfqFir>(spec.name, cfg);
-    for (int k = 0; k < spec.taps; ++k)
-        fir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
     auto &clk = nl.create<ClockSource>("clk");
     auto &xin = nl.create<PulseSource>("x");
     PulseTrace out;
@@ -227,8 +233,8 @@ sized(std::vector<int> &buf, std::size_t n)
 std::vector<long long>
 runDpu(const NetlistSpec &spec, const RunParams &params)
 {
-    const int padded = nextPow2(spec.taps);
-    const EpochConfig cfg(spec.bits, dpuSlotWidth(padded));
+    const EpochConfig cfg(spec.bits,
+                          dpuSlotWidth(spec.taps, 9 * kPicosecond));
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
     const auto taps = static_cast<std::size_t>(spec.taps);
     const SweepOptions opt = sweepOptions(params);
@@ -513,10 +519,11 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
 
 /**
  * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
- * legs walk one slot-set mirror (gen::EpochMirror) per worker; the
- * pulse leg replays one balanced datapath rig per worker.  The
- * balancing pass @p bo is part of the design, not of any epoch: it
- * arrives with the spec's DesignFacts.
+ * leg walks one slot-set mirror (gen::EpochMirror) per worker at any
+ * batch width, since the mirror has no batch kernel; the pulse leg
+ * replays one balanced datapath rig per worker.  The balancing pass
+ * @p bo is part of the design, not of any epoch: it arrives with the
+ * spec's DesignFacts.
  */
 std::vector<long long>
 runGen(const NetlistSpec &spec, const RunParams &params,
@@ -539,24 +546,6 @@ runGen(const NetlistSpec &spec, const RunParams &params,
             opt));
     }
     WorkerLocal<gen::EpochMirror> mirrors(opt);
-    if (params.batch > 1) {
-        return widen(runBatchedSweep(
-            epochs,
-            [&](const LaneGroupContext &ctx) {
-                gen::EpochMirror &mirror = mirrors.at(ctx.worker);
-                const auto lanes =
-                    static_cast<std::size_t>(ctx.lanes);
-                std::vector<int> res(lanes);
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    const gen::EpochInputs in =
-                        gen::drawEpochInputs(spec.gen, ctx.seeds[b]);
-                    res[b] = static_cast<int>(
-                        mirror.eval(spec.gen, in).count);
-                }
-                return res;
-            },
-            opt));
-    }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
@@ -578,15 +567,8 @@ runInverter(const NetlistSpec &spec, const RunParams &params)
         return {static_cast<long long>(spec.clockCount)};
     }
     Netlist nl;
-    auto &clk = nl.create<ClockSource>("clk");
-    auto &inv = nl.create<Inverter>(spec.name);
     PulseTrace out;
-    clk.out.connect(inv.clk);
-    inv.d.markOptional("svc inverter probe: clock-only drive");
-    inv.q.connect(out.input());
-    const Tick period = inverterPeriod(spec);
-    clk.program(period, period,
-                static_cast<std::uint64_t>(spec.clockCount));
+    buildInverterProbe(spec, nl).q.connect(out.input());
     nl.queue().run();
     return {static_cast<long long>(out.count())};
 }
@@ -698,35 +680,6 @@ componentRecord(const Component &c)
     return h;
 }
 
-} // namespace
-
-const char *
-statusName(Status status)
-{
-    switch (status) {
-    case Status::Ok:
-        return "ok";
-    case Status::InvalidArg:
-        return "invalid_arg";
-    case Status::ParseError:
-        return "parse_error";
-    case Status::LintError:
-        return "lint_error";
-    case Status::StaError:
-        return "sta_error";
-    case Status::RunError:
-        return "run_error";
-    case Status::Unsupported:
-        return "unsupported";
-    case Status::Internal:
-        return "internal";
-    }
-    return "?";
-}
-
-namespace
-{
-
 /**
  * buildNetlist, also handing out a Gen spec's converged balancing pass
  * through @p balance.  The balancer's STA counters are compile-time
@@ -751,15 +704,9 @@ buildDesign(const NetlistSpec &spec, Netlist &nl, std::string *err,
         nl.create<ProcessingElement>(spec.name,
                                      EpochConfig(spec.bits, kPeSlot));
         break;
-    case WorkloadKind::Fir: {
-        UsfqFirConfig cfg{.taps = spec.taps, .bits = spec.bits,
-                          .mode = spec.mode};
-        auto &fir = nl.create<UsfqFir>(spec.name, cfg);
-        const std::vector<double> h = firCoefficients(spec);
-        for (int k = 0; k < spec.taps; ++k)
-            fir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
+    case WorkloadKind::Fir:
+        buildFir(spec, nl);
         break;
-    }
     case WorkloadKind::NocMesh: {
         const noc::GridPlan plan = nocPlan(spec);
         noc::TileGrid grid(nl, plan);
@@ -769,17 +716,10 @@ buildDesign(const NetlistSpec &spec, Netlist &nl, std::string *err,
         grid.programOperands(noc::drawTileOperands(plan, 0x5eedULL));
         break;
     }
-    case WorkloadKind::Inverter: {
-        auto &clk = nl.create<ClockSource>("clk");
-        auto &inv = nl.create<Inverter>(spec.name);
-        clk.out.connect(inv.clk);
-        inv.d.markOptional("svc inverter probe: clock-only drive");
-        inv.q.markOpen("svc inverter probe: rate study output");
-        const Tick period = inverterPeriod(spec);
-        clk.program(period, period,
-                    static_cast<std::uint64_t>(spec.clockCount));
+    case WorkloadKind::Inverter:
+        buildInverterProbe(spec, nl).q.markOpen(
+            "svc inverter probe: rate study output");
         break;
-    }
     case WorkloadKind::Gen: {
         obs::StatsRegistry compileStats;
         obs::ScopedStatsRegistry guard(compileStats);
@@ -802,12 +742,7 @@ buildDesign(const NetlistSpec &spec, Netlist &nl, std::string *err,
         break;
     }
     }
-    // The inverter probe is self-driving, and the NoC mesh and the
-    // generated datapath are built fully wired; none of them needs the
-    // area-study waivers.
-    if (spec.waiveUnwired && spec.kind != WorkloadKind::Inverter &&
-        spec.kind != WorkloadKind::NocMesh &&
-        spec.kind != WorkloadKind::Gen) {
+    if (spec.waiveUnwired && !selfDriven(spec.kind)) {
         nl.waive(LintRule::DanglingInput,
                  "svc spec: stimulus-less device under test");
         nl.waive(LintRule::OpenOutput,
@@ -1002,6 +937,20 @@ Session::failWith(Status status, std::string message)
     return status;
 }
 
+template <typename Body>
+Status
+Session::armored(Status onFatal, Body &&body)
+{
+    ScopedFatalThrow guard;
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        return failWith(onFatal, e.what());
+    } catch (const std::exception &e) {
+        return failWith(Status::Internal, e.what());
+    }
+}
+
 Status
 Session::build()
 {
@@ -1010,18 +959,13 @@ Session::build()
     std::string err;
     if (!sp.validate(&err))
         return failWith(Status::InvalidArg, err);
-    ScopedFatalThrow guard;
-    try {
+    return armored(Status::Internal, [&] {
         auto fresh = std::make_unique<Netlist>("svc");
         if (!buildDesign(sp, *fresh, &err, &balance))
             return failWith(Status::InvalidArg, err);
         nl = std::move(fresh);
-    } catch (const FatalError &e) {
-        return failWith(Status::Internal, e.what());
-    } catch (const std::exception &e) {
-        return failWith(Status::Internal, e.what());
-    }
-    return Status::Ok;
+        return Status::Ok;
+    });
 }
 
 Status
@@ -1031,30 +975,15 @@ Session::elaborate()
         return s;
     if (elaborateOk)
         return Status::Ok;
-    ScopedFatalThrow guard;
-    try {
+    return armored(Status::LintError, [&] {
         lastFindings = nl->lint();
-        std::size_t errors = 0;
-        std::string first;
-        for (const LintFinding &f : lastFindings) {
-            if (f.waived)
-                continue;
-            ++errors;
-            if (first.empty())
-                first = f.message;
-        }
-        if (errors != 0)
-            return failWith(Status::LintError,
-                            std::to_string(errors) +
-                                " unwaived lint finding(s): " + first);
+        if (std::string msg = unwaivedSummary(lastFindings, "lint");
+            !msg.empty())
+            return failWith(Status::LintError, std::move(msg));
         nl->elaborate();
         elaborateOk = true;
-    } catch (const FatalError &e) {
-        return failWith(Status::LintError, e.what());
-    } catch (const std::exception &e) {
-        return failWith(Status::Internal, e.what());
-    }
-    return Status::Ok;
+        return Status::Ok;
+    });
 }
 
 Status
@@ -1062,16 +991,13 @@ Session::analyzeTiming()
 {
     if (const Status s = elaborate(); s != Status::Ok)
         return s;
-    ScopedFatalThrow guard;
-    // STA counters stay out of the process-global registry, which
-    // sessions on other threads would share.
-    obs::StatsRegistry staStats;
-    obs::ScopedStatsRegistry statsGuard(staStats);
-    try {
+    return armored(Status::StaError, [&] {
+        // STA counters stay out of the process-global registry, which
+        // sessions on other threads would share.
+        obs::StatsRegistry staStats;
+        obs::ScopedStatsRegistry statsGuard(staStats);
         StaOptions opts;
-        opts.anchorMode = sp.kind == WorkloadKind::Inverter ||
-                                  sp.kind == WorkloadKind::NocMesh ||
-                                  sp.kind == WorkloadKind::Gen
+        opts.anchorMode = selfDriven(sp.kind)
                               ? StaOptions::AnchorMode::Stimulus
                               : StaOptions::AnchorMode::Zero;
         if (sp.kind == WorkloadKind::Gen) {
@@ -1107,24 +1033,11 @@ Session::analyzeTiming()
         }
         sta = std::make_unique<StaReport>(runSta(*nl, opts));
         lastFindings = sta->findings;
-        if (sta->errors() != 0) {
-            std::string first;
-            for (const LintFinding &f : sta->findings) {
-                if (!f.waived) {
-                    first = f.message;
-                    break;
-                }
-            }
-            return failWith(Status::StaError,
-                            std::to_string(sta->errors()) +
-                                " unwaived timing finding(s): " + first);
-        }
-    } catch (const FatalError &e) {
-        return failWith(Status::StaError, e.what());
-    } catch (const std::exception &e) {
-        return failWith(Status::Internal, e.what());
-    }
-    return Status::Ok;
+        if (std::string msg = unwaivedSummary(sta->findings, "timing");
+            !msg.empty())
+            return failWith(Status::StaError, std::move(msg));
+        return Status::Ok;
+    });
 }
 
 Status
@@ -1137,7 +1050,7 @@ Session::run(const RunParams &params, RunResult &out,
     if (!params.validate(&err))
         return failWith(Status::InvalidArg, err);
     if (params.backend == Backend::PulseLevel) {
-        if (sp.kind == WorkloadKind::Dpu && nextPow2(sp.taps) > 64)
+        if (sp.kind == WorkloadKind::Dpu && sp.taps > 64)
             return failWith(Status::Unsupported,
                             "pulse-level DPU runs support up to 64 "
                             "(padded) taps; use the functional backend");
@@ -1156,16 +1069,11 @@ Session::run(const RunParams &params, RunResult &out,
                             "pulse-level NoC runs support up to 64 "
                             "tiles; use the functional backend");
     }
-    ScopedFatalThrow guard;
-    try {
+    return armored(Status::RunError, [&] {
         out = facts != nullptr ? runWorkload(sp, params, *facts)
                                : runWorkload(sp, params);
-    } catch (const FatalError &e) {
-        return failWith(Status::RunError, e.what());
-    } catch (const std::exception &e) {
-        return failWith(Status::Internal, e.what());
-    }
-    return Status::Ok;
+        return Status::Ok;
+    });
 }
 
 Status
@@ -1173,15 +1081,10 @@ Session::contentHash(std::uint64_t &out)
 {
     if (const Status s = elaborate(); s != Status::Ok)
         return s;
-    ScopedFatalThrow guard;
-    try {
+    return armored(Status::Internal, [&] {
         out = structuralHash(*nl);
-    } catch (const FatalError &e) {
-        return failWith(Status::Internal, e.what());
-    } catch (const std::exception &e) {
-        return failWith(Status::Internal, e.what());
-    }
-    return Status::Ok;
+        return Status::Ok;
+    });
 }
 
 Status

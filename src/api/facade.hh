@@ -36,22 +36,6 @@ class Netlist;
 namespace usfq::api
 {
 
-/** Flat result code of every facade / C ABI operation. */
-enum class Status
-{
-    Ok = 0,
-    InvalidArg,  ///< malformed spec/params (range or consistency)
-    ParseError,  ///< JSON did not parse / wrong shape
-    LintError,   ///< elaboration found unwaived structural findings
-    StaError,    ///< STA found unwaived timing findings
-    RunError,    ///< evaluation failed (engine fatal, bad workload)
-    Unsupported, ///< operation not available for this spec/backend
-    Internal,    ///< unexpected exception (a bug, not a user error)
-};
-
-/** Stable lower-case name of a status (diagnostics, C ABI). */
-const char *statusName(Status status);
-
 /** What one evaluation run produced. */
 struct RunResult
 {
@@ -215,6 +199,13 @@ class Session
 
   private:
     Status failWith(Status status, std::string message);
+
+    /**
+     * @p body's status, run in fatal-throw mode: a FatalError becomes
+     * @p onFatal and any other exception Internal, with its message.
+     */
+    template <typename Body>
+    Status armored(Status onFatal, Body &&body);
 
     NetlistSpec sp;
     std::unique_ptr<Netlist> nl;

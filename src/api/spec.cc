@@ -1,10 +1,13 @@
 #include "api/spec.hh"
 
+#include <bit>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <string_view>
+#include <utility>
 
+#include "util/hash.hh"
 #include "util/json.hh"
 
 namespace usfq::api
@@ -12,60 +15,6 @@ namespace usfq::api
 
 namespace
 {
-
-/** FNV-1a over a byte range, continuing from @p h. */
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvU64(std::uint64_t h, std::uint64_t v)
-{
-    return fnv1a(h, &v, sizeof(v));
-}
-
-std::uint64_t
-fnvStr(std::uint64_t h, const std::string &s)
-{
-    h = fnvU64(h, s.size());
-    return fnv1a(h, s.data(), s.size());
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-/** Fetch a number member; returns @p dflt when absent. */
-double
-numberOr(const JsonValue &obj, const std::string &key, double dflt)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr && v->type == JsonValue::Type::Number
-               ? v->number
-               : dflt;
-}
-
-bool
-boolOr(const JsonValue &obj, const std::string &key, bool dflt)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr && v->type == JsonValue::Type::Bool ? v->boolean
-                                                            : dflt;
-}
-
-std::string
-stringOr(const JsonValue &obj, const std::string &key,
-         const std::string &dflt)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr && v->type == JsonValue::Type::String ? v->str
-                                                              : dflt;
-}
 
 bool
 fail(std::string *err, const std::string &message)
@@ -75,46 +24,58 @@ fail(std::string *err, const std::string &message)
     return false;
 }
 
+/** A document that does not parse as a spec or params: ParseError. */
+Status
+malformed(std::string *err, const std::string &message)
+{
+    fail(err, message);
+    return Status::ParseError;
+}
+
+/** Status names in enum order. */
+constexpr const char *kStatusNames[] = {
+    "ok",        "invalid_arg", "parse_error", "lint_error",
+    "sta_error", "run_error",   "unsupported", "internal",
+};
+
+/** Every workload kind with its wire name. */
+constexpr std::pair<WorkloadKind, const char *> kKindNames[] = {
+    {WorkloadKind::Dpu, "dpu"},
+    {WorkloadKind::Pe, "pe"},
+    {WorkloadKind::Fir, "fir"},
+    {WorkloadKind::Inverter, "inverter"},
+    {WorkloadKind::NocMesh, "noc"},
+    {WorkloadKind::Gen, "gen"},
+};
+
 } // namespace
+
+const char *
+statusName(Status status)
+{
+    const auto i = static_cast<std::size_t>(status);
+    return i < std::size(kStatusNames) ? kStatusNames[i] : "?";
+}
 
 const char *
 workloadKindName(WorkloadKind kind)
 {
-    switch (kind) {
-    case WorkloadKind::Dpu:
-        return "dpu";
-    case WorkloadKind::Pe:
-        return "pe";
-    case WorkloadKind::Fir:
-        return "fir";
-    case WorkloadKind::Inverter:
-        return "inverter";
-    case WorkloadKind::NocMesh:
-        return "noc";
-    case WorkloadKind::Gen:
-        return "gen";
-    }
+    for (const auto &[k, name] : kKindNames)
+        if (k == kind)
+            return name;
     return "?";
 }
 
 bool
 parseWorkloadKind(const std::string &s, WorkloadKind &out)
 {
-    if (s == "dpu")
-        out = WorkloadKind::Dpu;
-    else if (s == "pe")
-        out = WorkloadKind::Pe;
-    else if (s == "fir")
-        out = WorkloadKind::Fir;
-    else if (s == "inverter")
-        out = WorkloadKind::Inverter;
-    else if (s == "noc")
-        out = WorkloadKind::NocMesh;
-    else if (s == "gen")
-        out = WorkloadKind::Gen;
-    else
-        return false;
-    return true;
+    for (const auto &[k, name] : kKindNames) {
+        if (s == name) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
 }
 
 bool
@@ -153,65 +114,64 @@ NetlistSpec::validate(std::string *err) const
     return true;
 }
 
-bool
+Status
 specFromJson(const std::string &json, NetlistSpec &out,
              std::string *err)
 {
     JsonValue doc;
     std::string parse_err;
     if (!parseJson(json, doc, &parse_err))
-        return fail(err, "spec: " + parse_err);
+        return malformed(err, "spec: " + parse_err);
     if (!doc.isObject())
-        return fail(err, "spec: top level must be an object");
+        return malformed(err, "spec: top level must be an object");
 
     NetlistSpec s;
     const std::string kind_name =
-        stringOr(doc, "kind", workloadKindName(s.kind));
+        doc.stringOr("kind", workloadKindName(s.kind));
     if (!parseWorkloadKind(kind_name, s.kind))
-        return fail(err, "spec: unknown kind '" + kind_name + "'");
-    s.name = stringOr(doc, "name", s.name);
-    s.taps = static_cast<int>(numberOr(doc, "taps", s.taps));
-    s.bits = static_cast<int>(numberOr(doc, "bits", s.bits));
-    const std::string mode_name = stringOr(
-        doc, "mode", s.mode == DpuMode::Unipolar ? "unipolar"
-                                                 : "bipolar");
+        return malformed(err, "spec: unknown kind '" + kind_name + "'");
+    s.name = doc.stringOr("name", s.name);
+    s.taps = static_cast<int>(doc.numberOr("taps", s.taps));
+    s.bits = static_cast<int>(doc.numberOr("bits", s.bits));
+    const std::string mode_name = doc.stringOr(
+        "mode", s.mode == DpuMode::Unipolar ? "unipolar" : "bipolar");
     if (mode_name == "unipolar")
         s.mode = DpuMode::Unipolar;
     else if (mode_name == "bipolar")
         s.mode = DpuMode::Bipolar;
     else
-        return fail(err, "spec: unknown mode '" + mode_name + "'");
+        return malformed(err, "spec: unknown mode '" + mode_name + "'");
     if (const JsonValue *coeffs = doc.find("coefficients");
         coeffs != nullptr) {
         if (!coeffs->isArray())
-            return fail(err, "spec: coefficients must be an array");
+            return malformed(err, "spec: coefficients must be an array");
         for (const JsonValue &c : coeffs->array) {
             if (c.type != JsonValue::Type::Number)
-                return fail(err,
-                            "spec: coefficients must be numbers");
+                return malformed(err,
+                                 "spec: coefficients must be numbers");
             s.coefficients.push_back(c.number);
         }
     }
-    s.clockPeriodPs =
-        numberOr(doc, "clock_period_ps", s.clockPeriodPs);
+    s.clockPeriodPs = doc.numberOr("clock_period_ps", s.clockPeriodPs);
     s.clockCount =
-        static_cast<int>(numberOr(doc, "clock_count", s.clockCount));
-    s.waiveUnwired = boolOr(doc, "waive_unwired", s.waiveUnwired);
-    s.gridRows =
-        static_cast<int>(numberOr(doc, "grid_rows", s.gridRows));
-    s.gridCols =
-        static_cast<int>(numberOr(doc, "grid_cols", s.gridCols));
+        static_cast<int>(doc.numberOr("clock_count", s.clockCount));
+    s.waiveUnwired = doc.boolOr("waive_unwired", s.waiveUnwired);
+    s.gridRows = static_cast<int>(doc.numberOr("grid_rows", s.gridRows));
+    s.gridCols = static_cast<int>(doc.numberOr("grid_cols", s.gridCols));
     s.nocShareWindows =
-        boolOr(doc, "noc_share_windows", s.nocShareWindows);
+        doc.boolOr("noc_share_windows", s.nocShareWindows);
     if (const JsonValue *g = doc.find("gen"); g != nullptr) {
         if (!gen::designSpecFromJson(*g, s.gen, err))
-            return false;
+            return Status::ParseError;
+        // A gen object is checked whatever the kind.
+        if (!s.gen.validate(err))
+            return Status::InvalidArg;
     }
 
     if (!s.validate(err))
-        return false;
+        return Status::InvalidArg;
     out = std::move(s);
-    return true;
+    return Status::Ok;
 }
 
 std::string
@@ -261,24 +221,24 @@ RunParams::validate(std::string *err) const
     return true;
 }
 
-bool
+Status
 runParamsFromJson(const std::string &json, RunParams &out,
                   std::string *err)
 {
     JsonValue doc;
     std::string parse_err;
     if (!parseJson(json, doc, &parse_err))
-        return fail(err, "run: " + parse_err);
+        return malformed(err, "run: " + parse_err);
     if (!doc.isObject())
-        return fail(err, "run: top level must be an object");
+        return malformed(err, "run: top level must be an object");
 
     RunParams p;
     const std::string backend_name =
-        stringOr(doc, "backend", backendName(p.backend));
+        doc.stringOr("backend", backendName(p.backend));
     if (!parseBackend(backend_name.c_str(), p.backend))
-        return fail(err,
-                    "run: unknown backend '" + backend_name + "'");
-    p.epochs = static_cast<int>(numberOr(doc, "epochs", p.epochs));
+        return malformed(err,
+                         "run: unknown backend '" + backend_name + "'");
+    p.epochs = static_cast<int>(doc.numberOr("epochs", p.epochs));
     if (const JsonValue *v = doc.find("seed"); v != nullptr) {
         // Canonically a hex string: a JSON number is a double and
         // cannot carry all 64 seed bits.  Plain numbers still parse
@@ -288,23 +248,23 @@ runParamsFromJson(const std::string &json, RunParams &out,
             const std::uint64_t parsed =
                 std::strtoull(v->str.c_str(), &end, 0);
             if (end == v->str.c_str() || *end != '\0')
-                return fail(err, "run: seed string '" + v->str +
-                                     "' is not a number");
+                return malformed(err, "run: seed string '" + v->str +
+                                          "' is not a number");
             p.seed = parsed;
         } else if (v->type == JsonValue::Type::Number) {
             p.seed = static_cast<std::uint64_t>(v->number);
         } else {
-            return fail(err,
-                        "run: seed must be a number or a hex string");
+            return malformed(
+                err, "run: seed must be a number or a hex string");
         }
     }
-    p.batch = static_cast<int>(numberOr(doc, "batch", p.batch));
-    p.threads = static_cast<int>(numberOr(doc, "threads", p.threads));
+    p.batch = static_cast<int>(doc.numberOr("batch", p.batch));
+    p.threads = static_cast<int>(doc.numberOr("threads", p.threads));
 
     if (!p.validate(err))
-        return false;
+        return Status::InvalidArg;
     out = p;
-    return true;
+    return Status::Ok;
 }
 
 std::string
@@ -349,8 +309,8 @@ specHash(const NetlistSpec &spec)
     h = fnvU64(h, static_cast<std::uint64_t>(spec.mode));
     h = fnvU64(h, spec.coefficients.size());
     for (double c : spec.coefficients)
-        h = fnv1a(h, &c, sizeof(c));
-    h = fnv1a(h, &spec.clockPeriodPs, sizeof(spec.clockPeriodPs));
+        h = fnvU64(h, std::bit_cast<std::uint64_t>(c));
+    h = fnvU64(h, std::bit_cast<std::uint64_t>(spec.clockPeriodPs));
     h = fnvU64(h, static_cast<std::uint64_t>(spec.clockCount));
     h = fnvU64(h, spec.waiveUnwired ? 1 : 0);
     h = fnvU64(h, static_cast<std::uint64_t>(spec.gridRows));

@@ -27,6 +27,23 @@
 namespace usfq::api
 {
 
+/** Flat result code of every facade / C ABI operation. */
+enum class Status
+{
+    Ok = 0,
+    InvalidArg,  ///< spec/params out of range or inconsistent
+    ParseError,  ///< spec/params did not parse: JSON, type, name
+    LintError,   ///< elaboration found unwaived structural findings
+    StaError,    ///< STA found unwaived timing findings
+    RunError,    ///< evaluation failed (engine fatal, bad workload)
+    Unsupported, ///< operation not available for this spec/backend
+    Internal,    ///< unexpected exception (a bug, not a user error)
+};
+
+/** Stable lower-case name of a status (diagnostics, C ABI); "?" for
+ *  a value outside the enum. */
+const char *statusName(Status status);
+
 /** Design families the service can instantiate from a spec. */
 enum class WorkloadKind
 {
@@ -111,9 +128,14 @@ struct NetlistSpec
     bool operator==(const NetlistSpec &other) const = default;
 };
 
-/** Parse a spec from its JSON object text; fills @p err on failure. */
-bool specFromJson(const std::string &json, NetlistSpec &out,
-                  std::string *err = nullptr);
+/**
+ * Parse a spec from its JSON object text.  ParseError when the text is
+ * not JSON, a member has the wrong type or a name is unknown;
+ * InvalidArg when the parsed spec (or a `gen` object, whatever the
+ * kind) fails validate().  Fills @p err on failure.
+ */
+Status specFromJson(const std::string &json, NetlistSpec &out,
+                    std::string *err = nullptr);
 
 /** Serialize a spec as a JSON object. */
 std::string specToJson(const NetlistSpec &spec);
@@ -149,9 +171,10 @@ struct RunParams
     bool operator==(const RunParams &other) const = default;
 };
 
-/** Parse run params from JSON object text; fills @p err on failure. */
-bool runParamsFromJson(const std::string &json, RunParams &out,
-                       std::string *err = nullptr);
+/** Parse run params from JSON object text: ParseError or InvalidArg
+ *  as for specFromJson; fills @p err on failure. */
+Status runParamsFromJson(const std::string &json, RunParams &out,
+                         std::string *err = nullptr);
 
 /** Serialize run params as a JSON object. */
 std::string runParamsToJson(const RunParams &params);

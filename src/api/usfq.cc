@@ -22,6 +22,7 @@ using usfq::ScopedFatalThrow;
 namespace api = usfq::api;
 using usfq::api::abi::dupString;
 using usfq::api::abi::guarded;
+using usfq::api::abi::toStatus;
 
 extern "C" {
 
@@ -34,25 +35,7 @@ usfq_abi_version(void)
 const char *
 usfq_status_name(int32_t status)
 {
-    switch (status) {
-    case USFQ_OK:
-        return "ok";
-    case USFQ_ERR_INVALID_ARG:
-        return "invalid_arg";
-    case USFQ_ERR_PARSE:
-        return "parse_error";
-    case USFQ_ERR_LINT:
-        return "lint_error";
-    case USFQ_ERR_STA:
-        return "sta_error";
-    case USFQ_ERR_RUN:
-        return "run_error";
-    case USFQ_ERR_UNSUPPORTED:
-        return "unsupported";
-    case USFQ_ERR_INTERNAL:
-        return "internal";
-    }
-    return "?";
+    return api::statusName(static_cast<api::Status>(status));
 }
 
 int32_t
@@ -63,20 +46,9 @@ usfq_engine_create(const char *spec_json, usfq_engine **out)
     ScopedFatalThrow guard;
     try {
         api::NetlistSpec spec;
-        std::string err;
-        if (!api::specFromJson(spec_json, spec, &err)) {
-            // Distinguish "did not parse" from "parsed but invalid":
-            // validation messages come from NetlistSpec::validate.
-            return err.rfind("spec: name", 0) == 0 ||
-                           err.rfind("spec: bits", 0) == 0 ||
-                           err.rfind("spec: taps", 0) == 0 ||
-                           err.rfind("spec: coefficients must be "
-                                     "empty",
-                                     0) == 0 ||
-                           err.rfind("spec: clock_", 0) == 0
-                       ? USFQ_ERR_INVALID_ARG
-                       : USFQ_ERR_PARSE;
-        }
+        if (const api::Status s = api::specFromJson(spec_json, spec);
+            s != api::Status::Ok)
+            return toStatus(s);
         *out = new usfq_engine(std::move(spec));
         return USFQ_OK;
     } catch (...) {
@@ -154,15 +126,10 @@ usfq_engine_run(usfq_engine *engine, const char *params_json,
         return USFQ_ERR_INVALID_ARG;
     return guarded(engine, [&] {
         api::RunParams params;
-        std::string err;
-        if (!api::runParamsFromJson(params_json, params, &err)) {
-            engine->lastError = err;
-            return err.rfind("run: epochs", 0) == 0 ||
-                           err.rfind("run: batch", 0) == 0 ||
-                           err.rfind("run: threads", 0) == 0
-                       ? api::Status::InvalidArg
-                       : api::Status::ParseError;
-        }
+        if (const api::Status s = api::runParamsFromJson(
+                params_json, params, &engine->lastError);
+            s != api::Status::Ok)
+            return s;
         api::RunResult result;
         const api::Status s = engine->session.run(params, result);
         if (s != api::Status::Ok)

@@ -52,8 +52,8 @@ extern "C" {
 /** Result code of every entry point (mirrors api::Status). */
 typedef enum usfq_status {
     USFQ_OK = 0,
-    USFQ_ERR_INVALID_ARG = 1,  /* malformed spec/params */
-    USFQ_ERR_PARSE = 2,        /* JSON did not parse */
+    USFQ_ERR_INVALID_ARG = 1,  /* spec/params out of range */
+    USFQ_ERR_PARSE = 2,        /* spec/params did not parse */
     USFQ_ERR_LINT = 3,         /* unwaived structural findings */
     USFQ_ERR_STA = 4,          /* unwaived timing findings */
     USFQ_ERR_RUN = 5,          /* evaluation failed */
@@ -74,9 +74,12 @@ const char *usfq_status_name(int32_t status);
 /**
  * Create an engine from a netlist-spec JSON object (api/spec.hh
  * vocabulary: kind/name/taps/bits/mode/coefficients/clock_period_ps/
- * clock_count/waive_unwired; all fields optional).  On success stores
- * the handle in @p out.  On failure @p out is untouched and the
- * returned status tells why (USFQ_ERR_PARSE / USFQ_ERR_INVALID_ARG).
+ * clock_count/waive_unwired/grid_rows/grid_cols/noc_share_windows/gen;
+ * all fields optional).  On success stores the handle in @p out.  On
+ * failure @p out is untouched and the returned status tells why:
+ * USFQ_ERR_PARSE when the document does not parse (JSON syntax, a
+ * member of the wrong type, an unknown name), USFQ_ERR_INVALID_ARG
+ * when it parses but fails a range or consistency check.
  */
 int32_t usfq_engine_create(const char *spec_json, usfq_engine **out);
 
@@ -122,7 +125,10 @@ int32_t usfq_engine_hash(usfq_engine *engine, uint64_t *out_hash);
  * artifact wire format (docs/observability.md schema 2).  The JSON is
  * byte-deterministic in (spec, params result-affecting fields), which
  * is what the result cache verifies hits against.  Caller frees
- * @p out_json with usfq_string_free.
+ * @p out_json with usfq_string_free.  A params document that does not
+ * parse returns USFQ_ERR_PARSE; one that fails a range or consistency
+ * check (epochs, batch, threads, batch > 1 off the functional backend)
+ * returns USFQ_ERR_INVALID_ARG.
  */
 int32_t usfq_engine_run(usfq_engine *engine, const char *params_json,
                         char **out_json);
@@ -172,7 +178,8 @@ int32_t usfq_cache_stats(const usfq_cache *cache, char **out_json);
  * on a miss (*out_hit = 0).  The deterministic wire format makes a
  * hit byte-identical to recomputation -- svc_test verifies this
  * through the ABI.  @p out_hit may be NULL.  Caller frees @p out_json
- * with usfq_string_free.
+ * with usfq_string_free.  Params errors are USFQ_ERR_PARSE or
+ * USFQ_ERR_INVALID_ARG exactly as for usfq_engine_run.
  */
 int32_t usfq_engine_run_cached(usfq_engine *engine, usfq_cache *cache,
                                const char *params_json,
@@ -212,10 +219,13 @@ const char *usfq_broker_last_error(const usfq_broker *broker);
  * exerts backpressure.  On success stores the artifact-format result
  * document in @p out_json (caller frees with usfq_string_free); the
  * request's own failure (lint/STA/run) comes back as this call's
- * status.  @p out_cache_hit (optional) is set to 1 when the result
- * came out of the broker's cache.  Returns USFQ_ERR_INTERNAL, with no
- * last-error message, when the calling thread's error slot cannot be
- * allocated.
+ * status.  A spec or params document that does not parse returns
+ * USFQ_ERR_PARSE, one that fails a range or consistency check
+ * USFQ_ERR_INVALID_ARG, as for usfq_engine_create and usfq_engine_run
+ * (with the same last-error message).  @p out_cache_hit (optional) is
+ * set to 1 when the result came out of the broker's cache.  Returns
+ * USFQ_ERR_INTERNAL, with no last-error message, when the calling
+ * thread's error slot cannot be allocated.
  */
 int32_t usfq_broker_run(usfq_broker *broker, const char *spec_json,
                         const char *params_json, const char *intent,

@@ -38,28 +38,21 @@ struct usfq_engine
 namespace usfq::api::abi
 {
 
+// usfq_status mirrors api::Status value for value.
+static_assert(USFQ_OK == static_cast<int>(Status::Ok) &&
+              USFQ_ERR_INVALID_ARG == static_cast<int>(Status::InvalidArg) &&
+              USFQ_ERR_PARSE == static_cast<int>(Status::ParseError) &&
+              USFQ_ERR_LINT == static_cast<int>(Status::LintError) &&
+              USFQ_ERR_STA == static_cast<int>(Status::StaError) &&
+              USFQ_ERR_RUN == static_cast<int>(Status::RunError) &&
+              USFQ_ERR_UNSUPPORTED ==
+                  static_cast<int>(Status::Unsupported) &&
+              USFQ_ERR_INTERNAL == static_cast<int>(Status::Internal));
+
 inline int32_t
 toStatus(Status status)
 {
-    switch (status) {
-    case Status::Ok:
-        return USFQ_OK;
-    case Status::InvalidArg:
-        return USFQ_ERR_INVALID_ARG;
-    case Status::ParseError:
-        return USFQ_ERR_PARSE;
-    case Status::LintError:
-        return USFQ_ERR_LINT;
-    case Status::StaError:
-        return USFQ_ERR_STA;
-    case Status::RunError:
-        return USFQ_ERR_RUN;
-    case Status::Unsupported:
-        return USFQ_ERR_UNSUPPORTED;
-    case Status::Internal:
-        return USFQ_ERR_INTERNAL;
-    }
-    return USFQ_ERR_INTERNAL;
+    return static_cast<int32_t>(status);
 }
 
 /** Copy a std::string into a malloc'd C string (usfq_string_free). */

@@ -1,6 +1,9 @@
 #include "core/dpu.hh"
 #include "core/fanout.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace usfq
@@ -135,15 +138,30 @@ DotProductUnit::decode(const EpochConfig &cfg, DpuMode mode, int length,
            (padded_length - length);
 }
 
+namespace
+{
+
+/** Levels of the splitter fanout over @p length elements:
+ *  ceil(log2(length)), 0 for a single element. */
+Tick
+fanoutDepth(int length)
+{
+    return std::bit_width(static_cast<unsigned>(std::max(length, 1) - 1));
+}
+
+} // namespace
+
 Tick
 dpuRlLaunchOffset(int length)
 {
-    int depth = 0, n = 1;
-    while (n < length) {
-        n <<= 1;
-        ++depth;
-    }
-    return static_cast<Tick>(depth) * 3 * kPicosecond + 1 * kPicosecond;
+    return fanoutDepth(length) * 3 * kPicosecond + 1 * kPicosecond;
+}
+
+Tick
+dpuSlotWidth(int length, Tick floor)
+{
+    const Tick need = 2 * (3 * fanoutDepth(length) + 1) + 2;
+    return std::max(need * kPicosecond, floor);
 }
 
 DpuEpochRig::DpuEpochRig(const EpochConfig &config, int length,

@@ -119,6 +119,16 @@ class DotProductUnit : public Component
 Tick dpuRlLaunchOffset(int length);
 
 /**
+ * Slot width of the epoch grid a DPU of @p length elements runs on:
+ * room for the launch offset's fanout lag plus both grid phases,
+ * 2 * (3 * depth + 1) + 2 ps over the same fanout depth, and never
+ * below @p floor.  The API facade's pulse and functional DPU runs use
+ * the 9 ps inverter recovery floor, the NoC's DPU and FIR tiles 40 ps
+ * (noc/plan.hh).
+ */
+Tick dpuSlotWidth(int length, Tick floor);
+
+/**
  * One DotProductUnit with its stimulus -- epoch marker, grid clock
  * (bipolar), RL and stream operand sources -- and an output trace,
  * built and elaborated once and replayed per epoch.  run() resets

@@ -183,14 +183,4 @@ evalEpoch(const DesignSpec &spec, const EpochInputs &in)
     return EpochMirror().eval(spec, in);
 }
 
-std::uint64_t
-hashFold(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffULL;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace usfq::gen

@@ -78,10 +78,6 @@ class EpochMirror
 /** Evaluate one epoch functionally: a one-epoch EpochMirror. */
 EpochEval evalEpoch(const DesignSpec &spec, const EpochInputs &in);
 
-/** FNV-1a fold of one 64-bit value -- the digest primitive the gen
- *  tiers use so pulse and functional legs hash identically. */
-std::uint64_t hashFold(std::uint64_t h, std::uint64_t v);
-
 } // namespace usfq::gen
 
 #endif // USFQ_GEN_FUNCTIONAL_HH

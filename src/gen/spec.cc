@@ -1,5 +1,6 @@
 #include "gen/spec.hh"
 
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace usfq::gen
@@ -14,42 +15,6 @@ fail(std::string *err, const std::string &message)
     if (err != nullptr)
         *err = message;
     return false;
-}
-
-/** FNV-1a over a byte range, continuing from @p h. */
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvU64(std::uint64_t h, std::uint64_t v)
-{
-    return fnv1a(h, &v, sizeof(v));
-}
-
-double
-numberOr(const JsonValue &obj, const std::string &key, double dflt)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr && v->type == JsonValue::Type::Number
-               ? v->number
-               : dflt;
-}
-
-std::string
-stringOr(const JsonValue &obj, const std::string &key,
-         const std::string &dflt)
-{
-    const JsonValue *v = obj.find(key);
-    return v != nullptr && v->type == JsonValue::Type::String ? v->str
-                                                              : dflt;
 }
 
 /** Per-lane generator of the Random shape: a lane's draws depend only
@@ -243,37 +208,32 @@ designSpecFromJson(const JsonValue &obj, DesignSpec &out,
     if (!obj.isObject())
         return fail(err, "gen: spec must be a JSON object");
     DesignSpec s;
-    s.lanes = static_cast<int>(numberOr(obj, "lanes", s.lanes));
-    s.bits = static_cast<int>(numberOr(obj, "bits", s.bits));
+    s.lanes = static_cast<int>(obj.numberOr("lanes", s.lanes));
+    s.bits = static_cast<int>(obj.numberOr("bits", s.bits));
     s.clockPeriodPs = static_cast<int>(
-        numberOr(obj, "clock_period_ps", s.clockPeriodPs));
+        obj.numberOr("clock_period_ps", s.clockPeriodPs));
     const std::string enc =
-        stringOr(obj, "encoding", streamEncodingName(s.encoding));
+        obj.stringOr("encoding", streamEncodingName(s.encoding));
     if (!parseStreamEncoding(enc, s.encoding))
         return fail(err, "gen: unknown encoding '" + enc + "'");
-    const std::string tree =
-        stringOr(obj, "tree", treeKindName(s.tree));
+    const std::string tree = obj.stringOr("tree", treeKindName(s.tree));
     if (!parseTreeKind(tree, s.tree))
         return fail(err, "gen: unknown tree '" + tree + "'");
     const std::string shape =
-        stringOr(obj, "shape", laneShapeName(s.shape));
+        obj.stringOr("shape", laneShapeName(s.shape));
     if (!parseLaneShape(shape, s.shape))
         return fail(err, "gen: unknown shape '" + shape + "'");
     const std::string bal =
-        stringOr(obj, "balance", balanceStyleName(s.balance));
+        obj.stringOr("balance", balanceStyleName(s.balance));
     if (!parseBalanceStyle(bal, s.balance))
         return fail(err, "gen: unknown balance '" + bal + "'");
     s.maxDividers =
-        static_cast<int>(numberOr(obj, "max_dividers", s.maxDividers));
-    s.skewStep =
-        static_cast<int>(numberOr(obj, "skew_step", s.skewStep));
+        static_cast<int>(obj.numberOr("max_dividers", s.maxDividers));
+    s.skewStep = static_cast<int>(obj.numberOr("skew_step", s.skewStep));
     s.shapeSeed = static_cast<std::uint64_t>(
-        numberOr(obj, "shape_seed",
-                 static_cast<double>(s.shapeSeed)));
+        obj.numberOr("shape_seed", static_cast<double>(s.shapeSeed)));
     s.balanceBudgetJJ = static_cast<int>(
-        numberOr(obj, "balance_budget_jj", s.balanceBudgetJJ));
-    if (!s.validate(err))
-        return false;
+        obj.numberOr("balance_budget_jj", s.balanceBudgetJJ));
     out = s;
     return true;
 }

@@ -143,8 +143,11 @@ struct DesignSpec
 /** Serialize as a JSON object (the `gen` member of a NetlistSpec). */
 void designSpecToJson(const DesignSpec &spec, JsonWriter &w);
 
-/** Parse from a parsed JSON object; fills @p err on failure.  Fields
- *  absent from the object keep their defaults. */
+/**
+ * Parse from a parsed JSON object; fills @p err on failure (not an
+ * object, an unknown name).  Parses only: fields absent from the
+ * object keep their defaults, and ranges are validate()'s to check.
+ */
 bool designSpecFromJson(const JsonValue &obj, DesignSpec &out,
                         std::string *err = nullptr);
 

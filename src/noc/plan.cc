@@ -1,12 +1,15 @@
 #include "noc/plan.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <utility>
 
+#include "core/dpu.hh"
 #include "obs/stats.hh"
 #include "sfq/params.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -16,40 +19,9 @@ namespace usfq::noc
 namespace
 {
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnvU64(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-int
-nextPow2(int v)
-{
-    int p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-int
-log2Of(int pow2)
-{
-    int b = 0;
-    while ((1 << b) < pow2)
-        ++b;
-    return b;
-}
-
 /**
  * Slot width of a tile's epoch grid.  PE tiles use the facade's 30 ps
- * grid.  DPU / FIR tiles use the facade's depth formula with a 40 ps
+ * grid.  DPU / FIR tiles use dpuSlotWidth (core/dpu.hh) with a 40 ps
  * floor: the differential corpus proves pulse == functional counts
  * exactly at 40 ps, while the tighter single-tile floor (9 ps) loses
  * unipolar multiplier pulses to recovery -- and the fabric's
@@ -60,10 +32,7 @@ tileSlotWidth(TileKind kind, int taps)
 {
     if (kind == TileKind::Pe)
         return 30 * kPicosecond;
-    const int padded = nextPow2(taps);
-    const Tick need =
-        2 * (3 * static_cast<Tick>(log2Of(padded)) + 1) + 2;
-    return std::max<Tick>(need, 40) * kPicosecond;
+    return dpuSlotWidth(taps, 40 * kPicosecond);
 }
 
 Tick
@@ -211,7 +180,7 @@ int
 RouterPlan::mergerDepth(int out) const
 {
     const int n = static_cast<int>(feeders[out].size());
-    return n < 2 ? 0 : log2Of(nextPow2(n));
+    return n < 2 ? 0 : std::bit_width(static_cast<unsigned>(n - 1));
 }
 
 std::vector<int>
@@ -660,7 +629,8 @@ fabricJJs(const GridPlan &plan)
         for (int out = 0; out < kDirCount; ++out) {
             const int n = static_cast<int>(rp.feeders[out].size());
             if (n >= 2)
-                jjs += static_cast<long long>(nextPow2(n) - 1) *
+                jjs += static_cast<long long>(
+                           std::bit_ceil(static_cast<unsigned>(n)) - 1) *
                        cell::kMergerJJs;
         }
     }

@@ -86,8 +86,7 @@ struct SweepOptions
      */
     Backend backend = Backend::PulseLevel;
 
-    /** Lane coalescing for runBatchedSweep (ignored by runSweep
-     *  beyond the ShardContext pass-through). */
+    /** Lane coalescing for runBatchedSweep (ignored by runSweep). */
     BatchSpec batch;
 };
 
@@ -98,8 +97,7 @@ struct ShardContext
     std::size_t total; ///< total shards in the sweep
     std::uint64_t seed; ///< deterministic per-shard RNG seed
     Backend backend;   ///< engine requested via SweepOptions
-    int batchWidth = 1; ///< SweepOptions::batch.width pass-through
-    int worker = 0;     ///< dense index of the worker running the shard
+    int worker = 0;    ///< dense index of the worker running the shard
 };
 
 /** What a batched shard function receives: one group of lanes. */
@@ -211,12 +209,8 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
     const int threads = resolveSweepThreads(opt.threads);
     detail::runIndexed(num_shards, threads, [&](std::size_t i,
                                                 int worker) {
-        const ShardContext ctx{i,
-                               num_shards,
-                               shardSeed(opt.baseSeed, i),
-                               opt.backend,
-                               opt.batch.width < 1 ? 1 : opt.batch.width,
-                               worker};
+        const ShardContext ctx{i, num_shards, shardSeed(opt.baseSeed, i),
+                               opt.backend, worker};
         // Shard-private registry: stats recorded inside fn (netlist
         // exports, kernel counters) land here, not in the caller's.
         obs::ScopedStatsRegistry guard(shardStats[i]);

@@ -155,16 +155,15 @@ usfq_broker_run(usfq_broker *broker, const char *spec_json,
         lastError = &broker->lastError();
         lastError->clear();
         svc::Request request;
-        std::string err;
-        if (!api::specFromJson(spec_json, request.spec, &err)) {
-            *lastError = err;
-            return USFQ_ERR_PARSE;
-        }
-        if (params_json != nullptr &&
-            !api::runParamsFromJson(params_json, request.params,
-                                    &err)) {
-            *lastError = err;
-            return USFQ_ERR_PARSE;
+        if (const api::Status s =
+                api::specFromJson(spec_json, request.spec, lastError);
+            s != api::Status::Ok)
+            return toStatus(s);
+        if (params_json != nullptr) {
+            if (const api::Status s = api::runParamsFromJson(
+                    params_json, request.params, lastError);
+                s != api::Status::Ok)
+                return toStatus(s);
         }
         if (!parseIntent(intent, request.intent)) {
             *lastError =

@@ -93,15 +93,10 @@ usfq_engine_run_cached(usfq_engine *engine, usfq_cache *cache,
         return USFQ_ERR_INVALID_ARG;
     return guarded(engine, [&] {
         api::RunParams params;
-        std::string err;
-        if (!api::runParamsFromJson(params_json, params, &err)) {
-            engine->lastError = err;
-            return err.rfind("run: epochs", 0) == 0 ||
-                           err.rfind("run: batch", 0) == 0 ||
-                           err.rfind("run: threads", 0) == 0
-                       ? api::Status::InvalidArg
-                       : api::Status::ParseError;
-        }
+        if (const api::Status s = api::runParamsFromJson(
+                params_json, params, &engine->lastError);
+            s != api::Status::Ok)
+            return s;
 
         // Derive through the session so lint failures come back as a
         // status; a miss then runs from the same facts.

@@ -236,6 +236,27 @@ JsonValue::find(const std::string &k) const
     return it == object.end() ? nullptr : &it->second;
 }
 
+double
+JsonValue::numberOr(const std::string &k, double dflt) const
+{
+    const JsonValue *v = find(k);
+    return v != nullptr && v->type == Type::Number ? v->number : dflt;
+}
+
+bool
+JsonValue::boolOr(const std::string &k, bool dflt) const
+{
+    const JsonValue *v = find(k);
+    return v != nullptr && v->type == Type::Bool ? v->boolean : dflt;
+}
+
+std::string
+JsonValue::stringOr(const std::string &k, const std::string &dflt) const
+{
+    const JsonValue *v = find(k);
+    return v != nullptr && v->type == Type::String ? v->str : dflt;
+}
+
 namespace
 {
 

@@ -114,6 +114,13 @@ struct JsonValue
 
     /** Object member lookup; null if absent or not an object. */
     const JsonValue *find(const std::string &k) const;
+
+    /** Member @p k when it is a number, else @p dflt (absent or of
+     *  another type alike); boolOr and stringOr likewise. */
+    double numberOr(const std::string &k, double dflt) const;
+    bool boolOr(const std::string &k, bool dflt) const;
+    std::string stringOr(const std::string &k,
+                         const std::string &dflt) const;
 };
 
 /**

@@ -79,7 +79,8 @@ TEST(ApiSpec, SpecJsonRoundTrip)
 
     api::NetlistSpec back;
     std::string err;
-    ASSERT_TRUE(api::specFromJson(api::specToJson(spec), back, &err))
+    ASSERT_EQ(api::specFromJson(api::specToJson(spec), back, &err),
+              api::Status::Ok)
         << err;
     EXPECT_EQ(back, spec);
 }
@@ -93,8 +94,9 @@ TEST(ApiSpec, RunParamsJsonRoundTrip)
 
     api::RunParams back;
     std::string err;
-    ASSERT_TRUE(api::runParamsFromJson(api::runParamsToJson(params),
-                                       back, &err))
+    ASSERT_EQ(api::runParamsFromJson(api::runParamsToJson(params),
+                                     back, &err),
+              api::Status::Ok)
         << err;
     EXPECT_EQ(back, params);
 }
@@ -138,7 +140,8 @@ TEST(ApiSpec, GenSpecJsonRoundTrip)
 
     api::NetlistSpec back;
     std::string err;
-    ASSERT_TRUE(api::specFromJson(api::specToJson(spec), back, &err))
+    ASSERT_EQ(api::specFromJson(api::specToJson(spec), back, &err),
+              api::Status::Ok)
         << err;
     EXPECT_EQ(back, spec);
 
@@ -408,6 +411,115 @@ TEST(ApiAbi, OutOfRangeSpecIsInvalidArg)
                   &engine),
               USFQ_ERR_INVALID_ARG);
     EXPECT_EQ(engine, nullptr);
+}
+
+/**
+ * One row of the C ABI status contract (usfq.h): a spec document goes
+ * through usfq_engine_create and usfq_broker_run, a params document
+ * through usfq_engine_run, usfq_engine_run_cached and usfq_broker_run.
+ * Range and consistency failures are INVALID_ARG, documents that do
+ * not parse (syntax, member types, unknown names) PARSE, and every
+ * entry point leaves the same last-error text.
+ */
+struct StatusRow
+{
+    bool isSpec;
+    const char *json;
+    int32_t status;
+    const char *message;
+};
+
+const StatusRow kStatusRows[] = {
+    {true, R"({"kind": "dpu", "taps": 0})", USFQ_ERR_INVALID_ARG,
+     "spec: taps must be in [1, 1024]"},
+    {true, R"({"kind": "noc", "grid_rows": 1})", USFQ_ERR_INVALID_ARG,
+     "spec: grid_rows must be in [2, 16]"},
+    {true, R"({"kind": "noc", "taps": 20})", USFQ_ERR_INVALID_ARG,
+     "spec: noc taps must be in [1, 16]"},
+    {true, R"({"kind": "noc", "bits": 9})", USFQ_ERR_INVALID_ARG,
+     "spec: noc bits must be in [2, 8]"},
+    {true, R"({"kind": "gen", "gen": {"lanes": 3}})",
+     USFQ_ERR_INVALID_ARG, "gen: lanes must be a power of two in [2, 64]"},
+    {true, R"({"kind": "gen", "gen": {"bits": 12}})",
+     USFQ_ERR_INVALID_ARG, "gen: bits must be in [1, 8]"},
+    {true, R"({"kind": "fir", "taps": 3, "coefficients": [0.5, 0.5]})",
+     USFQ_ERR_INVALID_ARG,
+     "spec: coefficients must be empty or one per tap"},
+    // A gen object is range-checked whatever the kind, before the spec.
+    {true, R"({"kind": "dpu", "taps": 0, "gen": {"lanes": 3}})",
+     USFQ_ERR_INVALID_ARG, "gen: lanes must be a power of two in [2, 64]"},
+    {false, R"({"epochs": 0})", USFQ_ERR_INVALID_ARG,
+     "run: epochs must be in [1, 2^20]"},
+    {false, R"({"backend": "pulse", "batch": 8})", USFQ_ERR_INVALID_ARG,
+     "run: batch > 1 requires the functional backend"},
+    {true, "{not json", USFQ_ERR_PARSE,
+     "spec: expected string at offset 1"},
+    {true, R"({"kind": "quantum"})", USFQ_ERR_PARSE,
+     "spec: unknown kind 'quantum'"},
+    {true, R"({"kind": "dpu", "mode": "ternary"})", USFQ_ERR_PARSE,
+     "spec: unknown mode 'ternary'"},
+    {true, R"({"kind": "gen", "gen": {"tree": "pyramid"}})",
+     USFQ_ERR_PARSE, "gen: unknown tree 'pyramid'"},
+    {true, R"({"kind": "fir", "coefficients": 0.5})", USFQ_ERR_PARSE,
+     "spec: coefficients must be an array"},
+    {false, "{not json", USFQ_ERR_PARSE,
+     "run: expected string at offset 1"},
+    {false, R"({"backend": "quantum"})", USFQ_ERR_PARSE,
+     "run: unknown backend 'quantum'"},
+    {false, R"({"seed": "banana"})", USFQ_ERR_PARSE,
+     "run: seed string 'banana' is not a number"},
+};
+
+TEST(ApiAbi, StatusContractHoldsOnEveryEntryPoint)
+{
+    const char *dpu = R"({"kind": "dpu", "taps": 4})";
+    usfq_broker *broker = nullptr;
+    ASSERT_EQ(usfq_broker_create(1, 0, 0, &broker), USFQ_OK);
+    usfq_cache *cache = nullptr;
+    ASSERT_EQ(usfq_cache_create(4, &cache), USFQ_OK);
+    for (const StatusRow &row : kStatusRows) {
+        SCOPED_TRACE(row.json);
+        char *json = nullptr;
+        usfq_engine *engine = nullptr;
+        if (row.isSpec) {
+            EXPECT_EQ(usfq_engine_create(row.json, &engine), row.status)
+                << "usfq_engine_create";
+            EXPECT_EQ(engine, nullptr);
+            EXPECT_EQ(usfq_broker_run(broker, row.json, nullptr, nullptr,
+                                      nullptr, &json),
+                      row.status)
+                << "usfq_broker_run";
+        } else {
+            ASSERT_EQ(usfq_engine_create(dpu, &engine), USFQ_OK);
+            EXPECT_EQ(usfq_engine_run(engine, row.json, &json),
+                      row.status)
+                << "usfq_engine_run";
+            EXPECT_STREQ(usfq_engine_last_error(engine), row.message);
+            EXPECT_EQ(usfq_engine_run_cached(engine, cache, row.json,
+                                             nullptr, &json),
+                      row.status)
+                << "usfq_engine_run_cached";
+            EXPECT_STREQ(usfq_engine_last_error(engine), row.message);
+            usfq_engine_destroy(engine);
+            EXPECT_EQ(usfq_broker_run(broker, dpu, row.json, nullptr,
+                                      nullptr, &json),
+                      row.status)
+                << "usfq_broker_run";
+        }
+        EXPECT_STREQ(usfq_broker_last_error(broker), row.message);
+        EXPECT_EQ(json, nullptr);
+    }
+    usfq_cache_destroy(cache);
+    usfq_broker_destroy(broker);
+}
+
+TEST(ApiAbi, StatusNamesAreTheFacadeNames)
+{
+    for (int32_t i = 0; i <= 7; ++i)
+        EXPECT_STREQ(usfq_status_name(i),
+                     api::statusName(static_cast<api::Status>(i)));
+    EXPECT_STREQ(usfq_status_name(-1), "?");
+    EXPECT_STREQ(usfq_status_name(8), "?");
 }
 
 TEST(ApiAbi, NullArgumentsAreInvalidArg)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/dpu.hh"
@@ -235,6 +236,46 @@ TEST(DotProductUnit, FullActivityLosesNoPulsesToCollisions)
     std::vector<int> ids(length, cfg.nmax());
     const int count = runDpu(cfg, DpuMode::Unipolar, streams, ids);
     EXPECT_EQ(count, cfg.nmax());
+}
+
+// --- shared slot arithmetic -----------------------------------------------
+
+TEST(DotProductUnit, SlotWidthAndLaunchOffsetMatchLoopFormulas)
+{
+    // Reference: the same arithmetic as plain loops (pad to a power
+    // of two, count its doublings), independent of std::bit_width.
+    const auto nextPow2 = [](int n) {
+        int p = 1;
+        while (p < n)
+            p <<= 1;
+        return p;
+    };
+    const auto log2Of = [](int pow2) {
+        int d = 0;
+        while ((1 << d) < pow2)
+            ++d;
+        return d;
+    };
+    const auto slotWidth = [&](int length, Tick floor_ps) {
+        const Tick need =
+            2 * (3 * static_cast<Tick>(log2Of(nextPow2(length))) + 1) + 2;
+        return std::max<Tick>(need, floor_ps) * kPicosecond;
+    };
+    const auto launchOffset = [](int length) {
+        int depth = 0, n = 1;
+        while (n < length) {
+            n <<= 1;
+            ++depth;
+        }
+        return static_cast<Tick>(depth) * 3 * kPicosecond +
+               1 * kPicosecond;
+    };
+    for (int l = 1; l <= 1024; ++l) {
+        EXPECT_EQ(dpuSlotWidth(l, 9 * kPicosecond), slotWidth(l, 9)) << l;
+        EXPECT_EQ(dpuSlotWidth(l, 40 * kPicosecond), slotWidth(l, 40))
+            << l;
+        EXPECT_EQ(dpuRlLaunchOffset(l), launchOffset(l)) << l;
+    }
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "sim/elaborate.hh"
 #include "sim/netlist.hh"
 #include "sta/sta.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -40,7 +41,6 @@ namespace
 
 constexpr int kSpecs = 500;
 constexpr int kEpochsPerSpec = 2;
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 std::string
 describe(const DesignSpec &s)
@@ -118,9 +118,9 @@ TEST(GenDifferential, RandomSpecsPulseVsFunctional)
             ASSERT_EQ(p, f.count)
                 << what << " epoch " << e << " n=" << in.n;
             pulseDigest =
-                hashFold(pulseDigest, static_cast<std::uint64_t>(p));
-            funcDigest = hashFold(funcDigest,
-                                  static_cast<std::uint64_t>(f.count));
+                fnvU64(pulseDigest, static_cast<std::uint64_t>(p));
+            funcDigest =
+                fnvU64(funcDigest, static_cast<std::uint64_t>(f.count));
         }
     }
 

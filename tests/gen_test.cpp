@@ -25,6 +25,7 @@
 #include "sfq/params.hh"
 #include "sim/netlist.hh"
 #include "sim/trace.hh"
+#include "util/hash.hh"
 #include "util/json.hh"
 #include "util/random.hh"
 
@@ -515,9 +516,9 @@ mirrorLockInputs(const DesignSpec &spec, std::size_t index, int e)
 std::uint64_t
 foldEval(std::uint64_t h, const EpochEval &ev)
 {
-    h = hashFold(h, static_cast<std::uint64_t>(ev.count));
-    h = hashFold(h, static_cast<std::uint64_t>(ev.lost));
-    return hashFold(h, static_cast<std::uint64_t>(ev.laneSum));
+    h = fnvU64(h, static_cast<std::uint64_t>(ev.count));
+    h = fnvU64(h, static_cast<std::uint64_t>(ev.lost));
+    return fnvU64(h, static_cast<std::uint64_t>(ev.laneSum));
 }
 
 TEST(GenMirrorLock, EvalEpochDigest)

@@ -17,6 +17,7 @@
 #include "util/args.hh"
 #include "util/csv.hh"
 #include "util/fixed_point.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
@@ -499,6 +500,39 @@ TEST(Args, RejectUnknownFlagsIsFatalOnTypo)
     ArgvFixture fx({"bench", "--jsn", "out.json"});
     EXPECT_EXIT(args::rejectUnknownFlags(fx.argc, fx.argv.data()),
                 ::testing::ExitedWithCode(1), "--jsn");
+}
+
+// --- FNV-1a ---------------------------------------------------------------
+
+TEST(Hash, Fnv1aKnownAnswers)
+{
+    EXPECT_EQ(fnv1a(kFnvBasis, "", 0), kFnvBasis);
+    EXPECT_EQ(fnv1a(kFnvBasis, "a", 1), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a(kFnvBasis, "foobar", 6), 0x85944171f73967e8ULL);
+}
+
+TEST(Hash, WordsFoldLowByteFirst)
+{
+    Rng rng(19);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t h = rng.next();
+        const std::uint64_t v = rng.next();
+        unsigned char bytes[8];
+        for (int b = 0; b < 8; ++b)
+            bytes[b] = static_cast<unsigned char>(v >> (8 * b));
+        EXPECT_EQ(fnvU64(h, v), fnv1a(h, bytes, sizeof bytes));
+    }
+}
+
+TEST(Hash, StringsFoldTheirLengthFirst)
+{
+    for (const std::string s : {std::string(), std::string("a"),
+                                std::string("foobar"),
+                                std::string(300, 'x')}) {
+        EXPECT_EQ(fnvStr(kFnvBasis, s),
+                  fnv1a(fnvU64(kFnvBasis, s.size()), s.data(), s.size()))
+            << s;
+    }
 }
 
 } // namespace
