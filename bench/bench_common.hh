@@ -148,8 +148,8 @@ fmt1(double value)
  *    and the file is named BENCH_<name>.json inside it;
  *  - otherwise the artifact is disabled and costs nothing.
  *
- * Besides the explicit metrics the artifact embeds the per-phase
- * wall-clock totals from the global phase log, the warn()/inform()
+ * Besides the explicit metrics the artifact embeds the process-wide
+ * per-phase wall-clock totals (obs/phase.hh), the warn()/inform()
  * counts, and a snapshot of the stats registry (the thread's current
  * registry unless stats() picked another).  write() also triggers the
  * Perfetto trace export when USFQ_TRACE_OUT is set, with any tracks

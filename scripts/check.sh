@@ -22,10 +22,14 @@
 #                                      # cache under N workers, the C ABI
 #                                      # hammer tests, the run lock, the
 #                                      # svc_serve_smoke), the noc and
-#                                      # batch tiers and the determinism
+#                                      # batch tiers, the determinism
 #                                      # tests (sweep workers owning
-#                                      # per-worker rigs and arenas),
-#                                      # under ThreadSanitizer only
+#                                      # per-worker rigs and arenas) and
+#                                      # the unit-obs tier (traced broker
+#                                      # round trips: worker threads
+#                                      # appending netlist phase spans to
+#                                      # the shared span log), under
+#                                      # ThreadSanitizer only
 #   ./scripts/check.sh gen             # design-space compiler gate: the
 #                                      # gen, sta and golden tiers (spec
 #                                      # round-trips, balancer convergence,
@@ -57,8 +61,10 @@
 #                                      # tier (trace round-trips, broker
 #                                      # tracing, metrics ABI), golden
 #                                      # tiers rerun with tracing forced
-#                                      # on (USFQ_TRACE_OUT), then the
-#                                      # regress stage
+#                                      # on (USFQ_TRACE_OUT), a lint of
+#                                      # the traced usfq_serve smoke's
+#                                      # trace (netlist phase spans
+#                                      # present), then the regress stage
 #   ./scripts/check.sh perfbench       # benchmark gate: build perfbench/
 #                                      # against this tree (Release) and
 #                                      # run every BENCHMARK.json
@@ -116,8 +122,10 @@ elif [[ "$mode" == "tsan" ]]; then
     # (already in the svc label); plus the noc, batch and determinism
     # tiers, whose multi-threaded sweeps hand every pool thread its
     # own mutable rig, operand buffers and arena (sim/sweep.hh,
-    # WorkerLocal).  Under ThreadSanitizer.
-    ctest_args=(-L 'svc|noc|batch|determinism' "${ctest_args[@]}")
+    # WorkerLocal).  Plus the unit-obs tier: its traced broker round
+    # trip has worker threads appending netlist phase spans to the
+    # process-wide span log.  Under ThreadSanitizer.
+    ctest_args=(-L 'svc|noc|batch|determinism|unit-obs' "${ctest_args[@]}")
 elif [[ "$mode" == "gen" ]]; then
     # The design-space compiler gate (docs/synthesis.md): spec JSON
     # round-trips and hash determinism, balancer convergence/budget
@@ -203,17 +211,29 @@ if [[ "$mode" == "regress" || "$mode" == "obs" ]]; then
         # The obs tier: trace round-trips, broker span chains, metrics
         # ABI, telemetry mirroring.
         echo "==> [obs] tracing + metrics tier"
+        serve_trace="$repo/build/tests/svc_serve_trace.json"
+        rm -f "$serve_trace"
         ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
             -L 'obs' "${ctest_args[@]}"
         # Tracing must be invisible to results: rerun the golden tier
         # with a trace sink forced on (serially -- the test processes
-        # would race on the shared sink file), then parse what the last
-        # writer left behind.
+        # share the sink file).
         echo "==> [obs] golden tier with USFQ_TRACE_OUT forced on"
         USFQ_TRACE_OUT="$tmproot/golden_trace.json" ctest \
             --test-dir "$repo/build" --output-on-failure -j 1 -L golden
-        if [[ -s "$tmproot/golden_trace.json" ]]; then
-            "$repo/build/bench/json_lint" "$tmproot/golden_trace.json"
+        # The traced usfq_serve smoke (svc_serve_trace) leaves its
+        # Trace Event file behind: it must parse, and the netlist
+        # phases its workers ran must be in it as spans.
+        echo "==> [obs] linting the svc_serve_trace trace"
+        if [[ ! -s "$serve_trace" ]]; then
+            echo "==> [obs] FAILED: svc_serve_trace wrote no $serve_trace" >&2
+            exit 1
+        fi
+        "$repo/build/bench/json_lint" "$serve_trace"
+        if ! grep -q '"name": "netlist/elaborate"' "$serve_trace"; then
+            echo "==> [obs] FAILED: no netlist/elaborate span in" \
+                "$serve_trace" >&2
+            exit 1
         fi
     fi
 

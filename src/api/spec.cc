@@ -126,15 +126,24 @@ specFromJson(const std::string &json, NetlistSpec &out,
         return malformed(err, "spec: top level must be an object");
 
     NetlistSpec s;
-    const std::string kind_name =
-        doc.stringOr("kind", workloadKindName(s.kind));
+    std::string kind_name = workloadKindName(s.kind);
+    std::string mode_name =
+        s.mode == DpuMode::Unipolar ? "unipolar" : "bipolar";
+    std::string bad;
+    if (!doc.member("kind", kind_name, &bad) ||
+        !doc.member("name", s.name, &bad) ||
+        !doc.member("taps", s.taps, &bad) ||
+        !doc.member("bits", s.bits, &bad) ||
+        !doc.member("mode", mode_name, &bad) ||
+        !doc.member("clock_period_ps", s.clockPeriodPs, &bad) ||
+        !doc.member("clock_count", s.clockCount, &bad) ||
+        !doc.member("waive_unwired", s.waiveUnwired, &bad) ||
+        !doc.member("grid_rows", s.gridRows, &bad) ||
+        !doc.member("grid_cols", s.gridCols, &bad) ||
+        !doc.member("noc_share_windows", s.nocShareWindows, &bad))
+        return malformed(err, "spec: " + bad);
     if (!parseWorkloadKind(kind_name, s.kind))
         return malformed(err, "spec: unknown kind '" + kind_name + "'");
-    s.name = doc.stringOr("name", s.name);
-    s.taps = static_cast<int>(doc.numberOr("taps", s.taps));
-    s.bits = static_cast<int>(doc.numberOr("bits", s.bits));
-    const std::string mode_name = doc.stringOr(
-        "mode", s.mode == DpuMode::Unipolar ? "unipolar" : "bipolar");
     if (mode_name == "unipolar")
         s.mode = DpuMode::Unipolar;
     else if (mode_name == "bipolar")
@@ -152,14 +161,6 @@ specFromJson(const std::string &json, NetlistSpec &out,
             s.coefficients.push_back(c.number);
         }
     }
-    s.clockPeriodPs = doc.numberOr("clock_period_ps", s.clockPeriodPs);
-    s.clockCount =
-        static_cast<int>(doc.numberOr("clock_count", s.clockCount));
-    s.waiveUnwired = doc.boolOr("waive_unwired", s.waiveUnwired);
-    s.gridRows = static_cast<int>(doc.numberOr("grid_rows", s.gridRows));
-    s.gridCols = static_cast<int>(doc.numberOr("grid_cols", s.gridCols));
-    s.nocShareWindows =
-        doc.boolOr("noc_share_windows", s.nocShareWindows);
     if (const JsonValue *g = doc.find("gen"); g != nullptr) {
         if (!gen::designSpecFromJson(*g, s.gen, err))
             return Status::ParseError;
@@ -233,33 +234,30 @@ runParamsFromJson(const std::string &json, RunParams &out,
         return malformed(err, "run: top level must be an object");
 
     RunParams p;
-    const std::string backend_name =
-        doc.stringOr("backend", backendName(p.backend));
+    std::string backend_name = backendName(p.backend);
+    std::string bad;
+    // The seed is canonically a hex string: a JSON number is a double
+    // and cannot carry all 64 seed bits.  Plain integers still parse
+    // for hand-written requests with small seeds.
+    const JsonValue *seed = doc.find("seed");
+    const bool hexSeed =
+        seed != nullptr && seed->type == JsonValue::Type::String;
+    if (!doc.member("backend", backend_name, &bad) ||
+        !doc.member("epochs", p.epochs, &bad) ||
+        (!hexSeed && !doc.member("seed", p.seed, &bad)) ||
+        !doc.member("batch", p.batch, &bad) ||
+        !doc.member("threads", p.threads, &bad))
+        return malformed(err, "run: " + bad);
     if (!parseBackend(backend_name.c_str(), p.backend))
         return malformed(err,
                          "run: unknown backend '" + backend_name + "'");
-    p.epochs = static_cast<int>(doc.numberOr("epochs", p.epochs));
-    if (const JsonValue *v = doc.find("seed"); v != nullptr) {
-        // Canonically a hex string: a JSON number is a double and
-        // cannot carry all 64 seed bits.  Plain numbers still parse
-        // for hand-written requests with small seeds.
-        if (v->type == JsonValue::Type::String) {
-            char *end = nullptr;
-            const std::uint64_t parsed =
-                std::strtoull(v->str.c_str(), &end, 0);
-            if (end == v->str.c_str() || *end != '\0')
-                return malformed(err, "run: seed string '" + v->str +
-                                          "' is not a number");
-            p.seed = parsed;
-        } else if (v->type == JsonValue::Type::Number) {
-            p.seed = static_cast<std::uint64_t>(v->number);
-        } else {
-            return malformed(
-                err, "run: seed must be a number or a hex string");
-        }
+    if (hexSeed) {
+        char *end = nullptr;
+        p.seed = std::strtoull(seed->str.c_str(), &end, 0);
+        if (end == seed->str.c_str() || *end != '\0')
+            return malformed(err, "run: seed string '" + seed->str +
+                                      "' is not a number");
     }
-    p.batch = static_cast<int>(doc.numberOr("batch", p.batch));
-    p.threads = static_cast<int>(doc.numberOr("threads", p.threads));
 
     if (!p.validate(err))
         return Status::InvalidArg;

@@ -236,8 +236,9 @@ int32_t usfq_broker_run(usfq_broker *broker, const char *spec_json,
  * {"broker": {"submitted": ..., "rejected": ..., "completed": ...,
  * "failed": ..., "queue_depth_high_water": ..., "workers": [{"busy_us":
  * ..., "idle_us": ..., "utilization": ...}, ...]}, "cache": {...  as
- * usfq_cache_stats}, "stats": {... merged per-request registries, the
- * artifact "stats" shape}}.  Caller frees with usfq_string_free.
+ * usfq_cache_stats}, "stats": {... the stats of every completed run,
+ * folded as each finished -- the same bytes in any completion order --
+ * in the artifact "stats" shape}}.  Caller frees with usfq_string_free.
  */
 int32_t usfq_broker_metrics(const usfq_broker *broker,
                             char **out_json);

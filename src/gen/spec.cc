@@ -208,32 +208,31 @@ designSpecFromJson(const JsonValue &obj, DesignSpec &out,
     if (!obj.isObject())
         return fail(err, "gen: spec must be a JSON object");
     DesignSpec s;
-    s.lanes = static_cast<int>(obj.numberOr("lanes", s.lanes));
-    s.bits = static_cast<int>(obj.numberOr("bits", s.bits));
-    s.clockPeriodPs = static_cast<int>(
-        obj.numberOr("clock_period_ps", s.clockPeriodPs));
-    const std::string enc =
-        obj.stringOr("encoding", streamEncodingName(s.encoding));
+    std::string enc = streamEncodingName(s.encoding);
+    std::string tree = treeKindName(s.tree);
+    std::string shape = laneShapeName(s.shape);
+    std::string bal = balanceStyleName(s.balance);
+    std::string bad;
+    if (!obj.member("lanes", s.lanes, &bad) ||
+        !obj.member("bits", s.bits, &bad) ||
+        !obj.member("clock_period_ps", s.clockPeriodPs, &bad) ||
+        !obj.member("encoding", enc, &bad) ||
+        !obj.member("tree", tree, &bad) ||
+        !obj.member("shape", shape, &bad) ||
+        !obj.member("balance", bal, &bad) ||
+        !obj.member("max_dividers", s.maxDividers, &bad) ||
+        !obj.member("skew_step", s.skewStep, &bad) ||
+        !obj.member("shape_seed", s.shapeSeed, &bad) ||
+        !obj.member("balance_budget_jj", s.balanceBudgetJJ, &bad))
+        return fail(err, "gen: " + bad);
     if (!parseStreamEncoding(enc, s.encoding))
         return fail(err, "gen: unknown encoding '" + enc + "'");
-    const std::string tree = obj.stringOr("tree", treeKindName(s.tree));
     if (!parseTreeKind(tree, s.tree))
         return fail(err, "gen: unknown tree '" + tree + "'");
-    const std::string shape =
-        obj.stringOr("shape", laneShapeName(s.shape));
     if (!parseLaneShape(shape, s.shape))
         return fail(err, "gen: unknown shape '" + shape + "'");
-    const std::string bal =
-        obj.stringOr("balance", balanceStyleName(s.balance));
     if (!parseBalanceStyle(bal, s.balance))
         return fail(err, "gen: unknown balance '" + bal + "'");
-    s.maxDividers =
-        static_cast<int>(obj.numberOr("max_dividers", s.maxDividers));
-    s.skewStep = static_cast<int>(obj.numberOr("skew_step", s.skewStep));
-    s.shapeSeed = static_cast<std::uint64_t>(
-        obj.numberOr("shape_seed", static_cast<double>(s.shapeSeed)));
-    s.balanceBudgetJJ = static_cast<int>(
-        obj.numberOr("balance_budget_jj", s.balanceBudgetJJ));
     out = s;
     return true;
 }

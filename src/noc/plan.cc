@@ -581,7 +581,7 @@ FabricTelemetry::exportTo(obs::StatsRegistry &reg) const
         return;
     for (std::size_t i = 0; i < names.size(); ++i)
         reg.counter(names[i]).inc(counters[i]);
-    reg.gauge(utilizationName, obs::Gauge::Merge::Max).high(utilization);
+    reg.gauge(utilizationName).high(utilization);
 }
 
 void

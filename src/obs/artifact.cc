@@ -11,7 +11,7 @@ ArtifactHostState
 ArtifactHostState::capture()
 {
     ArtifactHostState s;
-    s.phasesUs = PhaseLog::global().totalsUs();
+    s.phasesUs = phaseTotalsUs();
     s.warnings = warnCount();
     s.informs = informCount();
     return s;

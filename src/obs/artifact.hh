@@ -46,7 +46,7 @@ struct ArtifactHostState
     std::uint64_t warnings = 0;
     std::uint64_t informs = 0;
 
-    /** Snapshot the live process state (global phase log + counters). */
+    /** Snapshot the live process state (phase totals + counters). */
     static ArtifactHostState capture();
 };
 

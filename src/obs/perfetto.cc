@@ -32,8 +32,7 @@ metadataEvent(JsonWriter &w, const char *what, int pid, int tid,
 } // namespace
 
 void
-writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
-                 const std::vector<TraceSpan> &requestSpans,
+writeChromeTrace(std::ostream &os, const std::vector<TraceSpan> &spans,
                  const std::vector<PulseTrack> &tracks)
 {
     std::string doc;
@@ -53,25 +52,12 @@ writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
         metadataEvent(w, "thread_name", kHostPid,
                       static_cast<int>(tid), name);
 
-    // Host phases: "X" complete events, ts/dur in microseconds (the
-    // Trace Event time unit), one row per host thread.
-    for (const PhaseSpan &s : spans) {
-        w.beginObject();
-        w.kv("name", s.name);
-        w.kv("cat", "host");
-        w.kv("ph", "X");
-        w.kv("ts", static_cast<std::uint64_t>(s.startUs));
-        w.kv("dur", static_cast<std::uint64_t>(s.durUs));
-        w.kv("pid", kHostPid);
-        w.kv("tid", static_cast<std::int64_t>(s.tid));
-        w.endObject();
-    }
-
-    // Request spans (obs/trace.hh): duration events on the thread that
-    // ran the work, nested by time containment per tid; the explicit
-    // trace/span/parent ids in args keep the chain recoverable however
-    // the viewer folds rows.
-    for (const TraceSpan &s : requestSpans) {
+    // Host spans (obs/trace.hh): "X" complete events, ts/dur in
+    // microseconds (the Trace Event time unit), on the thread that ran
+    // the work, nested by time containment per tid; the explicit
+    // trace/span/parent ids in args keep a request's chain recoverable
+    // however the viewer folds rows.
+    for (const TraceSpan &s : spans) {
         w.beginObject();
         w.kv("name", s.name);
         w.kv("cat", "request");
@@ -118,17 +104,9 @@ writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
     os.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
-void
-writeChromeTrace(std::ostream &os, const std::vector<PhaseSpan> &spans,
-                 const std::vector<PulseTrack> &tracks)
-{
-    writeChromeTrace(os, spans, std::vector<TraceSpan>{}, tracks);
-}
-
 bool
 writeChromeTrace(const std::string &path,
-                 const std::vector<PhaseSpan> &spans,
-                 const std::vector<TraceSpan> &requestSpans,
+                 const std::vector<TraceSpan> &spans,
                  const std::vector<PulseTrack> &tracks)
 {
     std::ofstream out(path);
@@ -136,17 +114,8 @@ writeChromeTrace(const std::string &path,
         warn("cannot write trace to %s", path.c_str());
         return false;
     }
-    writeChromeTrace(out, spans, requestSpans, tracks);
+    writeChromeTrace(out, spans, tracks);
     return out.good();
-}
-
-bool
-writeChromeTrace(const std::string &path,
-                 const std::vector<PhaseSpan> &spans,
-                 const std::vector<PulseTrack> &tracks)
-{
-    return writeChromeTrace(path, spans, std::vector<TraceSpan>{},
-                            tracks);
 }
 
 std::string
@@ -162,8 +131,7 @@ writeTraceIfRequested(const std::vector<PulseTrack> &tracks)
     const std::string path = traceOutPath();
     if (path.empty())
         return false;
-    return writeChromeTrace(path, PhaseLog::global().snapshot(),
-                            TraceLog::global().snapshot(), tracks);
+    return writeChromeTrace(path, TraceLog::global().snapshot(), tracks);
 }
 
 } // namespace usfq::obs

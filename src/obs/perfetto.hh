@@ -5,9 +5,10 @@
  *
  * Two kinds of content share one trace file:
  *
- *  - host-side phase spans (build / elaborate / sta / run wall-clock
- *    durations from obs/phase.hh), rendered as "X" duration events on
- *    pid 1, one row per host thread;
+ *  - host-side spans from the one span log (obs/trace.hh): request
+ *    span chains and the "netlist/<phase>" wall-clock spans
+ *    obs/phase.hh adds while tracing is on, rendered as "X" duration
+ *    events on pid 1, one row per host thread;
  *  - optional sim-time pulse-activity tracks (one named track per
  *    traced component), rendered as instant events on pid 2 with the
  *    simulated femtosecond tick mapped to the trace's nanosecond axis.
@@ -25,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/phase.hh"
 #include "obs/trace.hh"
 #include "util/types.hh"
 
@@ -41,21 +41,15 @@ struct PulseTrack
 
 /**
  * Emit a complete Trace Event JSON document: @p spans as host duration
- * events, @p requestSpans as host duration events carrying their
- * trace/span/parent ids in "args" (one request = one span chain, real
+ * events carrying their trace/span/parent ids in "args" (one request =
+ * one span chain, netlist phases as root spans of their own; real
  * thread ids so worker activity reads per-row), @p tracks as sim-time
  * instant events.  Host threads named via obs::setCurrentThreadName
  * get thread_name metadata rows.  The document is built in one string
  * and written to @p os in one call.
  */
 void writeChromeTrace(std::ostream &os,
-                      const std::vector<PhaseSpan> &spans,
-                      const std::vector<TraceSpan> &requestSpans,
-                      const std::vector<PulseTrack> &tracks = {});
-
-/** Phase-spans-only convenience overload. */
-void writeChromeTrace(std::ostream &os,
-                      const std::vector<PhaseSpan> &spans,
+                      const std::vector<TraceSpan> &spans,
                       const std::vector<PulseTrack> &tracks = {});
 
 /**
@@ -63,21 +57,16 @@ void writeChromeTrace(std::ostream &os,
  * file cannot be opened.
  */
 bool writeChromeTrace(const std::string &path,
-                      const std::vector<PhaseSpan> &spans,
-                      const std::vector<TraceSpan> &requestSpans,
-                      const std::vector<PulseTrack> &tracks = {});
-
-bool writeChromeTrace(const std::string &path,
-                      const std::vector<PhaseSpan> &spans,
+                      const std::vector<TraceSpan> &spans,
                       const std::vector<PulseTrack> &tracks = {});
 
 /** Value of USFQ_TRACE_OUT, or empty when tracing is not requested. */
 std::string traceOutPath();
 
 /**
- * If USFQ_TRACE_OUT is set, write the global phase log and the global
- * request-trace log (plus @p tracks) there.  Returns true when a
- * trace was written.
+ * If USFQ_TRACE_OUT is set, write the global trace log (request span
+ * chains and netlist phase spans, plus @p tracks) there.  Returns true
+ * when a trace was written.
  */
 bool writeTraceIfRequested(const std::vector<PulseTrack> &tracks = {});
 

@@ -1,10 +1,30 @@
 #include "obs/phase.hh"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 
+#include "obs/trace.hh"
+
 namespace usfq::obs
 {
+
+namespace
+{
+
+constexpr std::array<const char *, 4> kPhaseNames = {"build", "elaborate",
+                                                     "sta", "run"};
+
+/** Per-phase running totals; relaxed -- each is read on its own. */
+struct PhaseTotal
+{
+    std::atomic<std::uint64_t> us{0};
+    std::atomic<std::uint64_t> runs{0};
+};
+
+std::array<PhaseTotal, kPhaseNames.size()> totals;
+
+} // namespace
 
 std::uint64_t
 wallClockUs()
@@ -27,55 +47,34 @@ threadId()
 }
 
 void
-PhaseLog::add(PhaseSpan span)
+recordPhase(Phase phase, std::uint64_t startUs, std::uint64_t durUs)
 {
-    std::lock_guard<std::mutex> g(lock);
-    spans.push_back(std::move(span));
-}
-
-std::vector<PhaseSpan>
-PhaseLog::snapshot() const
-{
-    std::lock_guard<std::mutex> g(lock);
-    return spans;
+    const auto i = static_cast<std::size_t>(phase);
+    totals[i].us.fetch_add(durUs, std::memory_order_relaxed);
+    totals[i].runs.fetch_add(1, std::memory_order_relaxed);
+    if (!tracingEnabled())
+        return;
+    // A root span of its own trace: the broker's request chains hold
+    // only their own steps, and a netlist phase has no request context.
+    TraceSpan span;
+    span.name = std::string("netlist/") + kPhaseNames[i];
+    span.traceId = newTraceId();
+    span.spanId = newSpanId();
+    span.startUs = startUs;
+    span.durUs = durUs;
+    span.tid = threadId();
+    TraceLog::global().add(std::move(span));
 }
 
 std::map<std::string, double>
-PhaseLog::totalsUs() const
+phaseTotalsUs()
 {
-    std::lock_guard<std::mutex> g(lock);
-    std::map<std::string, double> totals;
-    for (const PhaseSpan &s : spans)
-        totals[s.name] += static_cast<double>(s.durUs);
-    return totals;
-}
-
-void
-PhaseLog::clear()
-{
-    std::lock_guard<std::mutex> g(lock);
-    spans.clear();
-}
-
-PhaseLog &
-PhaseLog::global()
-{
-    static PhaseLog log;
-    return log;
-}
-
-void
-ScopedPhase::finish()
-{
-    if (done)
-        return;
-    done = true;
-    const std::uint64_t end = wallClockUs();
-    const std::uint64_t dur = end - startUs;
-    if (accum)
-        *accum += static_cast<double>(dur);
-    if (sink)
-        sink->add(PhaseSpan{phaseName, startUs, dur, threadId()});
+    std::map<std::string, double> out;
+    for (std::size_t i = 0; i < totals.size(); ++i)
+        if (totals[i].runs.load(std::memory_order_relaxed) > 0)
+            out[kPhaseNames[i]] = static_cast<double>(
+                totals[i].us.load(std::memory_order_relaxed));
+    return out;
 }
 
 } // namespace usfq::obs

@@ -1,14 +1,17 @@
 /**
  * @file
  * Host-side phase timing (docs/observability.md): scoped wall-clock
- * timers around the coarse phases of a simulation (build, elaborate,
- * sta, run) and a process-wide span log the Perfetto exporter turns
- * into a trace.
+ * timers around the coarse phases of a netlist (build, elaborate, sta,
+ * run).  A finished phase adds its duration to a process-wide total
+ * per phase -- fixed storage, so serving more requests grows nothing --
+ * and, only while request tracing is on, appends one root span named
+ * "netlist/<phase>" to the request trace log (obs/trace.hh), the one
+ * span log the Perfetto exporter reads.
  *
  * Wall-clock time is deliberately kept OUT of the stats registry: the
- * registry holds deterministic simulation facts, the phase log holds
- * nondeterministic host timing.  Bench artifacts report both, under
- * different keys.
+ * registry holds deterministic simulation facts, the phase totals and
+ * the trace log hold nondeterministic host timing.  Bench artifacts
+ * report both, under different keys.
  */
 
 #ifndef USFQ_OBS_PHASE_HH
@@ -16,21 +19,10 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace usfq::obs
 {
-
-/** One completed host-side span (times relative to process start). */
-struct PhaseSpan
-{
-    std::string name;
-    std::uint64_t startUs = 0; ///< wall-clock start, microseconds
-    std::uint64_t durUs = 0;   ///< wall-clock duration, microseconds
-    std::uint32_t tid = 0;     ///< dense per-thread id (0 = first seen)
-};
 
 /** Microseconds of wall clock since process start (steady clock). */
 std::uint64_t wallClockUs();
@@ -38,62 +30,47 @@ std::uint64_t wallClockUs();
 /** Dense id of the calling thread (assigned on first use). */
 std::uint32_t threadId();
 
-/**
- * Append-only, thread-safe log of completed spans.  One global
- * instance feeds the Perfetto exporter; tests may use private logs.
- */
-class PhaseLog
+/** The coarse netlist phases host time is totalled under. */
+enum class Phase
 {
-  public:
-    void add(PhaseSpan span);
-
-    /** Copy out every span recorded so far. */
-    std::vector<PhaseSpan> snapshot() const;
-
-    /** Total recorded duration per phase name, microseconds. */
-    std::map<std::string, double> totalsUs() const;
-
-    void clear();
-
-    /** The process-wide log. */
-    static PhaseLog &global();
-
-  private:
-    mutable std::mutex lock;
-    std::vector<PhaseSpan> spans;
+    Build,     ///< construction to the first elaborate()
+    Elaborate, ///< lint + port packing
+    Sta,       ///< runSta()
+    Run,       ///< Netlist::run()
 };
 
 /**
- * RAII phase timer: records a span into a PhaseLog (the global one by
- * default) when destroyed.  Cost is two steady_clock reads plus one
- * short critical section per phase -- nothing for the per-netlist
- * phases it wraps.  Optionally accumulates into a double (caller-owned
- * microsecond tally, e.g. Netlist's per-phase totals).
+ * Add one finished phase: @p durUs into the phase's process total and,
+ * when tracing is on, a root "netlist/<phase>" span starting at
+ * @p startUs into TraceLog::global().
+ */
+void recordPhase(Phase phase, std::uint64_t startUs, std::uint64_t durUs);
+
+/**
+ * Process-wide wall-clock total per phase name ("build", "elaborate",
+ * "sta", "run"), microseconds.  A phase appears exactly when it ran at
+ * least once.
+ */
+std::map<std::string, double> phaseTotalsUs();
+
+/**
+ * RAII phase timer: recordPhase() over its scope.  Costs two
+ * steady_clock reads and two relaxed atomic adds per phase when
+ * tracing is off.
  */
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(std::string name, double *accum_us = nullptr,
-                         PhaseLog *log = &PhaseLog::global())
-        : phaseName(std::move(name)), accum(accum_us), sink(log),
-          startUs(wallClockUs())
-    {
-    }
+    explicit ScopedPhase(Phase p) : phase(p), startUs(wallClockUs()) {}
 
-    ~ScopedPhase() { finish(); }
+    ~ScopedPhase() { recordPhase(phase, startUs, wallClockUs() - startUs); }
 
     ScopedPhase(const ScopedPhase &) = delete;
     ScopedPhase &operator=(const ScopedPhase &) = delete;
 
-    /** End the span early (idempotent). */
-    void finish();
-
   private:
-    std::string phaseName;
-    double *accum;
-    PhaseLog *sink;
+    Phase phase;
     std::uint64_t startUs;
-    bool done = false;
 };
 
 } // namespace usfq::obs

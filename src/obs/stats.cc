@@ -72,12 +72,9 @@ StatsRegistry::counter(const std::string &name, int node)
 }
 
 Gauge &
-StatsRegistry::gauge(const std::string &name, Gauge::Merge policy,
-                     int node)
+StatsRegistry::gauge(const std::string &name, int node)
 {
-    Gauge &g = fetch(name, Entry::Kind::Gauge, node).gauge;
-    g.policy = policy;
-    return g;
+    return fetch(name, Entry::Kind::Gauge, node).gauge;
 }
 
 Histogram &
@@ -174,26 +171,9 @@ StatsRegistry::mergeFrom(const StatsRegistry &other)
             counter(name, e.node) += e.counter.value();
             break;
           case Entry::Kind::Gauge: {
-            Gauge &g = gauge(name, e.gauge.mergePolicy(), e.node);
-            if (!e.gauge.valid())
-                break;
-            if (!g.valid()) {
-                g.set(e.gauge.value());
-                break;
-            }
-            switch (e.gauge.mergePolicy()) {
-              case Gauge::Merge::Sum:
-                g.set(g.value() + e.gauge.value());
-                break;
-              case Gauge::Merge::Max:
-                if (e.gauge.value() > g.value())
-                    g.set(e.gauge.value());
-                break;
-              case Gauge::Merge::Min:
-                if (e.gauge.value() < g.value())
-                    g.set(e.gauge.value());
-                break;
-            }
+            Gauge &g = gauge(name, e.node);
+            if (e.gauge.valid())
+                g.high(e.gauge.value());
             break;
           }
           case Entry::Kind::Histogram:

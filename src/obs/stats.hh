@@ -14,10 +14,11 @@
  *
  * Determinism contract: the registry holds only simulation facts
  * (pulse counts, event counts, occupancies) -- never wall-clock time,
- * which lives in obs/phase.hh.  mergeFrom() combines two registries
- * entry-by-entry in sorted name order; sweep shards each record into a
- * private registry that runSweep() merges back in shard order, so
- * merged stats are bit-identical at 1 and N threads.
+ * which lives in obs/phase.hh and obs/trace.hh.  mergeFrom() is
+ * order-free (counter adds, high-water gauges, bucket-wise histogram
+ * adds), so sweep shards' private registries and the broker's per-run
+ * registries fold into bit-identical totals at 1 and N threads, in
+ * whatever order the runs complete.
  */
 
 #ifndef USFQ_OBS_STATS_HH
@@ -57,18 +58,13 @@ class Counter
     std::uint64_t val = 0;
 };
 
-/** A sampled level (occupancy, rate, ratio) with a merge policy. */
+/**
+ * A high-water mark (peak occupancy, peak utilization): mergeFrom()
+ * keeps the larger value, so merges commute whatever the fold order.
+ */
 class Gauge
 {
   public:
-    /** How two shards' values combine in mergeFrom(). */
-    enum class Merge
-    {
-        Sum, ///< totals (default)
-        Max, ///< high-water marks
-        Min, ///< low-water marks
-    };
-
     void set(double v)
     {
         val = v;
@@ -82,13 +78,10 @@ class Gauge
     }
     double value() const { return val; }
     bool valid() const { return written; }
-    Merge mergePolicy() const { return policy; }
 
   private:
-    friend class StatsRegistry;
     double val = 0.0;
     bool written = false;
-    Merge policy = Merge::Sum;
 };
 
 /**
@@ -157,8 +150,7 @@ class StatsRegistry
      * different kind is a hard error, a different node id re-keys.
      */
     Counter &counter(const std::string &name, int node = -1);
-    Gauge &gauge(const std::string &name,
-                 Gauge::Merge policy = Gauge::Merge::Sum, int node = -1);
+    Gauge &gauge(const std::string &name, int node = -1);
     Histogram &histogram(const std::string &name, int node = -1);
 
     /** Lookup without creating (null when absent / wrong kind). */
@@ -185,11 +177,11 @@ class StatsRegistry
                               std::string_view leaf) const;
 
     /**
-     * Ordered, deterministic reduction: fold @p other into this
-     * registry entry-by-entry (counters add, gauges combine by their
-     * merge policy, histograms add bucket-wise).  Folding shard
-     * registries in shard order yields bit-identical totals at any
-     * thread count.
+     * Fold @p other into this registry entry-by-entry: counters add,
+     * gauges keep the larger value, histograms add bucket-wise (and
+     * keep the extreme min/max).  Every one of those commutes and
+     * associates, so folding any set of registries in any order gives
+     * the same values -- and the same statsToJson bytes.
      */
     void mergeFrom(const StatsRegistry &other);
 

@@ -5,9 +5,12 @@
  * read as a set of per-request span chains in the Perfetto exporter.
  *
  * Spans carry wall-clock time and therefore live OUTSIDE the stats
- * registry, exactly like obs/phase.hh: the registry stays a container
- * of deterministic simulation facts, the trace log holds the
- * nondeterministic host-side story.  The two never mix.
+ * registry: the registry stays a container of deterministic simulation
+ * facts, the trace log holds the nondeterministic host-side story.
+ * The two never mix.  This is the process's one span log: netlist
+ * phases (obs/phase.hh) append their "netlist/<phase>" root spans here
+ * too, and only while tracing is on, so an untraced process keeps no
+ * spans at all.
  *
  * Ids are process-monotonic: every trace (one request) and every span
  * (one step of a request) draws from its own atomic counter, so span

@@ -336,14 +336,9 @@ Netlist::elaborate()
 
     // Close the "build" phase: everything between construction and the
     // first elaborate() is netlist-building time.
-    {
-        const std::uint64_t now = obs::wallClockUs();
-        const std::uint64_t dur = now - buildStartUs;
-        phaseUs["build"] += static_cast<double>(dur);
-        obs::PhaseLog::global().add(obs::PhaseSpan{
-            "build", buildStartUs, dur, obs::threadId()});
-    }
-    obs::ScopedPhase timer("elaborate", &phaseUs["elaborate"]);
+    obs::recordPhase(obs::Phase::Build, buildStartUs,
+                     obs::wallClockUs() - buildStartUs);
+    obs::ScopedPhase timer(obs::Phase::Elaborate);
 
     elabReport.findings = ElabPasses::runLint(*this);
     if (const std::size_t errs = elabReport.errors(); errs > 0) {

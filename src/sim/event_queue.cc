@@ -325,9 +325,9 @@ EventQueue::exportStats(obs::StatsRegistry &reg,
         .set(stats->overflowPushes);
     reg.counter(prefix + "/rebases").set(stats->rebases);
     reg.counter(prefix + "/rebase_spills").set(stats->rebaseSpills);
-    reg.gauge(prefix + "/max_pending", obs::Gauge::Merge::Max)
+    reg.gauge(prefix + "/max_pending")
         .set(static_cast<double>(stats->maxPending));
-    reg.gauge(prefix + "/max_overflow", obs::Gauge::Merge::Max)
+    reg.gauge(prefix + "/max_overflow")
         .set(static_cast<double>(stats->maxOverflow));
     reg.histogram(prefix + "/schedule_to_fire_fs")
         .merge(stats->scheduleLatency);

@@ -135,7 +135,7 @@ class EventQueue
      * Write the deterministic kernel stats under "<prefix>/..." into
      * @p reg: executed/pending always, the KernelStats extras when
      * instrumentation is on.  Wall-clock numbers are excluded (they
-     * belong to the host-side phase log, not the registry).
+     * belong to the host-side phase totals, not the registry).
      */
     void exportStats(obs::StatsRegistry &reg,
                      const std::string &prefix) const;

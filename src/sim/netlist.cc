@@ -131,7 +131,7 @@ std::uint64_t
 Netlist::run(Tick until)
 {
     elaborate();
-    obs::ScopedPhase timer("run", &phaseUs["run"]);
+    obs::ScopedPhase timer(obs::Phase::Run);
     return eq.run(until);
 }
 

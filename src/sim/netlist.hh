@@ -183,23 +183,6 @@ class Netlist
      */
     void exportStats(obs::StatsRegistry &reg = obs::currentStats()) const;
 
-    /**
-     * Wall-clock microseconds this netlist spent per phase:
-     * "build" (construction to first elaborate()), "elaborate",
-     * "run", plus "sta" when runSta() analyzed it.  Host-side timing
-     * -- never part of the deterministic stats registry.
-     */
-    const std::map<std::string, double> &phaseTimes() const
-    {
-        return phaseUs;
-    }
-
-    /** Accumulate @p us of wall time under phase @p name. */
-    void recordPhase(const std::string &name, double us)
-    {
-        phaseUs[name] += us;
-    }
-
     // --- registration (called by Component) -----------------------------
 
     /** Register @p c in the hierarchy; returns its dense node id. */
@@ -242,8 +225,7 @@ class Netlist
     std::vector<std::unique_ptr<Component>> components;
     std::uint64_t switchEvents = 0;
 
-    std::map<std::string, double> phaseUs; ///< per-phase wall time
-    std::uint64_t buildStartUs;            ///< construction timestamp
+    std::uint64_t buildStartUs; ///< construction timestamp
 };
 
 } // namespace usfq

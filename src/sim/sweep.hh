@@ -17,9 +17,10 @@
  * The same contract covers observability: every shard runs under a
  * private obs::StatsRegistry (installed as the thread's current
  * registry for the duration of the shard function), and the private
- * registries are merged into the caller's current registry in shard
- * index order after the workers join.  Stats a sweep collects are
- * therefore bit-identical at any thread count too.
+ * registries are merged into the caller's current registry after the
+ * workers join.  The merge is order-free (obs::StatsRegistry::
+ * mergeFrom), so stats a sweep collects are bit-identical at any
+ * thread count too.
  */
 
 #ifndef USFQ_SIM_SWEEP_HH
@@ -216,8 +217,9 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
         obs::ScopedStatsRegistry guard(shardStats[i]);
         slots[i].emplace(fn(ctx));
     });
-    // Ordered deterministic reduction: merge in shard index order so
-    // the combined registry is independent of worker scheduling.
+    // Fold the shard registries (mergeFrom is order-free).  They stay
+    // per shard, not per worker: exportStats() overwrites counters, so
+    // two shards exporting into one registry would lose counts.
     for (obs::StatsRegistry &reg : shardStats)
         parent.mergeFrom(reg);
     std::vector<Result> results;

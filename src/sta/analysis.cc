@@ -528,8 +528,7 @@ runSta(Netlist &nl, const StaOptions &opts)
     if (!nl.elaborated())
         nl.elaborate();
 
-    double staUs = 0.0;
-    obs::ScopedPhase timer("sta", &staUs);
+    obs::ScopedPhase timer(obs::Phase::Sta);
     StaGraph g = sta_detail::buildStaGraph(nl, opts);
     Propagated p = propagate(g);
 
@@ -569,8 +568,6 @@ runSta(Netlist &nl, const StaOptions &opts)
         if (f >= kSinglePulse)
             f = 0;
 
-    timer.finish();
-    nl.recordPhase("sta", staUs);
     std::size_t waived = 0;
     for (const LintFinding &f : report.findings)
         if (f.waived)

@@ -127,12 +127,8 @@ Broker::stats() const
 obs::StatsRegistry
 Broker::mergedStats() const
 {
-    std::lock_guard<std::mutex> lock(mu);
-    obs::StatsRegistry merged;
-    // std::map iteration is ascending id order: deterministic fold.
-    for (const auto &[id, reg] : requestStats)
-        merged.mergeFrom(reg);
-    return merged;
+    std::lock_guard<std::mutex> lock(statsMu);
+    return runStats;
 }
 
 void
@@ -270,8 +266,8 @@ Broker::process(std::uint64_t id, const Request &request,
         cache.insert(key, response.json);
     }
     {
-        std::lock_guard<std::mutex> lock(mu);
-        requestStats[id] = std::move(result.stats);
+        std::lock_guard<std::mutex> lock(statsMu);
+        runStats.mergeFrom(result.stats);
     }
     return response;
 }

@@ -11,9 +11,10 @@
  * Each derivation and each run uses its own api::Session, so
  * lint/STA/run failures come back as a Status in the Response -- a
  * poisoned request can never take the broker (or the host) down.
- * Each run's deterministic stats registry is retained per request id;
- * mergedStats() folds them in ascending id order, so the roll-up is
- * independent of worker scheduling.
+ * Each run's deterministic stats registry is folded into one broker
+ * registry as the run completes; the fold commutes
+ * (StatsRegistry::mergeFrom), so the roll-up is independent of worker
+ * scheduling and nothing is kept per request.
  *
  * When tracing is on (obs/trace.hh), every admitted request opens a
  * trace at submit() and its context crosses the queue to the worker
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -184,10 +184,9 @@ class Broker
     std::size_t factsSize() const { return factsTable.size(); }
 
     /**
-     * Fold the per-request stats registries of every completed request
-     * into one, in ascending request-id order -- deterministic however
-     * the workers interleaved.  Cache hits contribute no registry (the
-     * run they reused already did).
+     * Copy of the stats of every completed run, folded as each
+     * finished -- the same values in any completion order.  Cache hits
+     * contribute nothing (the run they reused already did).
      */
     obs::StatsRegistry mergedStats() const;
 
@@ -224,7 +223,10 @@ class Broker
     std::size_t inFlight = 0;
     bool stopping = false;
     BrokerStats counters;
-    std::map<std::uint64_t, obs::StatsRegistry> requestStats;
+
+    /** Folded run stats; its own lock, so the queue never waits on it. */
+    mutable std::mutex statsMu;
+    obs::StatsRegistry runStats;
 
     std::vector<std::thread> workers;
 };

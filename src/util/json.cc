@@ -3,7 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -236,26 +239,61 @@ JsonValue::find(const std::string &k) const
     return it == object.end() ? nullptr : &it->second;
 }
 
-double
-JsonValue::numberOr(const std::string &k, double dflt) const
-{
-    const JsonValue *v = find(k);
-    return v != nullptr && v->type == Type::Number ? v->number : dflt;
-}
-
+template <typename T>
 bool
-JsonValue::boolOr(const std::string &k, bool dflt) const
+JsonValue::member(const std::string &k, T &out, std::string *err) const
 {
     const JsonValue *v = find(k);
-    return v != nullptr && v->type == Type::Bool ? v->boolean : dflt;
+    if (v == nullptr)
+        return true;
+    const char *want = "";
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (v->type == Type::String) {
+            out = v->str;
+            return true;
+        }
+        want = "a string";
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (v->type == Type::Bool) {
+            out = v->boolean;
+            return true;
+        }
+        want = "true or false";
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (v->type == Type::Number) {
+            out = v->number;
+            return true;
+        }
+        want = "a number";
+    } else {
+        static_assert(std::is_same_v<T, int> ||
+                      std::is_same_v<T, std::uint64_t>);
+        // [min, 2^digits) bounds T exactly in doubles; NaN fails both.
+        const double x = v->number;
+        if (v->type == Type::Number && std::trunc(x) == x &&
+            x >= static_cast<double>(std::numeric_limits<T>::min()) &&
+            x < std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+            out = static_cast<T>(x);
+            return true;
+        }
+        want = std::is_signed_v<T> ? "a 32-bit integer"
+                                   : "an unsigned 64-bit integer";
+    }
+    if (err != nullptr)
+        *err = "'" + k + "' must be " + want;
+    return false;
 }
 
-std::string
-JsonValue::stringOr(const std::string &k, const std::string &dflt) const
-{
-    const JsonValue *v = find(k);
-    return v != nullptr && v->type == Type::String ? v->str : dflt;
-}
+template bool JsonValue::member(const std::string &, std::string &,
+                                std::string *) const;
+template bool JsonValue::member(const std::string &, bool &,
+                                std::string *) const;
+template bool JsonValue::member(const std::string &, double &,
+                                std::string *) const;
+template bool JsonValue::member(const std::string &, int &,
+                                std::string *) const;
+template bool JsonValue::member(const std::string &, std::uint64_t &,
+                                std::string *) const;
 
 namespace
 {

@@ -115,12 +115,15 @@ struct JsonValue
     /** Object member lookup; null if absent or not an object. */
     const JsonValue *find(const std::string &k) const;
 
-    /** Member @p k when it is a number, else @p dflt (absent or of
-     *  another type alike); boolOr and stringOr likewise. */
-    double numberOr(const std::string &k, double dflt) const;
-    bool boolOr(const std::string &k, bool dflt) const;
-    std::string stringOr(const std::string &k,
-                         const std::string &dflt) const;
+    /**
+     * Read member @p k into @p out; an absent member leaves @p out as
+     * it is.  A present one must have @p out's type -- a string, true
+     * or false, a number, or for int and std::uint64_t an integral
+     * number that fits -- else this returns false with "'<k>' must be
+     * ..." in @p err and @p out untouched.
+     */
+    template <typename T>
+    bool member(const std::string &k, T &out, std::string *err) const;
 };
 
 /**

@@ -1,10 +1,12 @@
 /**
  * @file
- * Allocation-failure armor of the broker (ctest label `svc`).
+ * Allocation-failure armor and heap retention of the broker (ctest
+ * label `svc`).
  *
  * This binary replaces the global operator new so a test can make an
  * allocation throw std::bad_alloc: the next one on its own thread, or
- * the next one of at least a given size on any thread.
+ * the next one of at least a given size on any thread.  The
+ * replacement also counts the bytes live on the heap.
  *  - A thread's first usfq_broker_run call allocates its per-thread
  *    error slot before anything else; when that allocation fails the
  *    call must return USFQ_ERR_INTERNAL, not let the exception cross
@@ -12,16 +14,22 @@
  *  - A broker worker that cannot allocate a result's JSON document
  *    must fail that request with USFQ_ERR_INTERNAL and keep serving,
  *    not let the exception end the process.
+ *  - A warm broker retains nothing per request: serving hundreds more
+ *    requests leaves the live heap where it was.
  * The replacement allocator applies to the whole program, hence the
  * separate binary.
  */
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 
 #include "api/usfq.h"
 #include "obs/trace.hh"
@@ -36,6 +44,17 @@ thread_local bool failNextAllocation = false;
 /** When nonzero, the next operator new of at least this many bytes,
  *  on any thread, throws (and resets it to zero). */
 std::atomic<std::size_t> failAllocationOfAtLeast{0};
+
+/** Bytes held by live operator new allocations (usable sizes). */
+std::atomic<std::int64_t> liveBytes{0};
+
+void
+countLive(void *p, int sign)
+{
+    liveBytes.fetch_add(
+        sign * static_cast<std::int64_t>(malloc_usable_size(p)),
+        std::memory_order_relaxed);
+}
 
 /** Whether an armed failure claims an allocation of @p size bytes. */
 bool
@@ -57,8 +76,10 @@ operator new(std::size_t size)
 {
     if (claimFailure(size))
         throw std::bad_alloc();
-    if (void *p = std::malloc(size == 0 ? 1 : size))
+    if (void *p = std::malloc(size == 0 ? 1 : size)) {
+        countLive(p, 1);
         return p;
+    }
     throw std::bad_alloc();
 }
 
@@ -67,13 +88,15 @@ operator new(std::size_t size)
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
+    if (p != nullptr)
+        countLive(p, -1);
     std::free(p);
 }
 
 [[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    operator delete(p);
 }
 
 namespace
@@ -158,6 +181,45 @@ TEST(SvcBrokerAbiAlloc, SerializeAllocationFailureIsInternal)
     ASSERT_NE(series->find("counts"), nullptr);
     EXPECT_EQ(series->find("counts")->array.size(), kEpochs);
     usfq_string_free(out);
+    usfq_broker_destroy(broker);
+}
+
+TEST(SvcBrokerAbiAlloc, WarmBrokerRetainsNothingPerRequest)
+{
+    usfq_broker *broker = nullptr;
+    ASSERT_EQ(usfq_broker_create(2, 4, 4, &broker), USFQ_OK);
+    const char *spec = "{\"kind\": \"dpu\", \"taps\": 4, \"bits\": 4}";
+    // Every request misses the cache (a new seed each time), runs,
+    // inserts and evicts; the two engines alternate.
+    std::atomic<std::uint64_t> nextSeed{1};
+    auto serve = [&](int requests) {
+        for (int i = 0; i < requests; ++i) {
+            const std::uint64_t seed = nextSeed.fetch_add(1);
+            const std::string params =
+                std::string("{\"epochs\": 8, \"backend\": \"") +
+                (i % 2 == 0 ? "functional" : "pulse") +
+                "\", \"seed\": " + std::to_string(seed) + "}";
+            char *out = nullptr;
+            int32_t hit = -1;
+            ASSERT_EQ(usfq_broker_run(broker, spec, params.c_str(),
+                                      nullptr, &hit, &out),
+                      USFQ_OK)
+                << usfq_broker_last_error(broker);
+            EXPECT_EQ(hit, 0);
+            usfq_string_free(out);
+        }
+    };
+    // Warm up from two client threads at once, in step, so both
+    // workers run both engines and fill their per-thread pools (the
+    // event kernel keeps drained ring buffers per thread) before the
+    // measurement.
+    std::thread other([&] { serve(50); });
+    serve(50);
+    other.join();
+    const std::int64_t warm = liveBytes.load();
+    serve(400);
+    const std::int64_t grown = liveBytes.load() - warm;
+    EXPECT_LT(grown, 16 * 1024) << "bytes retained over 400 requests";
     usfq_broker_destroy(broker);
 }
 

@@ -468,6 +468,30 @@ const StatusRow kStatusRows[] = {
      "run: unknown backend 'quantum'"},
     {false, R"({"seed": "banana"})", USFQ_ERR_PARSE,
      "run: seed string 'banana' is not a number"},
+    // A present member of another JSON type, or an integer member that
+    // is not integral or does not fit its C++ type, does not parse.
+    {true, R"({"kind": "dpu", "taps": "4"})", USFQ_ERR_PARSE,
+     "spec: 'taps' must be a 32-bit integer"},
+    {true, R"({"kind": 5})", USFQ_ERR_PARSE,
+     "spec: 'kind' must be a string"},
+    {true, R"({"taps": 4.7})", USFQ_ERR_PARSE,
+     "spec: 'taps' must be a 32-bit integer"},
+    {true, R"({"kind": "dpu", "taps": 1e300})", USFQ_ERR_PARSE,
+     "spec: 'taps' must be a 32-bit integer"},
+    {true, R"({"waive_unwired": "no"})", USFQ_ERR_PARSE,
+     "spec: 'waive_unwired' must be true or false"},
+    {true, R"({"kind": "gen", "gen": {"lanes": "8"}})", USFQ_ERR_PARSE,
+     "gen: 'lanes' must be a 32-bit integer"},
+    {true, R"({"kind": "gen", "gen": {"shape_seed": 1e30}})",
+     USFQ_ERR_PARSE, "gen: 'shape_seed' must be an unsigned 64-bit integer"},
+    {false, R"({"epochs": "3"})", USFQ_ERR_PARSE,
+     "run: 'epochs' must be a 32-bit integer"},
+    {false, R"({"epochs": 2.9})", USFQ_ERR_PARSE,
+     "run: 'epochs' must be a 32-bit integer"},
+    {false, R"({"backend": 7})", USFQ_ERR_PARSE,
+     "run: 'backend' must be a string"},
+    {false, R"({"seed": -1})", USFQ_ERR_PARSE,
+     "run: 'seed' must be an unsigned 64-bit integer"},
 };
 
 TEST(ApiAbi, StatusContractHoldsOnEveryEntryPoint)

@@ -28,6 +28,7 @@
 #include "noc/grid.hh"
 #include "noc/plan.hh"
 #include "obs/phase.hh"
+#include "obs/trace.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
@@ -433,9 +434,9 @@ TEST(Integration, ResetRestoresIdenticalBehaviour)
 TEST(Integration, PulseRigEpochsLogNoPhaseSpans)
 {
     // The rigs elaborate in their constructors and run each epoch on
-    // their event queue directly: a broker serving pulse audits must
-    // not grow the process-global phase log (or take its mutex) once
-    // per epoch.
+    // their event queue directly: a broker serving traced pulse audits
+    // must not grow the process-global span log (or take its mutex)
+    // once per epoch, nor add a "run" phase.
     gen::DesignSpec spec;
     spec.lanes = 4;
     spec.bits = 4;
@@ -454,23 +455,24 @@ TEST(Integration, PulseRigEpochsLogNoPhaseSpans)
     noc::PulseFabricRig nocRig(noc::planGrid(gs));
 
     constexpr std::uint64_t kEpochs = 50;
-    const obs::PhaseLog &log = obs::PhaseLog::global();
-    const std::size_t before = log.snapshot().size();
+    obs::setTracingEnabled(true);
+    const obs::TraceLog &log = obs::TraceLog::global();
+    const std::size_t before = log.size();
+    const double runUs = obs::phaseTotalsUs()["run"];
     long long pulses = 0;
     for (std::uint64_t e = 0; e < kEpochs; ++e)
         pulses += genRig.run(
             gen::drawEpochInputs(spec, shardSeed(0x5e11ULL, e)));
     EXPECT_GT(pulses, 0);
-    EXPECT_EQ(log.snapshot().size(), before);
+    EXPECT_EQ(log.size(), before);
 
     std::uint64_t delivered = 0;
     for (std::uint64_t e = 0; e < kEpochs; ++e)
         delivered += nocRig.run(shardSeed(0xfab1ULL, e)).obs.delivered;
     EXPECT_GT(delivered, 0u);
-    EXPECT_EQ(log.snapshot().size(), before);
-
-    EXPECT_EQ(genRig.netlist().phaseTimes().count("run"), 0u);
-    EXPECT_EQ(nocRig.netlist().phaseTimes().count("run"), 0u);
+    EXPECT_EQ(log.size(), before);
+    obs::setTracingEnabled(false);
+    EXPECT_EQ(obs::phaseTotalsUs()["run"], runUs);
 }
 
 TEST(Integration, SimulationIsDeterministic)

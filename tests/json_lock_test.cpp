@@ -6,12 +6,13 @@
  *  - specToJson and runParamsToJson for every usfq_serve template;
  *  - findingsToJson and staReportToJson over the golden netlists and
  *    the STA corner fixtures;
- *  - writeStatsJson of a registry holding counters, non-integral Sum
- *    and Max gauges and histograms;
+ *  - writeStatsJson of a registry holding counters, non-integral
+ *    gauges and histograms;
  *  - an ArtifactPayload whose metrics and series hold the number
  *    formatter's boundary values (-0.0, 1e17, 2^53 + 2, subnormals,
  *    DBL_MAX, NaN, +-inf), through both toJson and writeJson;
- *  - writeChromeTrace (indent 1) of a fixed span list;
+ *  - writeChromeTrace (indent 1) of fixed request spans and pulse
+ *    tracks;
  *  - the usfq_engine_metrics and usfq_broker_metrics documents.
  *
  * A formatting differential checks the writer's number and string
@@ -391,8 +392,8 @@ sampleRegistry()
     reg.gauge("top/neg_zero").set(-0.0);
     reg.gauge("top/big").set(1e17);
     reg.gauge("top/integral").set(4096.0);
-    reg.gauge("top/hw", obs::Gauge::Merge::Max).high(2.5e-7);
-    reg.gauge("top/hw_int", obs::Gauge::Merge::Max).high(7.0);
+    reg.gauge("top/hw").high(2.5e-7);
+    reg.gauge("top/hw_int").high(7.0);
     reg.gauge("top/unset");
     obs::Histogram &h = reg.histogram("top/latency");
     for (const std::int64_t s :
@@ -501,10 +502,6 @@ TEST(JsonLock, ChromeTrace)
     // ctest runs each test in its own process, where nothing has named
     // a thread yet.
     ASSERT_TRUE(obs::threadNames().empty());
-    std::vector<obs::PhaseSpan> spans = {
-        {"build", 10, 5, 0},
-        {"elaborate", 15, 0, 1},
-        {"run \"x\"", std::numeric_limits<std::uint64_t>::max(), 7, 3}};
     std::vector<obs::TraceSpan> requests(3);
     requests[0].name = "request";
     requests[0].traceId = 1;
@@ -527,13 +524,10 @@ TEST(JsonLock, ChromeTrace)
         {"q\n", {42}}};
 
     Digest d;
-    std::ostringstream full;
-    obs::writeChromeTrace(full, spans, requests, tracks);
-    d.str(full.str());
-    std::ostringstream phasesOnly;
-    obs::writeChromeTrace(phasesOnly, spans);
-    d.str(phasesOnly.str());
-    expectDigest(d, 0xf0d1a4c3b0ce109cULL, "chrome trace");
+    std::ostringstream os;
+    obs::writeChromeTrace(os, requests, tracks);
+    d.str(os.str());
+    expectDigest(d, 0xb5d6444b5f8f41a6ULL, "chrome trace");
 }
 
 // --- metrics C ABI ----------------------------------------------------------

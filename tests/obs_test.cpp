@@ -1,13 +1,15 @@
 /**
  * @file
  * Observability layer tests (docs/observability.md): stats registry
- * arithmetic and rollups, histogram bucket edges, sweep-merge
- * determinism, kernel instrumentation toggling, phase timing, the
- * Perfetto exporter (validated by parsing its output back), the JSON
- * writer/parser, PulseTrace's binary-search queries and ring cap, and
- * the log counters.
+ * arithmetic and rollups, histogram bucket edges, order-free merges,
+ * sweep-merge determinism, kernel instrumentation toggling, phase
+ * timing, the Perfetto exporter (validated by parsing its output
+ * back), the JSON writer/parser, PulseTrace's binary-search queries
+ * and ring cap, and the log counters.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -15,9 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/artifact.hh"
 #include "obs/perfetto.hh"
 #include "obs/phase.hh"
 #include "obs/stats.hh"
+#include "obs/trace.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
 #include "sim/netlist.hh"
@@ -116,8 +120,8 @@ TEST(StatsRegistry, CounterGaugeHistogramRoundTrip)
     EXPECT_EQ(reg.nodeOf("a/count"), 7);
     EXPECT_EQ(reg.nodeOf("missing"), -1);
 
-    reg.gauge("a/depth", obs::Gauge::Merge::Max).high(3.0);
-    reg.gauge("a/depth", obs::Gauge::Merge::Max).high(2.0);
+    reg.gauge("a/depth").high(3.0);
+    reg.gauge("a/depth").high(2.0);
     EXPECT_DOUBLE_EQ(reg.findGauge("a/depth")->value(), 3.0);
 
     reg.histogram("a/lat").record(12);
@@ -151,23 +155,61 @@ TEST(StatsRegistry, MergeFollowsPolicies)
     obs::StatsRegistry a, b;
     a.counter("n").set(2);
     b.counter("n").set(3);
-    a.gauge("sum").set(1.0);
-    b.gauge("sum").set(2.0);
-    a.gauge("hi", obs::Gauge::Merge::Max).set(5.0);
-    b.gauge("hi", obs::Gauge::Merge::Max).set(9.0);
-    a.gauge("lo", obs::Gauge::Merge::Min).set(5.0);
-    b.gauge("lo", obs::Gauge::Merge::Min).set(2.0);
+    a.gauge("hi").set(5.0);
+    b.gauge("hi").set(9.0);
     b.gauge("only_b").set(4.0);
     a.histogram("h").record(1);
     b.histogram("h").record(2);
 
     a.mergeFrom(b);
     EXPECT_EQ(a.findCounter("n")->value(), 5u);
-    EXPECT_DOUBLE_EQ(a.findGauge("sum")->value(), 3.0);
     EXPECT_DOUBLE_EQ(a.findGauge("hi")->value(), 9.0);
-    EXPECT_DOUBLE_EQ(a.findGauge("lo")->value(), 2.0);
     EXPECT_DOUBLE_EQ(a.findGauge("only_b")->value(), 4.0);
     EXPECT_EQ(a.findHistogram("h")->count(), 2u);
+}
+
+TEST(StatsRegistry, MergeIsOrderFree)
+{
+    // Five registries folded in all 120 orders give one document.  The
+    // gauges are values whose floating-point sum depends on the order
+    // it is taken in; a high-water merge does not.
+    const std::array<double, 5> levels = {0.1, 0.2, 0.3, 1.0 / 3.0,
+                                          1e-7};
+    std::array<obs::StatsRegistry, 5> regs;
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+        obs::StatsRegistry &r = regs[i];
+        r.counter("top/pulses").set(1000 + 17 * i);
+        r.counter("top/member_" + std::to_string(i)).set(i + 1);
+        r.gauge("top/utilization").set(levels[i]);
+        for (std::int64_t s = 0; s < 5; ++s)
+            r.histogram("top/latency_fs")
+                .record(static_cast<std::int64_t>(i) * 1000 + s * s);
+        r.histogram("top/depth").record(static_cast<std::int64_t>(i));
+    }
+
+    std::array<std::size_t, 5> order = {0, 1, 2, 3, 4};
+    std::string first;
+    int orders = 0;
+    do {
+        obs::StatsRegistry merged;
+        for (std::size_t i : order)
+            merged.mergeFrom(regs[i]);
+        const std::string doc = obs::statsToJson(merged);
+        if (orders++ == 0)
+            first = doc;
+        ASSERT_EQ(doc, first) << "order " << orders;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(orders, 120);
+
+    obs::StatsRegistry merged;
+    for (const obs::StatsRegistry &r : regs)
+        merged.mergeFrom(r);
+    EXPECT_EQ(merged.findCounter("top/pulses")->value(), 5170u);
+    EXPECT_EQ(merged.findCounter("top/member_3")->value(), 4u);
+    EXPECT_EQ(merged.findGauge("top/utilization")->value(), 1.0 / 3.0);
+    EXPECT_EQ(merged.findHistogram("top/latency_fs")->count(), 25u);
+    EXPECT_EQ(merged.findHistogram("top/latency_fs")->min(), 0);
+    EXPECT_EQ(merged.findHistogram("top/latency_fs")->max(), 4016);
 }
 
 TEST(StatsRegistry, ScopedRegistryOverridesCurrent)
@@ -234,6 +276,11 @@ TEST(NetlistStats, RegistryRollupMatchesReport)
 
 TEST(NetlistStats, PhaseTimesCoverBuildElaborateRun)
 {
+    // With tracing on, each phase of a netlist lands in the one span
+    // log as a root span of its own, named "netlist/<phase>"; the
+    // process totals gain exactly the phases that ran.
+    obs::setTracingEnabled(true);
+    obs::TraceLog::global().clear();
     Netlist nl("pnl");
     auto &src = nl.create<PulseSource>("src");
     auto &j = nl.create<Jtl>("j");
@@ -242,13 +289,31 @@ TEST(NetlistStats, PhaseTimesCoverBuildElaborateRun)
     j.out.connect(out.input());
     src.pulseAt(50);
     nl.run();
-    const auto &phases = nl.phaseTimes();
-    EXPECT_TRUE(phases.count("build"));
-    EXPECT_TRUE(phases.count("elaborate"));
-    EXPECT_TRUE(phases.count("run"));
-    nl.recordPhase("custom", 3.0);
-    nl.recordPhase("custom", 4.0);
-    EXPECT_DOUBLE_EQ(nl.phaseTimes().at("custom"), 7.0);
+    obs::setTracingEnabled(false);
+
+    std::vector<std::string> names;
+    for (const obs::TraceSpan &s : obs::TraceLog::global().snapshot()) {
+        EXPECT_EQ(s.parentSpanId, 0u) << s.name;
+        EXPECT_NE(s.traceId, 0u) << s.name;
+        names.push_back(s.name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "netlist/build", "netlist/elaborate",
+                         "netlist/run"}));
+    obs::TraceLog::global().clear();
+
+    const auto totals = obs::phaseTotalsUs();
+    EXPECT_TRUE(totals.count("build"));
+    EXPECT_TRUE(totals.count("elaborate"));
+    EXPECT_TRUE(totals.count("run"));
+    for (const auto &[name, us] : totals)
+        EXPECT_TRUE(name == "build" || name == "elaborate" ||
+                    name == "sta" || name == "run")
+            << name;
+
+    // Untraced, a phase adds to its total and logs nothing.
+    nl.run();
+    EXPECT_EQ(obs::TraceLog::global().size(), 0u);
 }
 
 // --- kernel instrumentation toggle -----------------------------------------
@@ -334,7 +399,7 @@ TEST(SweepStats, MergedRegistryIsThreadCountInvariant)
                 obs::StatsRegistry &cur = obs::currentStats();
                 cur.counter("sweep/shards") += 1;
                 cur.counter("sweep/seed_mod") += ctx.seed % 97;
-                cur.gauge("sweep/max_seed_mod", obs::Gauge::Merge::Max)
+                cur.gauge("sweep/max_seed_mod")
                     .high(static_cast<double>(ctx.seed % 1001));
                 cur.histogram("sweep/lat").record(
                     static_cast<std::int64_t>(ctx.seed % 4096));
@@ -415,33 +480,43 @@ TEST(SweepStats, NetlistStatsMergeAcrossShards)
               4u * static_cast<std::uint64_t>(cell::kJtlJJs));
 }
 
-// --- phase log + Perfetto export -------------------------------------------
+// --- phase timing + Perfetto export ---------------------------------------
 
-TEST(PhaseLog, ScopedPhaseRecordsSpansAndAccumulates)
+TEST(ScopedPhase, RecordsSpansAndAccumulates)
 {
-    obs::PhaseLog log;
-    double accum = 0.0;
+    obs::setTracingEnabled(true);
+    obs::TraceLog::global().clear();
+    const double before = obs::phaseTotalsUs()["sta"];
+    obs::recordPhase(obs::Phase::Sta, 7, 1000);
     {
-        obs::ScopedPhase p("phase_a", &accum, &log);
+        obs::ScopedPhase p(obs::Phase::Sta);
     }
-    {
-        obs::ScopedPhase p("phase_a", &accum, &log);
-        p.finish();
-        p.finish(); // idempotent
-    }
-    const auto spans = log.snapshot();
+    obs::setTracingEnabled(false);
+    const auto spans = obs::TraceLog::global().snapshot();
+    obs::TraceLog::global().clear();
     ASSERT_EQ(spans.size(), 2u);
-    EXPECT_EQ(spans[0].name, "phase_a");
-    const auto totals = log.totalsUs();
-    EXPECT_DOUBLE_EQ(totals.at("phase_a"), accum);
+    EXPECT_EQ(spans[0].name, "netlist/sta");
+    EXPECT_EQ(spans[0].startUs, 7u);
+    EXPECT_EQ(spans[0].durUs, 1000u);
+    EXPECT_EQ(spans[1].name, "netlist/sta");
+    EXPECT_NE(spans[0].traceId, spans[1].traceId);
+    EXPECT_DOUBLE_EQ(obs::phaseTotalsUs().at("sta"),
+                     before + 1000.0 + static_cast<double>(spans[1].durUs));
 }
 
 TEST(Perfetto, TraceParsesBackAndCarriesEvents)
 {
-    std::vector<obs::PhaseSpan> spans{
-        {"elaborate", 100, 50, 0},
-        {"run", 150, 2000, 0},
-    };
+    std::vector<obs::TraceSpan> spans(2);
+    spans[0].name = "netlist/elaborate";
+    spans[0].traceId = 1;
+    spans[0].spanId = 1;
+    spans[0].startUs = 100;
+    spans[0].durUs = 50;
+    spans[1].name = "run";
+    spans[1].traceId = 2;
+    spans[1].spanId = 2;
+    spans[1].startUs = 150;
+    spans[1].durUs = 2000;
     std::vector<obs::PulseTrack> tracks{
         {"fir.out", {1000000, 2000000, 3500000}},
     };

@@ -25,6 +25,7 @@
 #include "api/facade.hh"
 #include "api/spec.hh"
 #include "api/usfq.h"
+#include "obs/artifact.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
 #include "sim/netlist.hh"
@@ -395,15 +396,41 @@ TEST(SvcBroker, BadRequestsFailWithoutPoisoningTheBroker)
     EXPECT_EQ(broker.stats().failed, 1u);
 }
 
+api::NetlistSpec
+nocSpec(int rows = 3, int cols = 3)
+{
+    api::NetlistSpec spec;
+    spec.kind = api::WorkloadKind::NocMesh;
+    spec.name = "mesh";
+    spec.gridRows = rows;
+    spec.gridCols = cols;
+    spec.taps = 2;
+    spec.bits = 4;
+    return spec;
+}
+
 TEST(SvcBroker, MergedStatsAreSchedulingIndependent)
 {
-    // Distinct requests (no cache hits), run through brokers with
-    // different worker counts: the id-ordered fold must be identical.
+    // Distinct requests (no cache hits) -- functional DPUs, pulse
+    // audits, NoC meshes on both engines, whose fabric utilization is
+    // a high-water gauge -- run through brokers with different worker
+    // counts.  The broker folds each run as it completes, so the fold
+    // order is the completion order; the documents must still be
+    // identical, and equal to a request-order fold of direct runs.
     std::vector<svc::Request> requests;
     for (int taps = 2; taps <= 9; ++taps)
         requests.push_back(svc::Request{dpuSpec(taps),
                                         functionalParams(6),
                                         svc::RequestIntent::Default});
+    for (int taps = 2; taps <= 4; ++taps)
+        requests.push_back(svc::Request{dpuSpec(taps), functionalParams(3),
+                                        svc::RequestIntent::Audit});
+    requests.push_back(svc::Request{nocSpec(2, 2), functionalParams(3),
+                                    svc::RequestIntent::Audit});
+    requests.push_back(svc::Request{nocSpec(2, 2), functionalParams(12),
+                                    svc::RequestIntent::Default});
+    requests.push_back(svc::Request{nocSpec(3, 3), functionalParams(8),
+                                    svc::RequestIntent::Throughput});
 
     const auto runThrough = [&requests](int workerCount) {
         svc::BrokerOptions opts;
@@ -420,25 +447,20 @@ TEST(SvcBroker, MergedStatsAreSchedulingIndependent)
         broker.drain();
         for (auto &f : futures)
             EXPECT_EQ(f.get().status, api::Status::Ok);
-        std::ostringstream os;
-        broker.mergedStats().print(os);
-        return os.str();
+        return obs::statsToJson(broker.mergedStats());
     };
 
-    EXPECT_EQ(runThrough(1), runThrough(4));
-}
+    obs::StatsRegistry direct;
+    for (const svc::Request &r : requests) {
+        api::RunParams params = r.params;
+        params.backend = svc::Broker::resolveBackend(r);
+        direct.mergeFrom(api::runWorkload(r.spec, params).stats);
+    }
+    ASSERT_NE(direct.findGauge("noc/fabric/window_utilization"), nullptr);
 
-api::NetlistSpec
-nocSpec(int rows = 3, int cols = 3)
-{
-    api::NetlistSpec spec;
-    spec.kind = api::WorkloadKind::NocMesh;
-    spec.name = "mesh";
-    spec.gridRows = rows;
-    spec.gridCols = cols;
-    spec.taps = 2;
-    spec.bits = 4;
-    return spec;
+    const std::string one = runThrough(1);
+    EXPECT_EQ(one, runThrough(4));
+    EXPECT_EQ(one, obs::statsToJson(direct));
 }
 
 TEST(SvcBroker, NocRequestBackpressuresAndDrainsInOrder)

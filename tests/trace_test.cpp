@@ -256,7 +256,7 @@ TEST(Trace, ExportParsesBackAsTraceEventJson)
     }
 
     std::ostringstream os;
-    obs::writeChromeTrace(os, {}, log.snapshot());
+    obs::writeChromeTrace(os, log.snapshot());
 
     JsonValue doc;
     std::string error;
