@@ -27,7 +27,6 @@
 #include "noc/sta.hh"
 #include "sim/backend.hh"
 #include "sim/netlist.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 
 using namespace usfq;
@@ -88,24 +87,6 @@ runBackend(Backend backend, const bench::BenchArgs &args)
             }
         } else {
             obs = reference;
-            if (args.batch > 1) {
-                std::vector<std::uint64_t> seeds;
-                for (int b = 0; b < args.batch; ++b)
-                    seeds.push_back(kSeed +
-                                    static_cast<std::uint64_t>(b));
-                std::vector<noc::FabricObservation> lanes;
-                WordArena arena;
-                func::evaluateFabricBatch(plan, seeds, lanes, arena);
-                for (std::size_t b = 0; b < seeds.size(); ++b) {
-                    if (lanes[b] !=
-                        func::evaluateFabricSeed(plan, seeds[b])) {
-                        std::cerr << "FAIL: batched fabric lane " << b
-                                  << " diverges from the scalar "
-                                     "mirror\n";
-                        return 1;
-                    }
-                }
-            }
         }
 
         // Ledger conservation: every injected flit either arrives or
@@ -150,8 +131,6 @@ runBackend(Backend backend, const bench::BenchArgs &args)
     artifact.metric("grid_rows", lastRows);
     artifact.metric("grid_cols", lastCols);
     artifact.metric("tiles", lastRows * lastCols);
-    if (args.batch > 1)
-        artifact.metric("batch_width", args.batch, "lanes");
     artifact.note("traffic", "all-to-one hotspot (dot tiling), "
                              "shared sink window");
     // Fingerprint of everything both engines observed, identical on

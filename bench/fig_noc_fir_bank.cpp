@@ -26,7 +26,6 @@
 #include "noc/sta.hh"
 #include "sim/backend.hh"
 #include "sim/netlist.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 
 using namespace usfq;
@@ -121,27 +120,6 @@ runBackend(Backend backend, const bench::BenchArgs &args)
             // No netlist to run STA over: report the schedule-level
             // rate instead (one flit window per pitch, Tick = fs).
             routeRateGhz = 1e6 / static_cast<double>(plan.windowPitch);
-
-            // --batch N: the batched fabric evaluation must match the
-            // scalar mirror on every lane.
-            if (args.batch > 1) {
-                std::vector<std::uint64_t> seeds;
-                for (int b = 0; b < args.batch; ++b)
-                    seeds.push_back(kSeed +
-                                    static_cast<std::uint64_t>(b));
-                std::vector<noc::FabricObservation> lanes;
-                WordArena arena;
-                func::evaluateFabricBatch(plan, seeds, lanes, arena);
-                for (std::size_t b = 0; b < seeds.size(); ++b) {
-                    if (lanes[b] !=
-                        func::evaluateFabricSeed(plan, seeds[b])) {
-                        std::cerr << "FAIL: batched fabric lane " << b
-                                  << " diverges from the scalar "
-                                     "mirror\n";
-                        return 1;
-                    }
-                }
-            }
         }
 
         // Collision-free contract of the per-column TDM schedule.
@@ -186,8 +164,6 @@ runBackend(Backend backend, const bench::BenchArgs &args)
     artifact.metric("grid_rows", lastRows);
     artifact.metric("grid_cols", lastCols);
     artifact.metric("tiles", lastRows * lastCols);
-    if (args.batch > 1)
-        artifact.metric("batch_width", args.batch, "lanes");
     artifact.note("traffic", "column-collect (FIR bank)");
     // Fingerprint of everything both engines observed, identical on
     // the pulse and functional legs (obs == reference is asserted

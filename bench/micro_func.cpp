@@ -42,7 +42,6 @@
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/args.hh"
-#include "util/span_kernels.hh"
 
 using namespace usfq;
 
@@ -370,19 +369,17 @@ measureBatchedSpeedup(int lanes, bench::Artifact &artifact)
         lanes;
     const double vs_func = func_ns / batch_ns;
     const double vs_pulse = pulse_ns / batch_ns;
-    std::printf("\nbatched head-to-head (DPU length 8, %d lanes, "
-                "kernel %s):\n  pulse-level %.0f ns/epoch, scalar "
-                "functional %.0f ns/epoch, batched %.1f ns/epoch\n"
+    std::printf("\nbatched head-to-head (DPU length 8, %d lanes):\n"
+                "  pulse-level %.0f ns/epoch, scalar functional %.0f "
+                "ns/epoch, batched %.1f ns/epoch\n"
                 "  speedup vs scalar functional %.0fx, vs pulse "
                 "%.0fx\n",
-                lanes, span::kernelName(span::activeKernel()), pulse_ns,
-                func_ns, batch_ns, vs_func, vs_pulse);
+                lanes, pulse_ns, func_ns, batch_ns, vs_func, vs_pulse);
 
     artifact.metric("batch_width", lanes, "lanes");
     artifact.metric("batched_ns_per_epoch", batch_ns, "ns");
     artifact.metric("speedup_vs_scalar_func_dpu8", vs_func, "x");
     artifact.metric("speedup_vs_pulse_dpu8", vs_pulse, "x");
-    artifact.note("kernel", span::kernelName(span::activeKernel()));
 
     if (vs_func < 4.0) {
         std::fprintf(stderr,

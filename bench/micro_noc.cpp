@@ -2,20 +2,18 @@
  * @file
  * google-benchmark micro benches of the temporal NoC (src/noc/):
  * plan placement cost, pulse-level fabric evaluation throughput, and
- * the stream-level functional mirror (scalar and batched) -- the
- * fabric-scale twin of micro_func's component-level numbers.
+ * the stream-level functional mirror -- the fabric-scale twin of
+ * micro_func's component-level numbers.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "bench_gbench.hh"
 #include "func/noc.hh"
 #include "noc/grid.hh"
 #include "noc/plan.hh"
-#include "util/arena.hh"
 
 using namespace usfq;
 
@@ -78,27 +76,6 @@ BM_NocFunctionalFabric(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NocFunctionalFabric)->Arg(4)->Arg(8);
-
-void
-BM_NocFunctionalFabricBatched(benchmark::State &state)
-{
-    const noc::GridPlan plan = noc::planGrid(meshSpec(4));
-    const std::size_t lanes =
-        static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint64_t> seeds(lanes);
-    std::vector<noc::FabricObservation> out;
-    WordArena arena;
-    std::uint64_t next = 1;
-    for (auto _ : state) {
-        for (std::uint64_t &s : seeds)
-            s = next++;
-        func::evaluateFabricBatch(plan, seeds, out, arena);
-        benchmark::DoNotOptimize(out.back().delivered);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(lanes));
-}
-BENCHMARK(BM_NocFunctionalFabricBatched)->Arg(8)->Arg(64);
 
 } // namespace
 

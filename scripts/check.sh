@@ -9,9 +9,11 @@
 #                                      # golden, diff and sta tiers under
 #                                      # default and ASan builds
 #   ./scripts/check.sh batch           # batched-engine gate: the batch
-#                                      # tier (span kernels + lane-level
-#                                      # differential) under default,
-#                                      # ASan and UBSan builds
+#                                      # tier (span kernels, lane-level
+#                                      # differential, the figure
+#                                      # benches' --batch lane checks)
+#                                      # under default, ASan and UBSan
+#                                      # builds
 #   ./scripts/check.sh svc             # service gate: the svc tier
 #                                      # (C API, structural hash, result
 #                                      # cache, broker + the usfq_serve
@@ -102,10 +104,11 @@ if [[ "$mode" == "diff" ]]; then
     # goldens), diff (the differential fuzzer) and sta.
     ctest_args=(-L 'unit|golden|diff|sta' "${ctest_args[@]}")
 elif [[ "$mode" == "batch" ]]; then
-    # The batched-engine gate: the span-kernel fuzzer and the
-    # lane-level differential tier (docs/functional.md, "Batched
-    # evaluation").  Runs under UBSan as well -- the SIMD kernels and
-    # the arena are exactly the code where silent UB would hide.
+    # The batched-engine gate: the span-kernel fuzzer, the lane-level
+    # differential tier and the figure benches' batched lane checks
+    # (docs/functional.md, "Batched evaluation").  Runs under UBSan as
+    # well -- the SIMD kernels and the arena are exactly the code where
+    # silent UB would hide.
     ctest_args=(-L 'batch' "${ctest_args[@]}")
 elif [[ "$mode" == "svc" ]]; then
     # The simulation-service gate (docs/service.md): the stable C API

@@ -13,6 +13,7 @@
 #include "gen/datapath.hh"
 #include "gen/functional.hh"
 #include "noc/grid.hh"
+#include "noc/sta.hh"
 #include "obs/artifact.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
@@ -441,17 +442,12 @@ nocDigest(const noc::FabricObservation &obs)
     return static_cast<int>(noc::observationDigest(obs) & 0x7fffffff);
 }
 
-/** The functional NoC leg's per-worker scratch. */
-struct NocScratch
-{
-    std::vector<noc::FabricObservation> obs;
-    WordArena arena;
-};
-
 /**
- * NoC sweep.  Fabric telemetry is summed per worker and exported once
- * after the sweep; counters add and the utilization gauge keeps the
- * max, so the registry is the one per-epoch exports would merge to.
+ * NoC sweep: one epoch per shard at any batch width, since the fabric
+ * algebra has no batch kernel.  Fabric telemetry is summed per worker
+ * and exported once after the sweep; counters add and the utilization
+ * gauge keeps the max, so the registry is the one per-epoch exports
+ * would merge to.
  */
 std::vector<long long>
 runNocMesh(const NetlistSpec &spec, const RunParams &params)
@@ -477,25 +473,6 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
                               res.misaligned));
                 telemetry.at(ctx.worker, plan).accumulate(res.obs);
                 return nocDigest(res.obs);
-            },
-            opt);
-    } else if (params.batch > 1) {
-        const func::FabricIndex index(plan);
-        WorkerLocal<NocScratch> scratch(opt);
-        digests = runBatchedSweep(
-            epochs,
-            [&](const LaneGroupContext &ctx) {
-                NocScratch &s = scratch.at(ctx.worker);
-                s.arena.reset();
-                func::evaluateFabricBatch(plan, index, ctx.seeds, s.obs,
-                                          s.arena);
-                noc::FabricTelemetry &t = telemetry.at(ctx.worker, plan);
-                std::vector<int> res(s.obs.size());
-                for (std::size_t b = 0; b < s.obs.size(); ++b) {
-                    t.accumulate(s.obs[b]);
-                    res[b] = nocDigest(s.obs[b]);
-                }
-                return res;
             },
             opt);
     } else {
@@ -1007,16 +984,8 @@ Session::analyzeTiming()
             // the balancer certified (docs/synthesis.md).
             opts.waivers = gen::genStaOptions(sp.gen).waivers;
         }
-        if (sp.kind == WorkloadKind::NocMesh) {
-            // Same rationale as noc::analyzeFabric: tile counting
-            // trees arbitrate same-stream pulses dynamically, and
-            // shared-window merger losses are ledgered by design.
-            opts.waivers.emplace(
-                LintRule::CollisionRisk,
-                "noc fabric: counting trees arbitrate dynamically and "
-                "shared-window merger losses are accounted by the "
-                "router ledger");
-        }
+        if (sp.kind == WorkloadKind::NocMesh)
+            opts.waivers = noc::fabricStaOptions().waivers;
         if (opts.anchorMode == StaOptions::AnchorMode::Zero) {
             // Zero anchoring launches every input at t=0, so any two
             // reconvergent paths of equal depth "collide" by

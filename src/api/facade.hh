@@ -102,9 +102,10 @@ std::uint64_t structuralHash(Netlist &nl);
 
 /**
  * Evaluate the spec's workload: `epochs` independent seeded operand
- * sets through the requested engine, sharded over runSweep (or
- * runBatchedSweep when params.batch > 1).  Throws FatalError on
- * engine fatals; Session::run wraps this with the Status conversion.
+ * sets through the requested engine, sharded over runSweep (or, for
+ * the Dpu, Pe and Fir kinds, runBatchedSweep when params.batch > 1).
+ * Throws FatalError on engine fatals; Session::run wraps this with the
+ * Status conversion.
  */
 RunResult runWorkload(const NetlistSpec &spec, const RunParams &params);
 

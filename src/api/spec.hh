@@ -157,9 +157,10 @@ struct RunParams
     std::uint64_t seed = 0x5eedULL;
 
     /**
-     * Functional-engine lane coalescing (runBatchedSweep width);
-     * results are bit-identical at any width, so this is NOT part of
-     * the cache key.  <=1 = scalar.
+     * Functional-engine lane coalescing (runBatchedSweep width) for
+     * the Dpu, Pe and Fir kinds; the other kinds run one epoch per
+     * shard at any width.  Results are bit-identical at any width, so
+     * this is NOT part of the cache key.  <=1 = scalar.
      */
     int batch = 1;
 

@@ -1,255 +1,12 @@
 #include "func/batch.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/logging.hh"
-#include "util/span_kernels.hh"
 
 namespace usfq::func
 {
-
-namespace
-{
-
-/** Valid-bit mask of the last word per lane (see stream.cc). */
-std::uint64_t
-tailMask(const EpochConfig &cfg)
-{
-    const int tail = cfg.nmax() % 64;
-    return tail == 0 ? ~std::uint64_t{0}
-                     : (std::uint64_t{1} << tail) - 1;
-}
-
-void
-checkSameShape(const char *what, const BatchStream &a,
-               const BatchStream &b)
-{
-    if (a.config() != b.config())
-        panic("BatchStream: epoch-config mismatch in %s", what);
-    if (a.lanes() != b.lanes())
-        panic("BatchStream: lane-count mismatch in %s (%d vs %d)",
-              what, a.lanes(), b.lanes());
-}
-
-void
-checkLaneSpan(const char *what, const BatchStream &a,
-              std::size_t got)
-{
-    if (got != static_cast<std::size_t>(a.lanes()))
-        panic("BatchStream: %s got %zu per-lane values for %d lanes",
-              what, got, a.lanes());
-}
-
-} // namespace
-
-BatchStream::BatchStream(const EpochConfig &config, int lanes,
-                         WordArena &arena)
-    : cfg(config),
-      numLanes(lanes),
-      laneWords(PulseStream::wordCount(config)),
-      storage(nullptr)
-{
-    if (lanes < 1)
-        panic("BatchStream: need at least one lane, got %d", lanes);
-    storage = arena.alloc(totalWords());
-}
-
-BatchStream
-BatchStream::zeros(const EpochConfig &cfg, int lanes, WordArena &arena)
-{
-    BatchStream out(cfg, lanes, arena);
-    span::wordFill(out.storage, 0, out.totalWords());
-    return out;
-}
-
-BatchStream
-BatchStream::euclidean(const EpochConfig &cfg,
-                       std::span<const int> counts, WordArena &arena)
-{
-    BatchStream out(cfg, static_cast<int>(counts.size()), arena);
-    const int n_slots = cfg.nmax();
-    for (int b = 0; b < out.numLanes; ++b) {
-        const int n = counts[static_cast<std::size_t>(b)];
-        if (n < 0 || n > n_slots)
-            panic("BatchStream: stream count %d out of range 0..%d "
-                  "in lane %d",
-                  n, n_slots, b);
-        std::uint64_t *lane = out.lane(b);
-        // Euclidean rhythm, word at a time: slot i fires iff
-        // floor((i+1)n/N) advances past floor(i*n/N).
-        std::int64_t acc = 0;
-        for (std::size_t w = 0; w < out.laneWords; ++w) {
-            std::uint64_t word = 0;
-            const int base = static_cast<int>(w) * 64;
-            const int top = std::min(base + 64, n_slots);
-            for (int i = base; i < top; ++i) {
-                const std::int64_t next =
-                    static_cast<std::int64_t>(i + 1) * n / n_slots;
-                if (next > acc)
-                    word |= std::uint64_t{1} << (i - base);
-                acc = next;
-            }
-            lane[w] = word;
-        }
-    }
-    return out;
-}
-
-BatchStream
-BatchStream::prefixMasks(const EpochConfig &cfg,
-                         std::span<const int> rl_ids, WordArena &arena)
-{
-    BatchStream out(cfg, static_cast<int>(rl_ids.size()), arena);
-    for (int b = 0; b < out.numLanes; ++b) {
-        const int id = rl_ids[static_cast<std::size_t>(b)];
-        if (id < 0 || id > cfg.nmax())
-            panic("BatchStream: RL id %d out of range 0..%d in lane "
-                  "%d",
-                  id, cfg.nmax(), b);
-        std::uint64_t *lane = out.lane(b);
-        for (std::size_t w = 0; w < out.laneWords; ++w) {
-            const int base = static_cast<int>(w) * 64;
-            if (id >= base + 64)
-                lane[w] = ~std::uint64_t{0};
-            else if (id > base)
-                lane[w] = (std::uint64_t{1} << (id - base)) - 1;
-            else
-                lane[w] = 0;
-        }
-    }
-    return out;
-}
-
-std::uint64_t *
-BatchStream::lane(int b)
-{
-    if (b < 0 || b >= numLanes)
-        panic("BatchStream: lane %d out of range 0..%d", b,
-              numLanes - 1);
-    return storage + static_cast<std::size_t>(b) * laneWords;
-}
-
-const std::uint64_t *
-BatchStream::lane(int b) const
-{
-    return const_cast<BatchStream *>(this)->lane(b);
-}
-
-PulseStream
-BatchStream::extractLane(int b) const
-{
-    return PulseStream::fromWords(cfg, lane(b));
-}
-
-void
-BatchStream::counts(std::span<int> out) const
-{
-    checkLaneSpan("counts()", *this, out.size());
-    for (int b = 0; b < numLanes; ++b)
-        out[static_cast<std::size_t>(b)] = static_cast<int>(
-            span::wordPopcount(lane(b), laneWords));
-}
-
-std::uint64_t
-BatchStream::totalCount() const
-{
-    return span::wordPopcount(storage, totalWords());
-}
-
-void
-BatchStream::clearTails()
-{
-    const std::uint64_t mask = tailMask(cfg);
-    if (mask == ~std::uint64_t{0})
-        return;
-    for (int b = 0; b < numLanes; ++b)
-        lane(b)[laneWords - 1] &= mask;
-}
-
-// --- whole-batch ops ---------------------------------------------------------
-
-BatchStream
-batchUnion(const BatchStream &a, const BatchStream &b, WordArena &arena)
-{
-    checkSameShape("batchUnion", a, b);
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordOr(out.data(), a.data(), b.data(), a.totalWords());
-    return out;
-}
-
-BatchStream
-batchIntersect(const BatchStream &a, const BatchStream &b,
-               WordArena &arena)
-{
-    checkSameShape("batchIntersect", a, b);
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordAnd(out.data(), a.data(), b.data(), a.totalWords());
-    return out;
-}
-
-BatchStream
-batchComplement(const BatchStream &a, WordArena &arena)
-{
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordNot(out.data(), a.data(), a.totalWords());
-    out.clearTails();
-    return out;
-}
-
-BatchStream
-batchMaskBelow(const BatchStream &a, std::span<const int> rl_ids,
-               WordArena &arena)
-{
-    checkLaneSpan("batchMaskBelow", a, rl_ids.size());
-    const BatchStream masks =
-        BatchStream::prefixMasks(a.config(), rl_ids, arena);
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordAnd(out.data(), a.data(), masks.data(), a.totalWords());
-    return out;
-}
-
-BatchStream
-batchMaskAtOrAbove(const BatchStream &a, std::span<const int> rl_ids,
-                   WordArena &arena)
-{
-    checkLaneSpan("batchMaskAtOrAbove", a, rl_ids.size());
-    const BatchStream masks =
-        BatchStream::prefixMasks(a.config(), rl_ids, arena);
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordAndNot(out.data(), a.data(), masks.data(),
-                     a.totalWords());
-    return out;
-}
-
-BatchStream
-batchBipolarProduct(const BatchStream &a, std::span<const int> rl_ids,
-                    WordArena &arena)
-{
-    // (A & P) | (!A & !P) over the window collapses to XNOR with the
-    // prefix mask P; only the tail bits (where the window mask cuts
-    // in) need clearing afterwards.
-    checkLaneSpan("batchBipolarProduct", a, rl_ids.size());
-    const BatchStream masks =
-        BatchStream::prefixMasks(a.config(), rl_ids, arena);
-    BatchStream out(a.config(), a.lanes(), arena);
-    span::wordXnor(out.data(), a.data(), masks.data(), a.totalWords());
-    out.clearTails();
-    return out;
-}
-
-void
-batchIntersectCounts(const BatchStream &a, const BatchStream &b,
-                     std::span<int> out)
-{
-    checkSameShape("batchIntersectCounts", a, b);
-    checkLaneSpan("batchIntersectCounts", a, out.size());
-    for (int lane = 0; lane < a.lanes(); ++lane)
-        out[static_cast<std::size_t>(lane)] =
-            static_cast<int>(span::wordPopcountAnd(
-                a.lane(lane), b.lane(lane), a.wordsPerLane()));
-}
-
-// --- batched counting arithmetic --------------------------------------------
 
 namespace
 {

@@ -1,157 +1,39 @@
 /**
  * @file
- * Bit-sliced batched evaluation for the stream-level functional
- * backend (docs/functional.md, "Batched evaluation").
+ * Batched counting arithmetic for the stream-level functional backend
+ * (docs/functional.md, "Batched evaluation").
  *
- * A BatchStream holds B independent pulse streams -- one per
- * Monte-Carlo seed, sweep point or request -- over the same
- * EpochConfig, laid out lane-major in one contiguous arena span:
- * lane b's packed words occupy [b*W, (b+1)*W) with W =
- * PulseStream::wordCount(cfg).  The hot ops (union, intersection,
- * complement, XNOR product, popcount reductions) then run as single
- * linear passes of the runtime-dispatched span kernels
- * (util/span_kernels.hh) over all B*W words at once, instead of B
- * separate per-stream loops.
+ * The U-SFQ blocks reduce to pulse counts -- a unipolar product
+ * carries floor(n*id/N) pulses, a balancer level ceil((a+b)/2) -- so a
+ * batch of B independent epochs (one per Monte-Carlo seed, sweep
+ * point or request) is B lanes of plain integers.  Operands are laid
+ * out operand-major: operand k's B lane values sit contiguous at
+ * data[k*B .. k*B+B), so every level of a model is one contiguous
+ * pass across the lanes.  The facade's batched DPU, PE and FIR legs
+ * run on these kernels, and so do the batched calls of the
+ * multiplier, counting-tree, PE, DPU and FIR models
+ * (func/components.hh).
  *
  * Equivalence contract (frozen by tests/batch_differential_test.cpp):
- * lane b of any batched op is bit-identical to the scalar PulseStream
- * op applied to lane b's operands -- batching is a performance knob,
- * never a semantics knob.  The tail-bit invariant (bits >= nmax are
- * zero) holds for every lane after every op.
+ * lane b of every output equals the scalar core/encoding.hh model
+ * applied to lane b's operands -- batching is a performance knob,
+ * never a semantics knob.
  *
- * Memory: BatchStream is a non-owning view over WordArena storage;
- * the arena outlives the batch and is reset() once per batched epoch,
- * so a steady-state epoch loop allocates nothing.
+ * Memory: scratch comes from a caller-owned WordArena that is reset()
+ * once per batched epoch, so a steady-state epoch loop allocates
+ * nothing.
  */
 
 #ifndef USFQ_FUNC_BATCH_HH
 #define USFQ_FUNC_BATCH_HH
 
-#include <cstdint>
 #include <span>
 
 #include "core/encoding.hh"
-#include "func/stream.hh"
 #include "util/arena.hh"
 
 namespace usfq::func
 {
-
-/** B same-epoch pulse streams, lane-major over arena words. */
-class BatchStream
-{
-  public:
-    /** An uninitialized @p lanes-lane batch (words are garbage --
-     *  callers fill every lane or use the factories below). */
-    BatchStream(const EpochConfig &cfg, int lanes, WordArena &arena);
-
-    /** All lanes empty (no pulses). */
-    static BatchStream zeros(const EpochConfig &cfg, int lanes,
-                             WordArena &arena);
-
-    /** Lane b = the canonical Euclidean stream of counts[b] pulses. */
-    static BatchStream euclidean(const EpochConfig &cfg,
-                                 std::span<const int> counts,
-                                 WordArena &arena);
-
-    /**
-     * Lane b = the RL prefix mask of rl_ids[b]: bits [0, rl_ids[b])
-     * set.  AND-ing with it is the batched maskBelow; XNOR-ing is the
-     * batched bipolar product.
-     */
-    static BatchStream prefixMasks(const EpochConfig &cfg,
-                                   std::span<const int> rl_ids,
-                                   WordArena &arena);
-
-    const EpochConfig &config() const { return cfg; }
-    int lanes() const { return numLanes; }
-
-    /** Packed words per lane, PulseStream::wordCount(config()). */
-    std::size_t wordsPerLane() const { return laneWords; }
-
-    /** Total words, lanes() * wordsPerLane() -- the span-kernel span. */
-    std::size_t totalWords() const
-    {
-        return static_cast<std::size_t>(numLanes) * laneWords;
-    }
-
-    std::uint64_t *data() { return storage; }
-    const std::uint64_t *data() const { return storage; }
-
-    std::uint64_t *lane(int b);
-    const std::uint64_t *lane(int b) const;
-
-    /** Lane @p b copied out as a scalar PulseStream. */
-    PulseStream extractLane(int b) const;
-
-    /** Per-lane pulse counts into out[0..lanes). */
-    void counts(std::span<int> out) const;
-
-    /** Sum of all lanes' pulse counts (one popcount pass). */
-    std::uint64_t totalCount() const;
-
-    /**
-     * Clear any bits at or beyond nmax in every lane's last word.
-     * Ops built from raw word kernels that can set tail bits (NOT,
-     * XNOR) call this before returning -- the tail-bit invariant.
-     */
-    void clearTails();
-
-  private:
-    EpochConfig cfg;
-    int numLanes;
-    std::size_t laneWords;
-    std::uint64_t *storage; ///< arena-owned, lanes*laneWords words
-};
-
-// --- whole-batch ops ---------------------------------------------------------
-//
-// Each returns a fresh arena-backed batch; operands must share the
-// same EpochConfig and lane count (panics otherwise).  All are single
-// linear span-kernel passes over lanes*wordsPerLane words.
-
-/** Lane-wise slot union: what ideal mergers produce on this grid. */
-BatchStream batchUnion(const BatchStream &a, const BatchStream &b,
-                       WordArena &arena);
-
-/** Lane-wise slot intersection (coincident pulses). */
-BatchStream batchIntersect(const BatchStream &a, const BatchStream &b,
-                           WordArena &arena);
-
-/** Lane-wise complement (pulses exactly in the empty slots). */
-BatchStream batchComplement(const BatchStream &a, WordArena &arena);
-
-/** Lane b = a.lane(b) & prefix(rl_ids[b]): the batched NDRO gate. */
-BatchStream batchMaskBelow(const BatchStream &a,
-                           std::span<const int> rl_ids,
-                           WordArena &arena);
-
-/** Lane b = a.lane(b) with slots < rl_ids[b] removed. */
-BatchStream batchMaskAtOrAbove(const BatchStream &a,
-                               std::span<const int> rl_ids,
-                               WordArena &arena);
-
-/**
- * Lane b = the bipolar (XNOR) product stream of a.lane(b) and RL
- * operand rl_ids[b].  Algebra: maskBelow(id) | (complement &
- * maskAtOrAbove(id)) collapses to XNOR with the prefix mask, so the
- * whole batch is one XNOR pass plus a tail clear.
- */
-BatchStream batchBipolarProduct(const BatchStream &a,
-                                std::span<const int> rl_ids,
-                                WordArena &arena);
-
-/** Per-lane |a & b| without materializing the intersection. */
-void batchIntersectCounts(const BatchStream &a, const BatchStream &b,
-                          std::span<int> out);
-
-// --- batched counting arithmetic --------------------------------------------
-//
-// The count-only twins of core/encoding.hh's scalar models: lane b of
-// every output equals the scalar function applied to lane b's
-// operands (the batch differential test pins this).  Operand arrays
-// are lane-indexed spans; multi-operand models take operand-major
-// data (operand k's B lane values contiguous at data[k*B .. k*B+B)).
 
 /** out[b] = unipolarProductCount(cfg, ns[b], rl_ids[b]). */
 void batchUnipolarProductCount(const EpochConfig &cfg,

@@ -4,7 +4,6 @@
 
 #include "sfq/params.hh"
 #include "util/logging.hh"
-#include "util/span_kernels.hh"
 
 namespace usfq::func
 {
@@ -62,13 +61,6 @@ UnipolarMultiplier::evaluate(const EpochConfig &cfg, int stream_count,
     return unipolarProductCount(cfg, stream_count, rl_id);
 }
 
-PulseStream
-UnipolarMultiplier::evaluateStream(const PulseStream &a, int rl_id)
-{
-    recordSwitches(epochSwitches(jjCount()));
-    return a.maskBelow(rl_id);
-}
-
 void
 UnipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
                                   std::span<const int> ns,
@@ -77,16 +69,6 @@ UnipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
 {
     recordSwitches(batchSwitches(jjCount(), out.size()));
     batchUnipolarProductCount(cfg, ns, rl_ids, out);
-}
-
-BatchStream
-UnipolarMultiplier::evaluateStreamBatch(const BatchStream &a,
-                                        std::span<const int> rl_ids,
-                                        WordArena &arena)
-{
-    recordSwitches(batchSwitches(jjCount(),
-                                 static_cast<std::size_t>(a.lanes())));
-    return batchMaskBelow(a, rl_ids, arena);
 }
 
 BipolarMultiplier::BipolarMultiplier(Netlist &nl,
@@ -103,13 +85,6 @@ BipolarMultiplier::evaluate(const EpochConfig &cfg, int stream_count,
     return bipolarProductCount(cfg, stream_count, rl_id);
 }
 
-PulseStream
-BipolarMultiplier::evaluateStream(const PulseStream &a, int rl_id)
-{
-    recordSwitches(epochSwitches(jjCount()));
-    return bipolarProductStream(a, rl_id);
-}
-
 void
 BipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
                                  std::span<const int> ns,
@@ -118,16 +93,6 @@ BipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
 {
     recordSwitches(batchSwitches(jjCount(), out.size()));
     batchBipolarProductCount(cfg, ns, rl_ids, out);
-}
-
-BatchStream
-BipolarMultiplier::evaluateStreamBatch(const BatchStream &a,
-                                       std::span<const int> rl_ids,
-                                       WordArena &arena)
-{
-    recordSwitches(batchSwitches(jjCount(),
-                                 static_cast<std::size_t>(a.lanes())));
-    return batchBipolarProduct(a, rl_ids, arena);
 }
 
 // --- adders -----------------------------------------------------------------
@@ -155,30 +120,22 @@ MergerTreeAdder::evaluate(const EpochConfig &cfg,
 void
 MergerTreeAdder::evaluateBatch(const EpochConfig &cfg,
                                std::span<const int> counts,
-                               std::span<int> out, WordArena &arena)
+                               std::span<int> out)
 {
     const std::size_t lanes = out.size();
     checkBatchSpans("func::MergerTreeAdder", name(), counts.size(),
                     fanIn, lanes);
     recordSwitches(batchSwitches(jjCount(), lanes));
-    // Union the per-input Euclidean batches in place: lane b ends up
-    // with the slot union of lane b's input streams, exactly the
-    // scalar mergerTreeUnionCount set.
-    BatchStream acc =
-        BatchStream::euclidean(cfg, counts.first(lanes), arena);
-    for (int k = 1; k < fanIn; ++k) {
-        const BatchStream next = BatchStream::euclidean(
-            cfg, counts.subspan(static_cast<std::size_t>(k) * lanes,
-                                lanes),
-            arena);
-        span::wordOr(acc.data(), acc.data(), next.data(),
-                     acc.totalWords());
-    }
-    acc.counts(out);
+    // Gather lane b's input counts and take their slot union, exactly
+    // the scalar evaluate(); the ledger adds the lane's sum minus it.
+    std::vector<int> lane(static_cast<std::size_t>(fanIn));
     for (std::size_t b = 0; b < lanes; ++b) {
         int sum = 0;
-        for (int k = 0; k < fanIn; ++k)
-            sum += counts[static_cast<std::size_t>(k) * lanes + b];
+        for (std::size_t k = 0; k < lane.size(); ++k) {
+            lane[k] = counts[k * lanes + b];
+            sum += lane[k];
+        }
+        out[b] = mergerTreeUnionCount(cfg, lane);
         lost += static_cast<std::uint64_t>(sum - out[b]);
     }
 }

@@ -38,7 +38,6 @@
 #include "core/pnm.hh"
 #include "core/shift_register.hh"
 #include "func/batch.hh"
-#include "func/stream.hh"
 #include "sim/component.hh"
 #include "sim/netlist.hh"
 
@@ -54,9 +53,6 @@ class UnipolarMultiplier : public Component
     /** Product pulse count for one epoch. */
     int evaluate(const EpochConfig &cfg, int stream_count, int rl_id);
 
-    /** Product stream (packed bitmap) for one epoch. */
-    PulseStream evaluateStream(const PulseStream &a, int rl_id);
-
     /**
      * B independent epochs at once: out[b] = evaluate(cfg, ns[b],
      * rl_ids[b]) lane-by-lane, with the switching estimate recorded
@@ -64,11 +60,6 @@ class UnipolarMultiplier : public Component
      */
     void evaluateBatch(const EpochConfig &cfg, std::span<const int> ns,
                        std::span<const int> rl_ids, std::span<int> out);
-
-    /** Lane b = evaluateStream(a.lane(b), rl_ids[b]). */
-    BatchStream evaluateStreamBatch(const BatchStream &a,
-                                    std::span<const int> rl_ids,
-                                    WordArena &arena);
 
     int jjCount() const override { return usfq::UnipolarMultiplier::kJJs; }
 };
@@ -81,16 +72,9 @@ class BipolarMultiplier : public Component
 
     int evaluate(const EpochConfig &cfg, int stream_count, int rl_id);
 
-    PulseStream evaluateStream(const PulseStream &a, int rl_id);
-
     /** out[b] = evaluate(cfg, ns[b], rl_ids[b]), lane-by-lane. */
     void evaluateBatch(const EpochConfig &cfg, std::span<const int> ns,
                        std::span<const int> rl_ids, std::span<int> out);
-
-    /** Lane b = evaluateStream(a.lane(b), rl_ids[b]). */
-    BatchStream evaluateStreamBatch(const BatchStream &a,
-                                    std::span<const int> rl_ids,
-                                    WordArena &arena);
 
     int jjCount() const override { return usfq::BipolarMultiplier::kJJs; }
 };
@@ -114,8 +98,7 @@ class MergerTreeAdder : public Component
      * ledger matches B scalar evaluations.
      */
     void evaluateBatch(const EpochConfig &cfg,
-                       std::span<const int> counts, std::span<int> out,
-                       WordArena &arena);
+                       std::span<const int> counts, std::span<int> out);
 
     /** Pulses lost to same-slot coincidences across all evaluations. */
     std::uint64_t collisions() const { return lost; }

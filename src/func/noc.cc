@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "core/encoding.hh"
-#include "func/batch.hh"
 
 namespace usfq::func
 {
@@ -138,63 +137,6 @@ noc::FabricObservation
 evaluateFabricSeed(const noc::GridPlan &plan, std::uint64_t seed)
 {
     return evaluateFabricSeed(plan, FabricIndex(plan), seed);
-}
-
-void
-evaluateFabricBatch(const noc::GridPlan &plan, const FabricIndex &index,
-                    std::span<const std::uint64_t> seeds,
-                    std::vector<noc::FabricObservation> &out,
-                    WordArena &arena)
-{
-    const std::size_t lanes = seeds.size();
-    const std::size_t tiles = static_cast<std::size_t>(plan.tiles());
-    const std::size_t taps = static_cast<std::size_t>(plan.spec.taps);
-    std::vector<noc::TileOperands> ops;
-    ops.reserve(lanes);
-    for (std::uint64_t seed : seeds)
-        ops.push_back(drawTileOperands(plan, seed));
-
-    std::vector<std::vector<int>> counts(
-        lanes, std::vector<int>(tiles, 0));
-    if (plan.spec.kind == noc::TileKind::Pe) {
-        for (const noc::FlowPlan &f : plan.flows)
-            for (std::size_t l = 0; l < lanes; ++l)
-                counts[l][static_cast<std::size_t>(f.spec.src)] = 1;
-    } else {
-        int *streams = arena.allocAs<int>(taps * lanes);
-        int *ids = arena.allocAs<int>(taps * lanes);
-        int *res = arena.allocAs<int>(lanes);
-        for (const noc::FlowPlan &f : plan.flows) {
-            const std::size_t t = static_cast<std::size_t>(f.spec.src);
-            for (std::size_t k = 0; k < taps; ++k)
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    streams[k * lanes + l] =
-                        ops[l].streams[t * taps + k];
-                    ids[k * lanes + l] = ops[l].ids[t * taps + k];
-                }
-            batchDpuExpectedCount(
-                plan.cfg, plan.spec.mode, plan.spec.taps,
-                std::span<const int>(streams, taps * lanes),
-                std::span<const int>(ids, taps * lanes),
-                std::span<int>(res, lanes), arena);
-            for (std::size_t l = 0; l < lanes; ++l)
-                counts[l][t] = std::min(res[l], plan.cfg.nmax());
-        }
-    }
-
-    out.clear();
-    out.reserve(lanes);
-    for (std::size_t l = 0; l < lanes; ++l)
-        out.push_back(evaluateFabric(index, counts[l]));
-}
-
-void
-evaluateFabricBatch(const noc::GridPlan &plan,
-                    const std::vector<std::uint64_t> &seeds,
-                    std::vector<noc::FabricObservation> &out,
-                    WordArena &arena)
-{
-    evaluateFabricBatch(plan, FabricIndex(plan), seeds, out, arena);
 }
 
 } // namespace usfq::func

@@ -24,11 +24,9 @@
 #define USFQ_FUNC_NOC_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "noc/plan.hh"
-#include "util/arena.hh"
 
 namespace usfq::func
 {
@@ -88,24 +86,6 @@ noc::FabricObservation evaluateFabricSeed(const noc::GridPlan &plan,
 /** evaluateFabricSeed on a plan indexed for this one call. */
 noc::FabricObservation evaluateFabricSeed(const noc::GridPlan &plan,
                                           std::uint64_t seed);
-
-/**
- * B seeded epochs at once: tile counts via the word-level batched
- * DPU kernels (operand-major lanes, arena scratch), then the per-lane
- * fabric algebra.  out[b] == evaluateFabricSeed(plan, seeds[b])
- * bit-identically (the batch tier's contract).
- */
-void evaluateFabricBatch(const noc::GridPlan &plan,
-                         const FabricIndex &index,
-                         std::span<const std::uint64_t> seeds,
-                         std::vector<noc::FabricObservation> &out,
-                         WordArena &arena);
-
-/** evaluateFabricBatch on a plan indexed for this one call. */
-void evaluateFabricBatch(const noc::GridPlan &plan,
-                         const std::vector<std::uint64_t> &seeds,
-                         std::vector<noc::FabricObservation> &out,
-                         WordArena &arena);
 
 } // namespace usfq::func
 

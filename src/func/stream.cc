@@ -1,6 +1,5 @@
 #include "func/stream.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
@@ -62,18 +61,6 @@ PulseStream
 PulseStream::empty(const EpochConfig &cfg)
 {
     return PulseStream(cfg);
-}
-
-PulseStream
-PulseStream::fromWords(const EpochConfig &cfg, const std::uint64_t *raw)
-{
-    PulseStream s(cfg);
-    std::copy(raw, raw + s.bits.size(), s.bits.begin());
-    if ((s.bits.back() & ~tailMask(cfg)) != 0)
-        panic("PulseStream: raw words carry bits beyond the %d-slot "
-              "window",
-              cfg.nmax());
-    return s;
 }
 
 int

@@ -40,15 +40,6 @@ class PulseStream
     /** The empty stream (no pulses). */
     static PulseStream empty(const EpochConfig &cfg);
 
-    /**
-     * A stream from raw packed words (e.g. one lane of a
-     * func::BatchStream).  @p raw must hold wordCount(cfg) words and
-     * keep every bit at or beyond cfg.nmax() zero -- the tail-bit
-     * invariant all PulseStream ops preserve (panics otherwise).
-     */
-    static PulseStream fromWords(const EpochConfig &cfg,
-                                 const std::uint64_t *raw);
-
     /** Packed words a @p cfg-sized stream occupies: ceil(nmax/64). */
     static std::size_t wordCount(const EpochConfig &cfg);
 
@@ -57,8 +48,8 @@ class PulseStream
     /**
      * The packed slot-occupancy words, read-only.  Invariant (pinned
      * by the tail-bit regression test): bits at or beyond
-     * config().nmax() are always zero, so popcounts, unions and
-     * batched span kernels never see ghost pulses.
+     * config().nmax() are always zero, so popcounts and unions never
+     * see ghost pulses.
      */
     const std::uint64_t *words() const { return bits.data(); }
 

@@ -18,20 +18,28 @@ FabricStaReport::maxRouteRateHz() const
     return 1e15 / static_cast<double>(worst); // Tick is femtoseconds
 }
 
-FabricStaReport
-analyzeFabric(Netlist &nl, const TileGrid &grid, StaOptions opts)
+StaOptions
+fabricStaOptions()
 {
-    const GridPlan &plan = grid.plan();
     // Pairwise collision pessimism is structural here: tile counting
     // trees arbitrate same-stream pulses dynamically (the balancer
     // never routes two pulses into one merger leg), and fabric merger
     // collisions under shared sink windows are intentional arbitration
     // accounted by the router ledger.  Window/recovery checks and the
-    // separation floors below stay fully enforced.
-    opts.waivers.emplace(
-        LintRule::CollisionRisk,
+    // separation floors stay fully enforced.
+    StaOptions opts;
+    opts.anchorMode = StaOptions::AnchorMode::Stimulus;
+    opts.waivers[LintRule::CollisionRisk] =
         "noc fabric: counting trees arbitrate dynamically and shared-"
-        "window merger losses are accounted by the router ledger");
+        "window merger losses are accounted by the router ledger";
+    return opts;
+}
+
+FabricStaReport
+analyzeFabric(Netlist &nl, const TileGrid &grid, StaOptions opts)
+{
+    const GridPlan &plan = grid.plan();
+    opts.waivers.merge(fabricStaOptions().waivers);
 
     FabricStaReport rep;
     rep.sta = runStaChecked(nl, opts);

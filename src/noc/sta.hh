@@ -54,10 +54,19 @@ struct FabricStaReport
 };
 
 /**
- * STA over the fabric netlist (stimulus anchoring; pairwise collision
- * findings waived -- tile counting trees arbitrate dynamically and
- * fabric merger losses are ledgered) plus the route-level extraction.
- * Uses runStaChecked semantics: fatal on unwaived findings.
+ * The fabric's STA options: stimulus anchoring, and pairwise collision
+ * findings waived -- tile counting trees arbitrate same-stream pulses
+ * dynamically, and shared-window merger losses are accounted by the
+ * router ledger.  Window/recovery checks and separation floors stay
+ * enforced.
+ */
+StaOptions fabricStaOptions();
+
+/**
+ * STA over the fabric netlist under @p opts plus the fabricStaOptions()
+ * waivers (a waiver already in @p opts wins), and the route-level
+ * extraction.  Uses runStaChecked semantics: fatal on unwaived
+ * findings.
  */
 FabricStaReport analyzeFabric(Netlist &nl, const TileGrid &grid,
                               StaOptions opts = {});

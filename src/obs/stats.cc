@@ -48,39 +48,35 @@ Histogram::merge(const Histogram &other)
 // --- StatsRegistry ---------------------------------------------------------
 
 StatsRegistry::Entry &
-StatsRegistry::fetch(const std::string &name, Entry::Kind kind, int node)
+StatsRegistry::fetch(const std::string &name, Entry::Kind kind)
 {
     auto [it, inserted] = entries.try_emplace(name);
     Entry &e = it->second;
-    if (inserted) {
+    if (inserted)
         e.kind = kind;
-        e.node = node;
-    } else if (e.kind != kind) {
+    else if (e.kind != kind)
         panic("StatsRegistry: stat '%s' re-registered as a different "
               "kind",
               name.c_str());
-    }
-    if (node >= 0)
-        e.node = node;
     return e;
 }
 
 Counter &
-StatsRegistry::counter(const std::string &name, int node)
+StatsRegistry::counter(const std::string &name)
 {
-    return fetch(name, Entry::Kind::Counter, node).counter;
+    return fetch(name, Entry::Kind::Counter).counter;
 }
 
 Gauge &
-StatsRegistry::gauge(const std::string &name, int node)
+StatsRegistry::gauge(const std::string &name)
 {
-    return fetch(name, Entry::Kind::Gauge, node).gauge;
+    return fetch(name, Entry::Kind::Gauge).gauge;
 }
 
 Histogram &
-StatsRegistry::histogram(const std::string &name, int node)
+StatsRegistry::histogram(const std::string &name)
 {
-    return fetch(name, Entry::Kind::Histogram, node).histogram;
+    return fetch(name, Entry::Kind::Histogram).histogram;
 }
 
 const Counter *
@@ -109,13 +105,6 @@ StatsRegistry::findHistogram(const std::string &name) const
         it->second.kind != Entry::Kind::Histogram)
         return nullptr;
     return &it->second.histogram;
-}
-
-int
-StatsRegistry::nodeOf(const std::string &name) const
-{
-    const auto it = entries.find(name);
-    return it == entries.end() ? -1 : it->second.node;
 }
 
 std::uint64_t
@@ -168,16 +157,16 @@ StatsRegistry::mergeFrom(const StatsRegistry &other)
     for (const auto &[name, e] : other.entries) {
         switch (e.kind) {
           case Entry::Kind::Counter:
-            counter(name, e.node) += e.counter.value();
+            counter(name) += e.counter.value();
             break;
           case Entry::Kind::Gauge: {
-            Gauge &g = gauge(name, e.node);
+            Gauge &g = gauge(name);
             if (e.gauge.valid())
                 g.high(e.gauge.value());
             break;
           }
           case Entry::Kind::Histogram:
-            histogram(name, e.node).merge(e.histogram);
+            histogram(name).merge(e.histogram);
             break;
         }
     }
@@ -266,13 +255,6 @@ void
 setKernelStatsEnabled(bool enabled)
 {
     kernelStatsState.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-captureLogStats(StatsRegistry &reg)
-{
-    reg.counter("log/warnings").set(warnCount());
-    reg.counter("log/informs").set(informCount());
 }
 
 } // namespace usfq::obs

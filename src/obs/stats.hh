@@ -8,9 +8,8 @@
  * happens once, outside the hot path.  Stat names are '/'-separated
  * hierarchy paths ("top/dpu.m3/in_pulses"); Netlist::exportStats()
  * derives them from the same elaboration hier-node tree that
- * Netlist::report() aggregates over and records the hier-node id
- * beside each entry, so registry rollups (sumCounters over a path
- * prefix) reproduce the report() arithmetic exactly.
+ * Netlist::report() aggregates over, so registry rollups (sumCounters
+ * over a path prefix) reproduce the report() arithmetic exactly.
  *
  * Determinism contract: the registry holds only simulation facts
  * (pulse counts, event counts, occupancies) -- never wall-clock time,
@@ -144,22 +143,16 @@ class Histogram
 class StatsRegistry
 {
   public:
-    /**
-     * Find or create.  @p node optionally ties the entry to an
-     * elaboration hier-node id (-1 = none); re-registration with a
-     * different kind is a hard error, a different node id re-keys.
-     */
-    Counter &counter(const std::string &name, int node = -1);
-    Gauge &gauge(const std::string &name, int node = -1);
-    Histogram &histogram(const std::string &name, int node = -1);
+    /** Find or create; re-registration with a different kind is a
+     *  hard error. */
+    Counter &counter(const std::string &name);
+    Gauge &gauge(const std::string &name);
+    Histogram &histogram(const std::string &name);
 
     /** Lookup without creating (null when absent / wrong kind). */
     const Counter *findCounter(const std::string &name) const;
     const Gauge *findGauge(const std::string &name) const;
     const Histogram *findHistogram(const std::string &name) const;
-
-    /** Hier-node id recorded for @p name (-1 if none/absent). */
-    int nodeOf(const std::string &name) const;
 
     /**
      * Sum of every counter at or under @p path: the counter named
@@ -207,7 +200,6 @@ class StatsRegistry
             Histogram,
         };
         Kind kind;
-        int node = -1; ///< elaboration hier-node id, -1 if unkeyed
         Counter counter;
         Gauge gauge;
         Histogram histogram;
@@ -217,7 +209,7 @@ class StatsRegistry
     void print(std::ostream &os) const;
 
   private:
-    Entry &fetch(const std::string &name, Entry::Kind kind, int node);
+    Entry &fetch(const std::string &name, Entry::Kind kind);
 
     // Ordered map: deterministic iteration/merge order, stable
     // addresses across inserts.
@@ -258,9 +250,6 @@ bool kernelStatsEnabled();
 
 /** Force the toggle (tests); overrides the environment. */
 void setKernelStatsEnabled(bool enabled);
-
-/** Snapshot the warn()/inform() totals into "log/..." counters. */
-void captureLogStats(StatsRegistry &reg);
 
 } // namespace usfq::obs
 

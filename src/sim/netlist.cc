@@ -222,18 +222,17 @@ Netlist::exportStatsNode(obs::StatsRegistry &reg, int node_id,
         int childJJ = 0;
         for (int child : n.children)
             childJJ += inclusiveJJs(child);
-        reg.counter(path + "/jj", node_id)
-            .set(static_cast<std::uint64_t>(
-                c.jjCount() > childJJ ? c.jjCount() - childJJ : 0));
-        reg.counter(path + "/switches", node_id).set(c.localSwitches());
-        reg.counter(path + "/lost_pulses", node_id).set(c.lostPulses());
+        reg.counter(path + "/jj").set(static_cast<std::uint64_t>(
+            c.jjCount() > childJJ ? c.jjCount() - childJJ : 0));
+        reg.counter(path + "/switches").set(c.localSwitches());
+        reg.counter(path + "/lost_pulses").set(c.lostPulses());
         std::uint64_t in = 0, out = 0;
         for (const InputPort *p : c.inputPorts())
             in += p->pulseCount();
         for (const OutputPort *p : c.outputPorts())
             out += p->pulseCount();
-        reg.counter(path + "/in_pulses", node_id).set(in);
-        reg.counter(path + "/out_pulses", node_id).set(out);
+        reg.counter(path + "/in_pulses").set(in);
+        reg.counter(path + "/out_pulses").set(out);
     }
     for (int child : n.children) {
         if (!subtreeLive(child))

@@ -244,7 +244,7 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
  * per-group stats registries are merged in group order.  Results and
  * merged stats are therefore bit-identical at any thread count AND any
  * batch width -- provided fn honours the lane-equivalence contract of
- * func::BatchStream (lane b computes exactly what a scalar run of item
+ * func/batch.hh (lane b computes exactly what a scalar run of item
  * first+b would).
  */
 template <typename Fn>

@@ -1,7 +1,5 @@
 #include "util/arena.hh"
 
-#include <cstring>
-
 #include "util/logging.hh"
 
 namespace usfq
@@ -83,14 +81,6 @@ WordArena::alloc(std::size_t n)
     std::uint64_t *out = chunks[active].base + offset;
     offset += take;
     used += take;
-    return out;
-}
-
-std::uint64_t *
-WordArena::allocZeroed(std::size_t n)
-{
-    std::uint64_t *out = alloc(n);
-    std::memset(out, 0, n * sizeof(std::uint64_t));
     return out;
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Bump arena for packed-word batch buffers.
+ * Bump arena for batch scratch buffers.
  *
  * A batched functional epoch (src/func/batch.hh) wants every
- * temporary -- lane bitmaps, prefix masks, product buffers -- to be a
- * fresh contiguous span with zero per-run allocation cost.  WordArena
+ * temporary -- per-lane products, operand copies -- to be a fresh
+ * contiguous span with zero per-run allocation cost.  WordArena
  * provides exactly that: 64-byte-aligned uint64 storage handed out by
  * pointer bump, released all at once by reset() at the epoch boundary.
  *
@@ -42,13 +42,10 @@ class WordArena
      *  and returns a unique non-null pointer. */
     std::uint64_t *alloc(std::size_t n);
 
-    /** @p n words, zero-filled. */
-    std::uint64_t *allocZeroed(std::size_t n);
-
     /**
      * @p n elements of trivial type T carved out of word storage
      * (rounded up to whole words), 64-byte aligned, uninitialized.
-     * For non-bitmap batch scratch (e.g. per-lane count buffers).
+     * For batch scratch such as per-lane count buffers.
      */
     template <typename T>
     T *allocAs(std::size_t n)

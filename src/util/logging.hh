@@ -114,8 +114,7 @@ void setQuiet(bool quiet);
 /**
  * Total warn() / inform() calls since process start (or the last
  * resetLogCounts()).  Counted even while quiet, so "0 warnings" is a
- * machine-checkable property of a run: bench artifacts embed these and
- * obs::captureLogStats() mirrors them into the stats registry.
+ * machine-checkable property of a run: bench artifacts embed these.
  */
 std::uint64_t warnCount();
 std::uint64_t informCount();

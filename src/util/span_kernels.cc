@@ -43,26 +43,12 @@ namespace
         for (std::size_t i = 0; i < n; ++i)                             \
             dst[i] = a[i] & ~b[i];                                      \
     }                                                                   \
-    target_attr void xnor_##suffix(std::uint64_t *dst,                  \
-                                   const std::uint64_t *a,              \
-                                   const std::uint64_t *b,              \
-                                   std::size_t n)                       \
-    {                                                                   \
-        for (std::size_t i = 0; i < n; ++i)                             \
-            dst[i] = ~(a[i] ^ b[i]);                                    \
-    }                                                                   \
     target_attr void not_##suffix(std::uint64_t *dst,                   \
                                   const std::uint64_t *a,               \
                                   std::size_t n)                        \
     {                                                                   \
         for (std::size_t i = 0; i < n; ++i)                             \
             dst[i] = ~a[i];                                             \
-    }                                                                   \
-    target_attr void fill_##suffix(std::uint64_t *dst,                  \
-                                   std::uint64_t value, std::size_t n)  \
-    {                                                                   \
-        for (std::size_t i = 0; i < n; ++i)                             \
-            dst[i] = value;                                             \
     }                                                                   \
     target_attr std::uint64_t popcount_##suffix(const std::uint64_t *a, \
                                                 std::size_t n)          \
@@ -71,15 +57,6 @@ namespace
         for (std::size_t i = 0; i < n; ++i)                             \
             total += static_cast<std::uint64_t>(                        \
                 __builtin_popcountll(a[i]));                            \
-        return total;                                                   \
-    }                                                                   \
-    target_attr std::uint64_t popcount_and_##suffix(                    \
-        const std::uint64_t *a, const std::uint64_t *b, std::size_t n)  \
-    {                                                                   \
-        std::uint64_t total = 0;                                        \
-        for (std::size_t i = 0; i < n; ++i)                             \
-            total += static_cast<std::uint64_t>(                        \
-                __builtin_popcountll(a[i] & b[i]));                     \
         return total;                                                   \
     }
 
@@ -106,26 +83,18 @@ struct KernelTable
                   const std::uint64_t *, std::size_t);
     void (*opAndNot)(std::uint64_t *, const std::uint64_t *,
                      const std::uint64_t *, std::size_t);
-    void (*opXnor)(std::uint64_t *, const std::uint64_t *,
-                   const std::uint64_t *, std::size_t);
     void (*opNot)(std::uint64_t *, const std::uint64_t *, std::size_t);
-    void (*opFill)(std::uint64_t *, std::uint64_t, std::size_t);
     std::uint64_t (*opPopcount)(const std::uint64_t *, std::size_t);
-    std::uint64_t (*opPopcountAnd)(const std::uint64_t *,
-                                   const std::uint64_t *, std::size_t);
 };
 
-constexpr KernelTable kScalarTable{
-    or_scalar,   and_scalar,  andnot_scalar,   xnor_scalar,
-    not_scalar,  fill_scalar, popcount_scalar, popcount_and_scalar};
+constexpr KernelTable kScalarTable{or_scalar, and_scalar, andnot_scalar,
+                                   not_scalar, popcount_scalar};
 
 #if USFQ_HAVE_X86_DISPATCH
-constexpr KernelTable kAvx2Table{
-    or_avx2,   and_avx2,  andnot_avx2,   xnor_avx2,
-    not_avx2,  fill_avx2, popcount_avx2, popcount_and_avx2};
-constexpr KernelTable kAvx512Table{
-    or_avx512,   and_avx512,  andnot_avx512,   xnor_avx512,
-    not_avx512,  fill_avx512, popcount_avx512, popcount_and_avx512};
+constexpr KernelTable kAvx2Table{or_avx2, and_avx2, andnot_avx2, not_avx2,
+                                 popcount_avx2};
+constexpr KernelTable kAvx512Table{or_avx512, and_avx512, andnot_avx512,
+                                   not_avx512, popcount_avx512};
 #endif
 
 const KernelTable &
@@ -268,35 +237,15 @@ wordAndNot(std::uint64_t *dst, const std::uint64_t *a,
 }
 
 void
-wordXnor(std::uint64_t *dst, const std::uint64_t *a,
-         const std::uint64_t *b, std::size_t n)
-{
-    active().opXnor(dst, a, b, n);
-}
-
-void
 wordNot(std::uint64_t *dst, const std::uint64_t *a, std::size_t n)
 {
     active().opNot(dst, a, n);
-}
-
-void
-wordFill(std::uint64_t *dst, std::uint64_t value, std::size_t n)
-{
-    active().opFill(dst, value, n);
 }
 
 std::uint64_t
 wordPopcount(const std::uint64_t *a, std::size_t n)
 {
     return active().opPopcount(a, n);
-}
-
-std::uint64_t
-wordPopcountAnd(const std::uint64_t *a, const std::uint64_t *b,
-                std::size_t n)
-{
-    return active().opPopcountAnd(a, b, n);
 }
 
 } // namespace usfq::span

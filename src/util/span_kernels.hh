@@ -1,15 +1,15 @@
 /**
  * @file
- * Contiguous-span word kernels for the packed-bitstream engines.
+ * Contiguous-span word kernels for func::PulseStream, the packed
+ * slot bitmap the counting models are checked against.
  *
- * Every op works on spans of raw uint64 words (a batch of pulse-stream
- * lanes laid out back to back) and is implemented three times -- a
- * portable scalar loop, an AVX2 build, and an AVX-512 build of the
- * same loop -- behind one runtime-dispatched function table.  The
- * three builds are the *same* C++ loop compiled for different ISAs, so
- * they are bit-identical by construction; tests/span_kernel_test.cpp
- * pins that anyway by running every supported level against the
- * scalar reference.
+ * Every op works on a span of raw uint64 words and is implemented
+ * three times -- a portable scalar loop, an AVX2 build, and an
+ * AVX-512 build of the same loop -- behind one runtime-dispatched
+ * function table.  The three builds are the *same* C++ loop compiled
+ * for different ISAs, so they are bit-identical by construction;
+ * tests/span_kernel_test.cpp pins that anyway by running every
+ * supported level against the scalar reference.
  *
  * Dispatch: the best level the host supports is selected on first use.
  * The USFQ_SPAN_KERNEL environment variable (scalar|avx2|avx512)
@@ -76,22 +76,11 @@ void wordAnd(std::uint64_t *dst, const std::uint64_t *a,
 void wordAndNot(std::uint64_t *dst, const std::uint64_t *a,
                 const std::uint64_t *b, std::size_t n);
 
-/** dst[i] = ~(a[i] ^ b[i]) -- the bipolar XNOR product on raw words. */
-void wordXnor(std::uint64_t *dst, const std::uint64_t *a,
-              const std::uint64_t *b, std::size_t n);
-
 /** dst[i] = ~a[i] */
 void wordNot(std::uint64_t *dst, const std::uint64_t *a, std::size_t n);
 
-/** dst[i] = value */
-void wordFill(std::uint64_t *dst, std::uint64_t value, std::size_t n);
-
 /** Total popcount of the span. */
 std::uint64_t wordPopcount(const std::uint64_t *a, std::size_t n);
-
-/** Total popcount of a[i] & b[i] (no temporary). */
-std::uint64_t wordPopcountAnd(const std::uint64_t *a,
-                              const std::uint64_t *b, std::size_t n);
 
 } // namespace usfq::span
 

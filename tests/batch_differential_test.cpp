@@ -34,29 +34,14 @@ constexpr std::uint64_t kBaseSeed = 0xba7c4edULL;
 const int kWidths[] = {1, 3, 8, 64};
 const int kThreadCounts[] = {1, 4};
 
-// bits=3: nmax=8, a partial tail word; bits=7: nmax=128, two words
-// per lane.  Together they cover tail masking and multi-word lanes.
+// bits=3: nmax=8; bits=7: nmax=128 -- a short and a long epoch.
 const int kBitGrid[] = {3, 7};
-
-/** Order-sensitive hash of a stream's packed words: equal hashes over
- *  this corpus ==> bit-identical streams. */
-std::uint64_t
-streamHash(const func::PulseStream &s)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::size_t w = 0; w < s.wordCountOf(); ++w) {
-        h ^= s.words()[w] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        h *= 0xbf58476d1ce4e5b9ULL;
-    }
-    return h;
-}
 
 /**
  * Run one component class through the full grid.  @p gen draws a case
  * from a per-item Rng; @p scalar evaluates one case with the scalar
  * functional model; @p batched evaluates a whole lane group with the
- * batched engine and returns one int per lane (a count, a slot id, or
- * a stream hash).
+ * batched engine and returns one int per lane (a count or a slot id).
  */
 template <typename GenFn, typename ScalarFn, typename BatchFn>
 void
@@ -190,36 +175,6 @@ TEST(BatchDifferential, UnipolarMultiplierCounts)
         });
 }
 
-TEST(BatchDifferential, UnipolarMultiplierStreams)
-{
-    checkClass(
-        "unipolar-mult-stream", multCase,
-        [](const EpochConfig &cfg, const MultCase &c) {
-            Netlist nl;
-            auto &m = nl.create<func::UnipolarMultiplier>("m");
-            return static_cast<int>(streamHash(m.evaluateStream(
-                func::PulseStream::euclidean(cfg, c.n), c.id)) >> 33);
-        },
-        [](const EpochConfig &cfg, const std::vector<MultCase> &cs) {
-            Netlist nl;
-            auto &m = nl.create<func::UnipolarMultiplier>("m");
-            WordArena arena;
-            std::vector<int> ns, ids;
-            for (const MultCase &c : cs) {
-                ns.push_back(c.n);
-                ids.push_back(c.id);
-            }
-            const auto in =
-                func::BatchStream::euclidean(cfg, ns, arena);
-            const auto out = m.evaluateStreamBatch(in, ids, arena);
-            std::vector<int> hashes;
-            for (int b = 0; b < out.lanes(); ++b)
-                hashes.push_back(static_cast<int>(
-                    streamHash(out.extractLane(b)) >> 33));
-            return hashes;
-        });
-}
-
 TEST(BatchDifferential, BipolarMultiplierCounts)
 {
     checkClass(
@@ -243,38 +198,6 @@ TEST(BatchDifferential, BipolarMultiplierCounts)
         });
 }
 
-TEST(BatchDifferential, BipolarMultiplierStreams)
-{
-    checkClass(
-        "bipolar-mult-stream", multCase,
-        [](const EpochConfig &cfg, const MultCase &c) {
-            Netlist nl;
-            auto &m = nl.create<func::BipolarMultiplier>("m");
-            return static_cast<int>(streamHash(m.evaluateStream(
-                func::PulseStream::euclidean(cfg, c.n), c.id)) >> 33);
-        },
-        [](const EpochConfig &cfg, const std::vector<MultCase> &cs) {
-            Netlist nl;
-            auto &m = nl.create<func::BipolarMultiplier>("m");
-            WordArena arena;
-            std::vector<int> ns, ids;
-            for (const MultCase &c : cs) {
-                ns.push_back(c.n);
-                ids.push_back(c.id);
-            }
-            const auto in =
-                func::BatchStream::euclidean(cfg, ns, arena);
-            const auto out = m.evaluateStreamBatch(in, ids, arena);
-            std::vector<int> hashes;
-            for (int b = 0; b < out.lanes(); ++b)
-                hashes.push_back(static_cast<int>(
-                    streamHash(out.extractLane(b)) >> 33));
-            return hashes;
-        });
-}
-
-// --- adders / counting networks ----------------------------------------------
-
 TEST(BatchDifferential, MergerTreeAdderCounts)
 {
     checkClass(
@@ -288,9 +211,8 @@ TEST(BatchDifferential, MergerTreeAdderCounts)
         [](const EpochConfig &cfg, const std::vector<VecCase<4>> &cs) {
             Netlist nl;
             auto &add = nl.create<func::MergerTreeAdder>("add", 4);
-            WordArena arena;
             std::vector<int> out(cs.size());
-            add.evaluateBatch(cfg, operandMajor(cs), out, arena);
+            add.evaluateBatch(cfg, operandMajor(cs), out);
             return out;
         });
 }
@@ -525,9 +447,8 @@ TEST(BatchDifferential, BatchedCollisionLedgerMatchesScalarRuns)
         sa.evaluate(cfg, std::vector<int>(c.v.begin(), c.v.end()));
     Netlist batchNl;
     auto &ba = batchNl.create<func::MergerTreeAdder>("add", 4);
-    WordArena arena;
     std::vector<int> out(kLanes);
-    ba.evaluateBatch(cfg, operandMajor(cases), out, arena);
+    ba.evaluateBatch(cfg, operandMajor(cases), out);
     EXPECT_EQ(ba.collisions(), sa.collisions());
     EXPECT_EQ(ba.localSwitches(), sa.localSwitches());
 }

@@ -18,7 +18,6 @@
 
 #include "core/encoding.hh"
 #include "core/fir.hh"
-#include "func/batch.hh"
 #include "func/components.hh"
 #include "func/stream.hh"
 #include "sim/netlist.hh"
@@ -306,10 +305,9 @@ TEST(FuncProperty, IntegratorBufferDelaysOneEpoch)
 // --- tail-bit invariant ------------------------------------------------------
 //
 // Audit result pinned here: bits at or beyond nmax in the last packed
-// word must be zero after EVERY stream op.  Ops built on raw NOT/XNOR
-// word kernels (complement, bipolar products, batched variants) are
-// the ones that can violate it; popcounts and unions would then see
-// ghost pulses.
+// word must be zero after EVERY stream op.  Ops built on the raw NOT
+// word kernel (complement, bipolar products) are the ones that can
+// violate it; popcounts and unions would then see ghost pulses.
 
 std::uint64_t
 tailBits(const func::PulseStream &s)
@@ -318,16 +316,6 @@ tailBits(const func::PulseStream &s)
     if (tail == 0)
         return 0;
     return s.words()[s.wordCountOf() - 1] &
-           ~((std::uint64_t{1} << tail) - 1);
-}
-
-std::uint64_t
-laneTailBits(const func::BatchStream &s, int b)
-{
-    const int tail = s.config().nmax() % 64;
-    if (tail == 0)
-        return 0;
-    return s.lane(b)[s.wordsPerLane() - 1] &
            ~((std::uint64_t{1} << tail) - 1);
 }
 
@@ -350,45 +338,6 @@ TEST(FuncProperty, TailBitsStayZeroAcrossScalarOps)
             EXPECT_EQ(tailBits(func::bipolarProductStream(a, id)), 0u);
         }
     }
-}
-
-TEST(FuncProperty, TailBitsStayZeroAcrossBatchedOps)
-{
-    Rng rng(0x7a12u);
-    WordArena arena;
-    for (int bits : {2, 3, 5}) {
-        const EpochConfig cfg(bits);
-        constexpr int kLanes = 17;
-        std::vector<int> ns, ids;
-        for (int b = 0; b < kLanes; ++b) {
-            ns.push_back(static_cast<int>(rng.uniformInt(0, cfg.nmax())));
-            ids.push_back(
-                static_cast<int>(rng.uniformInt(0, cfg.nmax())));
-        }
-        arena.reset();
-        const auto a = func::BatchStream::euclidean(cfg, ns, arena);
-        const auto checks = {
-            func::BatchStream::prefixMasks(cfg, ids, arena),
-            func::batchComplement(a, arena),
-            func::batchMaskBelow(a, ids, arena),
-            func::batchMaskAtOrAbove(a, ids, arena),
-            func::batchBipolarProduct(a, ids, arena),
-            func::batchUnion(a, func::batchComplement(a, arena), arena),
-        };
-        for (const auto &s : checks)
-            for (int b = 0; b < s.lanes(); ++b)
-                EXPECT_EQ(laneTailBits(s, b), 0u)
-                    << "bits=" << bits << " lane=" << b;
-    }
-}
-
-TEST(FuncProperty, FromWordsRejectsTailBitViolations)
-{
-    const EpochConfig cfg(3); // nmax = 8: bits 8..63 are tail
-    std::uint64_t raw[1] = {0xff};
-    EXPECT_EQ(func::PulseStream::fromWords(cfg, raw).count(), 8);
-    raw[0] = 0x1ff; // bit 8 = first ghost slot
-    EXPECT_DEATH(func::PulseStream::fromWords(cfg, raw), "window");
 }
 
 } // namespace

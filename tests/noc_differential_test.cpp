@@ -3,9 +3,8 @@
  * Temporal NoC differential tier (docs/noc.md): the pulse-level fabric
  * and the stream-level functional mirror locked together flit for flit
  * at fabric scale -- sink window counts AND per-router collision
- * ledgers -- plus the service-level identity contracts: 1-vs-N sweep
- * threads and scalar-vs-batched evaluation are bit-identical through
- * the facade checksum.
+ * ledgers -- plus the service-level identity contract: 1-vs-N sweep
+ * threads and any batch setting give bit-identical facade checksums.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "api/facade.hh"
 #include "api/spec.hh"
-#include "func/batch.hh"
 #include "func/noc.hh"
 #include "noc/grid.hh"
 #include "noc/plan.hh"
@@ -154,24 +152,6 @@ TEST(NocFabricDifferential, InjectedCountsMatchFunctionalTiles)
     nl.run(plan.horizon);
 
     EXPECT_EQ(grid.injectedCounts(), func::nocTileCounts(plan, ops));
-}
-
-TEST(NocFabricDifferential, BatchMatchesScalarPerLane)
-{
-    const noc::GridPlan plan =
-        noc::planGrid(meshSpec(4, 4, false, DpuMode::Bipolar));
-    std::vector<std::uint64_t> seeds;
-    for (std::uint64_t s = 1; s <= 9; ++s)
-        seeds.push_back(0x1000 + s * 17);
-
-    WordArena arena;
-    std::vector<noc::FabricObservation> batched;
-    func::evaluateFabricBatch(plan, seeds, batched, arena);
-    ASSERT_EQ(batched.size(), seeds.size());
-    for (std::size_t b = 0; b < seeds.size(); ++b)
-        EXPECT_EQ(batched[b],
-                  func::evaluateFabricSeed(plan, seeds[b]))
-            << "lane " << b;
 }
 
 api::NetlistSpec

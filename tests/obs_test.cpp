@@ -113,12 +113,10 @@ TEST(Histogram, MergeIsBucketWise)
 TEST(StatsRegistry, CounterGaugeHistogramRoundTrip)
 {
     obs::StatsRegistry reg;
-    obs::Counter &c = reg.counter("a/count", 7);
+    obs::Counter &c = reg.counter("a/count");
     ++c;
     c += 4;
     EXPECT_EQ(reg.findCounter("a/count")->value(), 5u);
-    EXPECT_EQ(reg.nodeOf("a/count"), 7);
-    EXPECT_EQ(reg.nodeOf("missing"), -1);
 
     reg.gauge("a/depth").high(3.0);
     reg.gauge("a/depth").high(2.0);
@@ -259,10 +257,9 @@ TEST(NetlistStats, RegistryRollupMatchesReport)
     EXPECT_EQ(reg.sumCounters("nl", "lost_pulses"),
               static_cast<std::uint64_t>(rpt.root.lost));
 
-    // Per-component entries are keyed by hier-node id and path.
+    // Per-component entries are keyed by hierarchy path.
     EXPECT_EQ(reg.findCounter("nl/j1/jj")->value(),
               static_cast<std::uint64_t>(j1.jjCount()));
-    EXPECT_GE(reg.nodeOf("nl/j1/jj"), 0);
 
     // Kernel stats ride under <name>/kernel.
     EXPECT_EQ(reg.findCounter("nl/kernel/executed")->value(),
@@ -653,11 +650,6 @@ TEST(LogCounters, CountEvenWhileQuiet)
     setQuiet(false);
     EXPECT_EQ(warnCount(), 2u);
     EXPECT_EQ(informCount(), 1u);
-
-    obs::StatsRegistry reg;
-    obs::captureLogStats(reg);
-    EXPECT_EQ(reg.findCounter("log/warnings")->value(), 2u);
-    EXPECT_EQ(reg.findCounter("log/informs")->value(), 1u);
     resetLogCounts();
     EXPECT_EQ(warnCount(), 0u);
 }
