@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "bench_gbench.hh"
 #include "core/adder.hh"
 #include "core/dpu.hh"
@@ -16,6 +18,7 @@
 #include "dsp/fir_design.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace.hh"
+#include "sfq/params.hh"
 #include "sfq/sources.hh"
 
 using namespace usfq;
@@ -40,6 +43,60 @@ BM_EventQueueScheduleRun(benchmark::State &state)
                             state.iterations());
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+
+/** Cell delays a pulse meets on its way through a chain (sfq/params). */
+constexpr std::array<Tick, 8> kChainDelays = {
+    cell::kJtlDelay,  cell::kSplitterDelay,  cell::kMergerDelay,
+    cell::kDffDelay,  cell::kTffDelay,       cell::kInverterDelay,
+    cell::kBffDelay,  cell::kTff2Delay};
+constexpr int kChainFanout = 4;
+constexpr int kChainDepth = 8;
+
+/** Stage @p stage of chain @p lane fired: pass the pulse on. */
+void
+chainStage(EventQueue *eq, int stage, int lane)
+{
+    if (stage + 1 == kChainDepth)
+        return;
+    const Tick delay =
+        kChainDelays[static_cast<std::size_t>((stage + lane) & 7)];
+    eq->scheduleAfter(delay, [eq, stage, lane] {
+        chainStage(eq, stage + 1, lane);
+    });
+}
+
+/**
+ * The event kernel on the horizon pulse-level audits have: a clock
+ * train pre-scheduled up front, one event per pulse as
+ * ClockSource::program builds it, every pulse fanning out (a splitter
+ * tree) into kChainFanout chains of kChainDepth cells whose delays are
+ * the sfq/params cell delays (2-20 ps).  Items = events executed, so
+ * items_per_second is the kernel's events/s.
+ */
+void
+BM_EventQueueCellHorizon(benchmark::State &state)
+{
+    const auto pulses = static_cast<std::uint64_t>(state.range(0));
+    constexpr Tick kPeriod = 40 * kPicosecond;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        EventQueue eq;
+        for (std::uint64_t i = 0; i < pulses; ++i) {
+            const Tick when = static_cast<Tick>(i) * kPeriod;
+            eq.schedule(when, [q = &eq] {
+                for (int lane = 0; lane < kChainFanout; ++lane)
+                    q->scheduleAfter(cell::kSplitterDelay, [q, lane] {
+                        chainStage(q, 0, lane);
+                    });
+            });
+        }
+        eq.run();
+        events += eq.executed();
+        benchmark::DoNotOptimize(events);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EventQueueCellHorizon)->Arg(256)->Arg(2368);
 
 void
 BM_UnipolarMultiplierEpoch(benchmark::State &state)

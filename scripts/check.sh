@@ -5,9 +5,12 @@
 #
 #   ./scripts/check.sh                 # both configurations, full suite
 #   ./scripts/check.sh -- -L unit      # both configurations, unit tier
-#   ./scripts/check.sh diff            # functional-backend gate: unit,
-#                                      # golden, diff and sta tiers under
-#                                      # default and ASan builds
+#   ./scripts/check.sh diff            # functional-backend and kernel
+#                                      # gate: unit (incl. the event
+#                                      # kernel's determinism tests and
+#                                      # its order differential), golden,
+#                                      # diff and sta tiers under default,
+#                                      # ASan and UBSan builds
 #   ./scripts/check.sh batch           # batched-engine gate: the batch
 #                                      # tier (span kernels, lane-level
 #                                      # differential, the figure
@@ -101,7 +104,11 @@ fi
 if [[ "$mode" == "diff" ]]; then
     # The tiers that lock the functional backend to the pulse-level
     # simulator: unit (properties + models), golden (incl. functional
-    # goldens), diff (the differential fuzzer) and sta.
+    # goldens), diff (the differential fuzzer) and sta.  The unit tier
+    # carries the event kernel's determinism tests and its order
+    # differential against a reference heap; runs under UBSan as well,
+    # since the bucket ring is shift-and-mask arithmetic on signed
+    # 64-bit ticks.
     ctest_args=(-L 'unit|golden|diff|sta' "${ctest_args[@]}")
 elif [[ "$mode" == "batch" ]]; then
     # The batched-engine gate: the span-kernel fuzzer, the lane-level
@@ -271,7 +278,7 @@ fi
 
 run_config default "$repo/build"
 run_config asan "$repo/build-asan" -DUSFQ_SANITIZE=address
-if [[ "$mode" == "batch" || "$mode" == "gen" ]]; then
+if [[ "$mode" == "batch" || "$mode" == "gen" || "$mode" == "diff" ]]; then
     run_config ubsan "$repo/build-ubsan" -DUSFQ_SANITIZE=undefined
     echo "==> all checks passed (default + asan + ubsan)"
 else

@@ -10,18 +10,22 @@
 namespace usfq
 {
 
+/**
+ * The ring's bucket vectors.  Their headers are all the state a bucket
+ * has (about 24 KB for the ring), and each vector keeps its capacity
+ * across pooled reuse, so a warm ring schedules without allocating.
+ */
 struct EventQueue::RingBuffers
 {
     std::vector<std::vector<Event>> buckets;
-    std::vector<std::uint32_t> heads;
 
-    RingBuffers() : buckets(kNumBuckets), heads(kNumBuckets, 0) {}
+    RingBuffers() : buckets(kNumBuckets) {}
 };
 
 namespace
 {
 
-/** Min-heap order over (when, seq) for the overflow heap. */
+/** Min-heap order over (when, seq) for the overflow and late heaps. */
 struct EventLater
 {
     template <typename Ev>
@@ -36,8 +40,8 @@ struct EventLater
 
 /**
  * Per-thread free list of drained ring buffers.  Every entry is clean
- * (all buckets empty, heads zero), so acquisition costs a pointer pop
- * instead of zeroing kNumBuckets vector headers.
+ * (all buckets empty), so acquisition costs a pointer pop instead of
+ * constructing kNumBuckets vector headers.
  */
 thread_local std::vector<std::unique_ptr<EventQueue::RingBuffers>>
     ringPool;
@@ -63,7 +67,7 @@ EventQueue::~EventQueue()
     if (!ring)
         return; // moved from
     // Return a clean ring to the pool: only occupied buckets (tracked by
-    // the bitmap) need clearing.
+    // the bitmap, the open one included) need clearing.
     for (std::size_t w = 0; w < kBitmapWords; ++w) {
         std::uint64_t bits = bitmap[w];
         while (bits) {
@@ -72,7 +76,6 @@ EventQueue::~EventQueue()
                 static_cast<std::size_t>(std::countr_zero(bits));
             bits &= bits - 1;
             ring->buckets[idx].clear();
-            ring->heads[idx] = 0;
         }
     }
     if (ringPool.size() < kMaxPooledRings)
@@ -82,12 +85,26 @@ EventQueue::~EventQueue()
 void
 EventQueue::insertRing(Tick when, std::uint64_t seq, Callback cb)
 {
-    const std::size_t idx = static_cast<std::size_t>(when) & kBucketMask;
-    ring->buckets[idx].push_back(Event{when, seq, std::move(cb)});
-    setBit(idx);
+    const std::size_t idx = bucketOf(when);
+    if (idx == openIdx) {
+        // The open bucket is sorted and part-drained: the event waits
+        // in the late heap, which the drain merges by (when, seq).
+        late.push_back(Event{when, seq, std::move(cb)});
+        std::push_heap(late.begin(), late.end(), EventLater{});
+    } else {
+        const Tick start = bucketStart(when);
+        if (start < cursor) {
+            // Below the cursor: only possible between run() calls
+            // (callbacks schedule at or after now()).  An open bucket
+            // is no longer the earliest one.
+            if (openIdx != kNoBucket)
+                shelveOpenBucket();
+            cursor = start;
+        }
+        ring->buckets[idx].push_back(Event{when, seq, std::move(cb)});
+        setBit(idx);
+    }
     ++liveRing;
-    if (when < cursor)
-        cursor = when;
     if (stats)
         ++stats->ringInserts;
 }
@@ -123,8 +140,7 @@ EventQueue::schedule(Tick when, Callback cb)
     if (stats)
         noteSchedule(when);
     const std::uint64_t seq = nextSeq++;
-    if (when >= windowBase &&
-        when < windowBase + static_cast<Tick>(kNumBuckets)) {
+    if (when >= windowBase && when < windowBase + kWindowTicks) {
         insertRing(when, seq, std::move(cb));
     } else if (when < windowBase) {
         // Behind the window: only possible from outside run() after the
@@ -155,6 +171,8 @@ EventQueue::rebase(Tick new_base)
         ++stats->rebases;
         stats->rebaseSpills += liveRing;
     }
+    if (openIdx != kNoBucket)
+        shelveOpenBucket();
     if (liveRing > 0) {
         for (std::size_t w = 0; w < kBitmapWords; ++w) {
             std::uint64_t bits = bitmap[w];
@@ -164,61 +182,125 @@ EventQueue::rebase(Tick new_base)
                     static_cast<std::size_t>(std::countr_zero(bits));
                 bits &= bits - 1;
                 auto &vec = ring->buckets[idx];
-                for (std::size_t i = ring->heads[idx]; i < vec.size();
-                     ++i)
-                    overflow.push_back(std::move(vec[i]));
+                for (Event &ev : vec)
+                    overflow.push_back(std::move(ev));
                 vec.clear();
-                ring->heads[idx] = 0;
             }
             bitmap[w] = 0;
         }
         liveRing = 0;
         std::make_heap(overflow.begin(), overflow.end(), EventLater{});
     }
-    windowBase = new_base;
-    cursor = new_base;
-    const Tick window_end = new_base + static_cast<Tick>(kNumBuckets);
-    // Heap pops come out in (when, seq) order, so per-tick FIFO order in
-    // the refilled buckets is sequence order, as required.
+    windowBase = bucketStart(new_base);
+    cursor = windowBase;
+    const Tick window_end = windowBase + kWindowTicks;
     while (!overflow.empty() && overflow.front().when < window_end) {
         Event ev = overflowPop();
         insertRing(ev.when, ev.seq, std::move(ev.cb));
     }
 }
 
-Tick
-EventQueue::findNextTick()
+bool
+EventQueue::openNextBucket()
 {
-    for (;;) {
-        if (liveRing > 0) {
-            // Scan the occupancy bitmap in ring order starting at the
-            // cursor; every set bit lies at a tick >= cursor, so the
-            // first one found is the minimum.
-            const std::size_t start =
-                static_cast<std::size_t>(cursor) & kBucketMask;
-            std::size_t w = start >> 6;
-            std::uint64_t bits =
-                bitmap[w] & (~std::uint64_t(0) << (start & 63));
-            for (std::size_t scanned = 0;;) {
-                if (bits) {
-                    const std::size_t idx =
-                        (w << 6) + static_cast<std::size_t>(
-                                       std::countr_zero(bits));
-                    const std::size_t delta =
-                        (idx - start) & kBucketMask;
-                    cursor = cursor + static_cast<Tick>(delta);
-                    return cursor;
-                }
-                if (++scanned > kBitmapWords)
-                    panic("EventQueue: bitmap out of sync");
-                w = (w + 1) & (kBitmapWords - 1);
-                bits = bitmap[w];
-            }
-        }
+    while (liveRing == 0) {
         if (overflow.empty())
-            return kTickInvalid;
+            return false;
         rebase(overflow.front().when);
     }
+    // Scan the occupancy bitmap in ring order from the cursor's bucket;
+    // every set bit lies at or after the cursor, so the first one found
+    // is the earliest bucket.
+    const std::size_t start = bucketOf(cursor);
+    std::size_t w = start >> 6;
+    std::uint64_t bits = bitmap[w] & (~std::uint64_t(0) << (start & 63));
+    for (std::size_t scanned = 0; !bits;) {
+        if (++scanned > kBitmapWords)
+            panic("EventQueue: bitmap out of sync");
+        w = (w + 1) & (kBitmapWords - 1);
+        bits = bitmap[w];
+    }
+    const std::size_t idx =
+        (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+    cursor += static_cast<Tick>((idx - start) & kBucketMask)
+              << kBucketShift;
+    openIdx = idx;
+    // Appended in seq order, the bucket is ordered only within each
+    // tick; seq is unique, so an unstable sort gives (when, seq).
+    auto &vec = ring->buckets[idx];
+    std::sort(vec.begin(), vec.end(), [](const Event &a, const Event &b) {
+        return EventLater{}(b, a);
+    });
+    return true;
+}
+
+void
+EventQueue::closeBucket()
+{
+    ring->buckets[openIdx].clear();
+    clearBit(openIdx);
+    openIdx = kNoBucket;
+    openHead = 0;
+    cursor += kBucketTicks;
+}
+
+void
+EventQueue::shelveOpenBucket()
+{
+    auto &vec = ring->buckets[openIdx];
+    vec.erase(vec.begin(),
+              vec.begin() + static_cast<std::ptrdiff_t>(openHead));
+    for (Event &ev : late)
+        vec.push_back(std::move(ev));
+    late.clear();
+    if (vec.empty())
+        clearBit(openIdx);
+    openIdx = kNoBucket;
+    openHead = 0;
+}
+
+EventQueue::Event *
+EventQueue::nextEvent()
+{
+    for (;;) {
+        if (openIdx != kNoBucket) {
+            auto &vec = ring->buckets[openIdx];
+            const bool more = openHead < vec.size();
+            if (late.empty()) {
+                if (more)
+                    return &vec[openHead];
+            } else if (!more || EventLater{}(vec[openHead], late.front())) {
+                return &late.front();
+            } else {
+                return &vec[openHead];
+            }
+            closeBucket();
+        }
+        if (!openNextBucket())
+            return nullptr;
+    }
+}
+
+bool
+EventQueue::fireNext(Tick until)
+{
+    Event *ev = nextEvent();
+    if (ev == nullptr || ev->when > until)
+        return false;
+    currentTick = ev->when;
+    // Move the callback out before running it: it may schedule into
+    // the open bucket, which grows (and may reallocate) the late heap.
+    Callback cb = std::move(ev->cb);
+    if (!late.empty() && ev == &late.front()) {
+        std::pop_heap(late.begin(), late.end(), EventLater{});
+        late.pop_back();
+    } else {
+        ++openHead;
+    }
+    --liveRing;
+    cb();
+    ++executedCount;
+    return true;
 }
 
 std::uint64_t
@@ -226,32 +308,8 @@ EventQueue::run(Tick until)
 {
     const std::uint64_t t0 = stats ? obs::wallClockUs() : 0;
     std::uint64_t n = 0;
-    for (;;) {
-        const Tick next = findNextTick();
-        if (next == kTickInvalid || next > until)
-            break;
-        const std::size_t idx =
-            static_cast<std::size_t>(next) & kBucketMask;
-        auto &vec = ring->buckets[idx];
-        auto &head = ring->heads[idx];
-        currentTick = next;
-        // Drain the whole bucket: every event here shares tick `next`,
-        // and callbacks may append more (same tick, higher seq) while
-        // we iterate.  Move the callback out first: an append may
-        // reallocate the bucket's storage mid-execution.
-        while (head < vec.size()) {
-            Callback cb = std::move(vec[head].cb);
-            ++head;
-            --liveRing;
-            cb();
-            ++n;
-            ++executedCount;
-        }
-        vec.clear();
-        head = 0;
-        clearBit(idx);
-        cursor = next + 1;
-    }
+    while (fireNext(until))
+        ++n;
     if (empty() && until != INT64_MAX && currentTick < until)
         currentTick = until;
     if (stats) {
@@ -265,24 +323,7 @@ EventQueue::run(Tick until)
 bool
 EventQueue::step()
 {
-    const Tick next = findNextTick();
-    if (next == kTickInvalid)
-        return false;
-    const std::size_t idx = static_cast<std::size_t>(next) & kBucketMask;
-    auto &vec = ring->buckets[idx];
-    auto &head = ring->heads[idx];
-    Callback cb = std::move(vec[head].cb);
-    ++head;
-    --liveRing;
-    if (head == vec.size()) {
-        vec.clear();
-        head = 0;
-        clearBit(idx);
-    }
-    currentTick = next;
-    cb();
-    ++executedCount;
-    return true;
+    return fireNext(INT64_MAX);
 }
 
 void
@@ -296,12 +337,14 @@ EventQueue::reset()
                 static_cast<std::size_t>(std::countr_zero(bits));
             bits &= bits - 1;
             ring->buckets[idx].clear();
-            ring->heads[idx] = 0;
         }
         bitmap[w] = 0;
     }
     overflow.clear();
+    late.clear();
     liveRing = 0;
+    openIdx = kNoBucket;
+    openHead = 0;
     windowBase = 0;
     cursor = 0;
     currentTick = 0;

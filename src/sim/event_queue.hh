@@ -9,13 +9,16 @@
  * and platforms.
  *
  * Internally this is a calendar queue specialized to SFQ workloads (see
- * docs/simkernel.md): a ring of per-tick buckets covering a sliding
- * window of kNumBuckets femtoseconds, an occupancy bitmap to skip empty
- * ticks, and a min-heap for events beyond the window.  Near-term events
- * — the overwhelming majority, since cell and wire delays are a few
- * picoseconds — cost O(1) to schedule and pop, with no allocation for
- * small callbacks (InlineFunction) and no comparator churn: FIFO order
- * within a one-tick bucket *is* sequence order.
+ * docs/simkernel.md): a ring of kNumBuckets buckets, each 1024 fs (about
+ * a picosecond) wide, covering a sliding window of kWindowTicks (about
+ * 1.05 ns); an occupancy bitmap to skip empty buckets; and a min-heap
+ * for events beyond the window.  Cell and wire delays (a few to a few
+ * tens of picoseconds) all land in the ring, so only stimulus trains
+ * and far events pay heap traffic.  A bucket is appended in scheduling
+ * order and sorted by (when, seq) once, when the drain reaches it;
+ * events scheduled into the bucket being drained wait in a small heap
+ * that the drain merges with it.  Small callbacks never allocate
+ * (InlineFunction).
  */
 
 #ifndef USFQ_SIM_EVENT_QUEUE_HH
@@ -46,8 +49,13 @@ class EventQueue
   public:
     using Callback = InlineFunction<void()>;
 
-    /** Ticks covered by the bucket ring (window width, power of two). */
-    static constexpr std::size_t kNumBuckets = 8192;
+    /** Buckets in the ring (power of two). */
+    static constexpr std::size_t kNumBuckets = 1024;
+    /** log2 of a bucket's width in ticks: 1024 fs, about 1 ps. */
+    static constexpr int kBucketShift = 10;
+    /** Ticks covered by the ring: the window width, 2^20 fs. */
+    static constexpr Tick kWindowTicks = static_cast<Tick>(kNumBuckets)
+                                         << kBucketShift;
 
     EventQueue();
     ~EventQueue();
@@ -58,8 +66,8 @@ class EventQueue
     /**
      * The bucket ring's backing arrays (opaque).  Pooled per thread:
      * building and tearing down a Netlist per simulation (the standard
-     * sweep pattern) must not pay a fresh multi-hundred-KB allocation
-     * each time.
+     * sweep pattern) must not pay a fresh allocation of kNumBuckets
+     * vector headers each time.
      */
     struct RingBuffers;
 
@@ -107,7 +115,7 @@ class EventQueue
     struct KernelStats
     {
         std::uint64_t scheduled = 0;      ///< schedule() calls
-        std::uint64_t ringInserts = 0;    ///< bucket-ring appends
+        std::uint64_t ringInserts = 0;    ///< bucket and late-heap inserts
         std::uint64_t overflowPushes = 0; ///< beyond-window heap pushes
         std::uint64_t rebases = 0;        ///< window re-anchors
         std::uint64_t rebaseSpills = 0;   ///< live events spilled by rebase
@@ -148,10 +156,26 @@ class EventQueue
         Callback cb;
     };
 
+    static constexpr Tick kBucketTicks = Tick(1) << kBucketShift;
     static constexpr std::size_t kBucketMask = kNumBuckets - 1;
     static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
+    /** openIdx value while no bucket is open. */
+    static constexpr std::size_t kNoBucket = kNumBuckets;
 
-    /** Append to the ring bucket of @p when (must lie in the window). */
+    /** Ring index of the bucket holding @p when. */
+    static std::size_t bucketOf(Tick when) {
+        return static_cast<std::size_t>(when >> kBucketShift) &
+               kBucketMask;
+    }
+    /** First tick of the bucket holding @p when. */
+    static Tick bucketStart(Tick when) {
+        return when & ~(kBucketTicks - 1);
+    }
+
+    /**
+     * Put an event into the ring (@p when must lie in the window): into
+     * the late heap if its bucket is open, else appended to its bucket.
+     */
     void insertRing(Tick when, std::uint64_t seq, Callback cb);
 
     /** Push onto the beyond-window min-heap. */
@@ -161,19 +185,42 @@ class EventQueue
     Event overflowPop();
 
     /**
-     * Re-anchor the window at @p new_base: spill the ring into the
-     * overflow heap, then pull every event below new_base + kNumBuckets
-     * back into buckets in (when, seq) order.  Rare: runs only when the
-     * ring is drained past or an event lands behind the window.
+     * Re-anchor the window at the bucket holding @p new_base: spill the
+     * ring into the overflow heap, then pull every event below the new
+     * window end back into buckets.  Rare: runs only when the ring is
+     * drained or an event lands behind the window.
      */
     void rebase(Tick new_base);
 
     /**
-     * Lowest tick with a pending ring event, rebasing from overflow as
-     * needed.  Returns kTickInvalid when the queue is empty.  Updates
-     * cursor to the returned tick.
+     * The earliest pending event, or null when the queue is empty.
+     * Closes an exhausted open bucket and opens the next one (see
+     * openNextBucket), so the event lies in the open bucket's vector
+     * or at the top of the late heap.
      */
-    Tick findNextTick();
+    Event *nextEvent();
+
+    /**
+     * Open the earliest occupied bucket, rebasing from the overflow
+     * heap if the ring is empty: move the cursor to it and sort it by
+     * (when, seq).  No bucket may be open.  Returns false when the
+     * queue is empty.
+     */
+    bool openNextBucket();
+
+    /** Retire the open bucket, which must be exhausted. */
+    void closeBucket();
+
+    /**
+     * Turn the open bucket back into a plain one: drop its drained
+     * prefix and append the late heap to it.  It is sorted again when
+     * next opened.  Runs only when an event is scheduled below the
+     * open bucket, or on rebase.
+     */
+    void shelveOpenBucket();
+
+    /** Execute the earliest event if it is at or before @p until. */
+    bool fireNext(Tick until);
 
     void setBit(std::size_t idx) {
         bitmap[idx >> 6] |= std::uint64_t(1) << (idx & 63);
@@ -185,14 +232,21 @@ class EventQueue
     /** Record one schedule() in the telemetry (stats must be live). */
     void noteSchedule(Tick when);
 
-    std::unique_ptr<RingBuffers> ring; ///< pooled per-tick buckets
+    std::unique_ptr<RingBuffers> ring; ///< pooled bucket vectors
     std::unique_ptr<KernelStats> stats; ///< null = instrumentation off
     std::array<std::uint64_t, kBitmapWords> bitmap{};
     std::vector<Event> overflow;       ///< min-heap by (when, seq)
+    /** Min-heap by (when, seq): events scheduled into the open bucket
+     *  after it was sorted. */
+    std::vector<Event> late;
 
-    Tick windowBase = 0;  ///< ring covers [windowBase, +kNumBuckets)
-    Tick cursor = 0;      ///< no pending ring event is below this tick
-    std::size_t liveRing = 0; ///< events currently stored in buckets
+    Tick windowBase = 0;  ///< ring covers [windowBase, +kWindowTicks)
+    /** Bucket-aligned; no pending ring event is below it.  Equals the
+     *  open bucket's first tick while a bucket is open. */
+    Tick cursor = 0;
+    std::size_t liveRing = 0; ///< pending events in buckets and late
+    std::size_t openIdx = kNoBucket; ///< bucket being drained, sorted
+    std::size_t openHead = 0; ///< next undrained slot of the open bucket
 
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;

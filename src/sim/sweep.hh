@@ -15,12 +15,13 @@
  * wall-clock time and nothing else.
  *
  * The same contract covers observability: every shard runs under a
- * private obs::StatsRegistry (installed as the thread's current
- * registry for the duration of the shard function), and the private
- * registries are merged into the caller's current registry after the
- * workers join.  The merge is order-free (obs::StatsRegistry::
- * mergeFrom), so stats a sweep collects are bit-identical at any
- * thread count too.
+ * registry of its own (its worker's scratch registry, installed as the
+ * thread's current registry for the duration of the shard function and
+ * cleared after it), folded into a running registry per worker; those
+ * are merged into the caller's current registry after the workers
+ * join.  Memory stays bounded by the thread count, not the shard
+ * count.  The merge is order-free (obs::StatsRegistry::mergeFrom), so
+ * stats a sweep collects are bit-identical at any thread count too.
  */
 
 #ifndef USFQ_SIM_SWEEP_HH
@@ -190,6 +191,32 @@ void runIndexed(std::size_t n, int threads,
 void checkGroupResultSize(std::size_t got, int lanes,
                           std::size_t first);
 
+/**
+ * One sweep worker's stats.  Each shard records into scratch, which
+ * is then folded into total and cleared.  The scratch holds one shard
+ * only because exportStats() overwrites counters: two shards exporting
+ * into one registry would lose counts.
+ */
+struct WorkerStats
+{
+    obs::StatsRegistry scratch;
+    obs::StatsRegistry total;
+
+    /** Run @p body with scratch as the thread's current registry, then
+     *  fold scratch into total. */
+    template <typename Body>
+    void
+    record(Body &&body)
+    {
+        {
+            obs::ScopedStatsRegistry guard(scratch);
+            body();
+        }
+        total.mergeFrom(scratch);
+        scratch.clear();
+    }
+};
+
 } // namespace detail
 
 /**
@@ -205,23 +232,22 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
 {
     using Result = decltype(fn(std::declval<const ShardContext &>()));
     std::vector<std::optional<Result>> slots(num_shards);
-    std::vector<obs::StatsRegistry> shardStats(num_shards);
     obs::StatsRegistry &parent = obs::currentStats();
     const int threads = resolveSweepThreads(opt.threads);
+    std::vector<detail::WorkerStats> workerStats(
+        static_cast<std::size_t>(threads));
     detail::runIndexed(num_shards, threads, [&](std::size_t i,
                                                 int worker) {
         const ShardContext ctx{i, num_shards, shardSeed(opt.baseSeed, i),
                                opt.backend, worker};
-        // Shard-private registry: stats recorded inside fn (netlist
-        // exports, kernel counters) land here, not in the caller's.
-        obs::ScopedStatsRegistry guard(shardStats[i]);
-        slots[i].emplace(fn(ctx));
+        // Stats recorded inside fn (netlist exports, kernel counters)
+        // land in the worker's scratch registry, not the caller's.
+        workerStats[static_cast<std::size_t>(worker)].record(
+            [&] { slots[i].emplace(fn(ctx)); });
     });
-    // Fold the shard registries (mergeFrom is order-free).  They stay
-    // per shard, not per worker: exportStats() overwrites counters, so
-    // two shards exporting into one registry would lose counts.
-    for (obs::StatsRegistry &reg : shardStats)
-        parent.mergeFrom(reg);
+    // mergeFrom is order-free: worker placement cannot show.
+    for (const detail::WorkerStats &ws : workerStats)
+        parent.mergeFrom(ws.total);
     std::vector<Result> results;
     results.reserve(num_shards);
     for (auto &slot : slots)
@@ -241,7 +267,7 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
  *
  * Determinism contract, extending runSweep's: lane seeds derive only
  * from (base seed, item index), groups are formed by item index alone,
- * per-group stats registries are merged in group order.  Results and
+ * per-group stats are merged order-free.  Results and
  * merged stats are therefore bit-identical at any thread count AND any
  * batch width -- provided fn honours the lane-equivalence contract of
  * func/batch.hh (lane b computes exactly what a scalar run of item
@@ -259,9 +285,10 @@ runBatchedSweep(std::size_t num_items, Fn &&fn,
     const std::size_t stride = static_cast<std::size_t>(width);
     const std::size_t groups = (num_items + stride - 1) / stride;
     std::vector<std::optional<GroupResult>> slots(groups);
-    std::vector<obs::StatsRegistry> groupStats(groups);
     obs::StatsRegistry &parent = obs::currentStats();
     const int threads = resolveSweepThreads(opt.threads);
+    std::vector<detail::WorkerStats> workerStats(
+        static_cast<std::size_t>(threads));
     detail::runIndexed(groups, threads, [&](std::size_t g, int worker) {
         const std::size_t first = g * stride;
         const int lanes = opt.batch.lanesFor(first, num_items);
@@ -272,12 +299,12 @@ runBatchedSweep(std::size_t num_items, Fn &&fn,
                 opt.baseSeed, first + static_cast<std::size_t>(b));
         const LaneGroupContext ctx{first,       num_items, lanes,
                                    opt.backend, worker,    seeds};
-        obs::ScopedStatsRegistry guard(groupStats[g]);
-        slots[g].emplace(fn(ctx));
+        workerStats[static_cast<std::size_t>(worker)].record(
+            [&] { slots[g].emplace(fn(ctx)); });
         detail::checkGroupResultSize(slots[g]->size(), lanes, first);
     });
-    for (obs::StatsRegistry &reg : groupStats)
-        parent.mergeFrom(reg);
+    for (const detail::WorkerStats &ws : workerStats)
+        parent.mergeFrom(ws.total);
     std::vector<Result> results;
     results.reserve(num_items);
     for (auto &slot : slots)

@@ -337,22 +337,24 @@ TEST(KernelStats, EnabledCountsSchedulesAndLatencies)
         ASSERT_NE(eq.kernelStats(), nullptr);
         for (Tick t = 0; t < 100; ++t)
             eq.schedule(t, [] {});
-        // One far event exercises the overflow heap.
-        eq.schedule(static_cast<Tick>(EventQueue::kNumBuckets) + 50,
-                    [] {});
+        // A TFF2 delay out (20 ps) still lands in the bucket ring ...
+        eq.schedule(cell::kTff2Delay, [] {});
+        EXPECT_EQ(eq.kernelStats()->overflowPushes, 0u);
+        // ... and one event past the window exercises the overflow heap.
+        eq.schedule(EventQueue::kWindowTicks + 50, [] {});
         eq.run();
         const auto *ks = eq.kernelStats();
-        EXPECT_EQ(ks->scheduled, 101u);
+        EXPECT_EQ(ks->scheduled, 102u);
         EXPECT_EQ(ks->overflowPushes, 1u);
-        EXPECT_EQ(ks->scheduleLatency.count(), 101u);
-        EXPECT_GE(ks->maxPending, 100u);
+        EXPECT_EQ(ks->scheduleLatency.count(), 102u);
+        EXPECT_GE(ks->maxPending, 101u);
         EXPECT_EQ(ks->runCalls, 1u);
 
         obs::StatsRegistry reg;
         eq.exportStats(reg, "k");
-        EXPECT_EQ(reg.findCounter("k/scheduled")->value(), 101u);
+        EXPECT_EQ(reg.findCounter("k/scheduled")->value(), 102u);
         EXPECT_EQ(reg.findHistogram("k/schedule_to_fire_fs")->count(),
-                  101u);
+                  102u);
         // Wall-clock never enters the registry.
         EXPECT_EQ(reg.findGauge("k/run_wall_us"), nullptr);
 
@@ -475,6 +477,51 @@ TEST(SweepStats, NetlistStatsMergeAcrossShards)
     // 4 shards x one Jtl each.
     EXPECT_EQ(one.sumCounters("shard", "jj"),
               4u * static_cast<std::uint64_t>(cell::kJtlJJs));
+}
+
+TEST(SweepStats, ShardsSettingOneCounterSum)
+{
+    // exportStats() set()s its counters, so every shard (and lane
+    // group) needs a registry of its own even though workers keep one
+    // running registry each: 32 set(7)s must sum to 32 x 7.
+    constexpr std::size_t kShards = 32;
+    constexpr std::uint64_t kValue = 7;
+    for (const int threads : {1, 4}) {
+        SweepOptions opt;
+        opt.threads = threads;
+        opt.batch.width = 3;
+        obs::StatsRegistry plain;
+        {
+            obs::ScopedStatsRegistry guard(plain);
+            runSweep(
+                kShards,
+                [](const ShardContext &) {
+                    obs::currentStats().counter("shard/set").set(kValue);
+                    return 0;
+                },
+                opt);
+        }
+        ASSERT_NE(plain.findCounter("shard/set"), nullptr);
+        EXPECT_EQ(plain.findCounter("shard/set")->value(), kShards * kValue)
+            << "runSweep, threads=" << threads;
+
+        obs::StatsRegistry batched;
+        {
+            obs::ScopedStatsRegistry guard(batched);
+            runBatchedSweep(
+                kShards,
+                [](const LaneGroupContext &ctx) {
+                    obs::currentStats().counter("group/set").set(kValue);
+                    return std::vector<int>(
+                        static_cast<std::size_t>(ctx.lanes));
+                },
+                opt);
+        }
+        // ceil(32 / 3) = 11 lane groups.
+        ASSERT_NE(batched.findCounter("group/set"), nullptr);
+        EXPECT_EQ(batched.findCounter("group/set")->value(), 11u * kValue)
+            << "runBatchedSweep, threads=" << threads;
+    }
 }
 
 // --- phase timing + Perfetto export ---------------------------------------
