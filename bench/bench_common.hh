@@ -39,9 +39,6 @@ namespace usfq::bench
  *    the two artifacts do not clobber each other.
  *  - `--backend pulse|functional|both`: which engine(s) to run
  *    (default both).
- *  - `--batch <N>`: evaluate the functional leg through the batched
- *    engine at N lanes (docs/functional.md, "Batched evaluation");
- *    1 (the default) keeps the scalar path.
  *
  * Anything else left in argv that looks like a flag is a fatal error
  * (the old parser silently ignored typos and, worse, treated a flag
@@ -52,21 +49,12 @@ struct BenchArgs
     std::string jsonPath;
     bool runPulse = true;
     bool runFunctional = true;
-    int batch = 1;
 
     static BenchArgs
     parse(int *argc, char **argv)
     {
         BenchArgs a;
         a.jsonPath = args::extractFlag(argc, argv, "json");
-        const std::string batch_str =
-            args::extractFlag(argc, argv, "batch");
-        if (!batch_str.empty()) {
-            a.batch = std::atoi(batch_str.c_str());
-            if (a.batch < 1)
-                fatal("--batch: '%s' is not a lane count >= 1",
-                      batch_str.c_str());
-        }
         const std::string backend =
             args::extractFlag(argc, argv, "backend");
         if (!backend.empty()) {

@@ -23,12 +23,17 @@ namespace usfq::bench
 /**
  * ConsoleReporter that also records each completed run into the
  * artifact: adjusted real time and, when SetItemsProcessed() was
- * called, the derived items/second rate.
+ * called, the derived items/second rate.  Tabular without colour: the
+ * library only drops ANSI colour for non-terminals in reporters it
+ * builds itself, and bench output is mostly read from pipes and logs.
  */
 class ArtifactReporter : public benchmark::ConsoleReporter
 {
   public:
-    explicit ArtifactReporter(Artifact &artifact) : sink(artifact) {}
+    explicit ArtifactReporter(Artifact &artifact)
+        : ConsoleReporter(OO_Tabular), sink(artifact)
+    {
+    }
 
     bool
     ReportContext(const Context &context) override

@@ -16,8 +16,8 @@
  * The pulse-level leg instantiates the real multiplier netlist; the
  * functional leg uses the stream-level model (src/func/).  Both must
  * report the closed-form 46 JJs -- the area contract is
- * backend-independent -- and the functional leg cross-checks its
- * scalar and batched epoch evaluations against each other.
+ * backend-independent -- and the functional leg range-checks its epoch
+ * evaluation on a pinned operand sweep.
  */
 
 #include <cmath>
@@ -28,7 +28,6 @@
 #include "func/components.hh"
 #include "sim/netlist.hh"
 #include "soa/table2.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 
 using namespace usfq;
@@ -37,7 +36,7 @@ namespace
 {
 
 int
-unaryJjOn(Backend backend, const bench::BenchArgs &args)
+unaryJjOn(Backend backend)
 {
     Netlist nl;
     if (backend == Backend::PulseLevel) {
@@ -61,9 +60,7 @@ unaryJjOn(Backend backend, const bench::BenchArgs &args)
     auto &mult = nl.create<func::BipolarMultiplier>("mult");
     nl.elaborate();
 
-    // Arithmetic sanity on the functional model: a pinned operand
-    // sweep, with the batched engine reproducing the scalar path on
-    // every lane when --batch asks for it.
+    // Arithmetic sanity on the functional model: a pinned sweep.
     const EpochConfig cfg(8);
     for (int n : {0, 17, cfg.nmax()}) {
         for (int rl : {0, cfg.nmax() / 3, cfg.nmax()}) {
@@ -73,23 +70,6 @@ unaryJjOn(Backend backend, const bench::BenchArgs &args)
                           << scalar << " out of range at n=" << n
                           << " rl=" << rl << "\n";
                 return -1;
-            }
-            if (args.batch > 1) {
-                const std::size_t lanes =
-                    static_cast<std::size_t>(args.batch);
-                std::vector<int> ns(lanes, n), rls(lanes, rl),
-                    out(lanes);
-                mult.evaluateBatch(cfg, ns, rls, out);
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    if (out[b] != scalar) {
-                        std::cerr << "FAIL: batched multiplier lane "
-                                  << b << " (" << out[b]
-                                  << ") != scalar (" << scalar
-                                  << ") at n=" << n << " rl=" << rl
-                                  << "\n";
-                        return -1;
-                    }
-                }
             }
         }
     }
@@ -101,7 +81,7 @@ runBackend(Backend backend, const bench::BenchArgs &args)
 {
     bench::Artifact artifact("fig04_multiplier", args, backend);
 
-    const int unary_jj = unaryJjOn(backend, args);
+    const int unary_jj = unaryJjOn(backend);
     if (unary_jj < 0)
         return 1;
     const double t_inv_ps = 9.0;

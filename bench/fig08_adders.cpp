@@ -13,7 +13,7 @@
  * MergerTreeAdder and a 2-input func::TreeCountingNetwork, whose
  * closed form is exactly one balancer).  Both legs must report the
  * same JJ figures, and the functional leg checks the balancer's
- * counting contract (output = ceil(sum/2)) scalar and batched.
+ * counting contract (output = ceil(sum/2)).
  */
 
 #include <cmath>
@@ -24,7 +24,6 @@
 #include "func/components.hh"
 #include "sim/netlist.hh"
 #include "soa/table2.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 
 using namespace usfq;
@@ -39,7 +38,7 @@ struct AdderAreas
 };
 
 AdderAreas
-areasOn(Backend backend, const bench::BenchArgs &args)
+areasOn(Backend backend)
 {
     Netlist nl;
     if (backend == Backend::PulseLevel) {
@@ -65,7 +64,7 @@ areasOn(Backend backend, const bench::BenchArgs &args)
 
     // Counting contract of the balancer: the output stream carries
     // ceil((a + b) / 2) pulses -- the "average" the paper's adder
-    // computes -- on the scalar path and on every batched lane.
+    // computes.
     for (const auto &[a, b] : std::initializer_list<
              std::pair<int, int>>{{0, 0}, {5, 6}, {255, 255}, {1, 0}}) {
         const int expect = (a + b + 1) / 2;
@@ -73,27 +72,6 @@ areasOn(Backend backend, const bench::BenchArgs &args)
             std::cerr << "FAIL: functional balancer (" << a << ", "
                       << b << ") != " << expect << "\n";
             return {};
-        }
-        if (args.batch > 1) {
-            const std::size_t lanes =
-                static_cast<std::size_t>(args.batch);
-            // Operand-major: input k's lane values contiguous.
-            std::vector<int> counts(2 * lanes);
-            for (std::size_t l = 0; l < lanes; ++l) {
-                counts[l] = a;
-                counts[lanes + l] = b;
-            }
-            std::vector<int> out(lanes);
-            WordArena arena;
-            balancer.evaluateBatch(counts, out, arena);
-            for (std::size_t l = 0; l < lanes; ++l) {
-                if (out[l] != expect) {
-                    std::cerr << "FAIL: batched balancer lane " << l
-                              << " (" << out[l] << ") != " << expect
-                              << "\n";
-                    return {};
-                }
-            }
         }
     }
     return {merger.jjCount(), balancer.jjCount()};
@@ -104,7 +82,7 @@ runBackend(Backend backend, const bench::BenchArgs &args)
 {
     bench::Artifact artifact("fig08_adders", args, backend);
 
-    const AdderAreas areas = areasOn(backend, args);
+    const AdderAreas areas = areasOn(backend);
     if (areas.merger_jj < 0 || areas.balancer_jj < 0)
         return 1;
     const int merger_jj = areas.merger_jj;

@@ -12,9 +12,8 @@
  *
  * The pulse-level leg instantiates the real PE netlist; the functional
  * leg uses the stream-level model (src/func/), cross-checks its epoch
- * arithmetic against the shared counting model (peExpectedSlot) --
- * batched too under --batch -- and both legs must report the same
- * closed-form JJ count.
+ * arithmetic against the shared counting model (peExpectedSlot), and
+ * both legs must report the same closed-form JJ count.
  */
 
 #include <cmath>
@@ -25,7 +24,6 @@
 #include "core/pe.hh"
 #include "func/components.hh"
 #include "sim/netlist.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 
 using namespace usfq;
@@ -34,7 +32,7 @@ namespace
 {
 
 int
-peJjOn(Backend backend, const bench::BenchArgs &args)
+peJjOn(Backend backend)
 {
     Netlist nl;
     if (backend == Backend::PulseLevel) {
@@ -59,7 +57,7 @@ peJjOn(Backend backend, const bench::BenchArgs &args)
 
     // Cross-backend arithmetic contract: the functional PE's epoch
     // evaluation must match the shared counting model for pinned
-    // operands, scalar and (under --batch) on every lane.
+    // operands.
     const int in1 = cfg.nmax() / 3;
     const int in2 = (2 * cfg.nmax()) / 3;
     const int in3 = cfg.nmax() / 5;
@@ -69,22 +67,6 @@ peJjOn(Backend backend, const bench::BenchArgs &args)
                      "counting model\n";
         return -1;
     }
-    if (args.batch > 1) {
-        const std::size_t lanes = static_cast<std::size_t>(args.batch);
-        std::vector<int> in1s(lanes, in1), in2s(lanes, in2),
-            in3s(lanes, in3), out(lanes);
-        WordArena arena;
-        pe.evaluateBatch(in1s, in2s, in3s, out, arena);
-        for (std::size_t b = 0; b < lanes; ++b) {
-            if (out[b] != expect) {
-                std::cerr << "FAIL: batched functional PE lane " << b
-                          << " (" << out[b]
-                          << ") disagrees with the scalar engine ("
-                          << expect << ")\n";
-                return -1;
-            }
-        }
-    }
     return pe.jjCount();
 }
 
@@ -93,7 +75,7 @@ runBackend(Backend backend, const bench::BenchArgs &args)
 {
     bench::Artifact artifact("fig14_pe", args, backend);
 
-    const int pe_jj = peJjOn(backend, args);
+    const int pe_jj = peJjOn(backend);
     if (pe_jj < 0)
         return 1;
     const double t_slot_ps = 9.0; // multiplier-limited stream rate

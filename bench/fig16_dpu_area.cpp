@@ -27,7 +27,6 @@
 #include "sim/backend.hh"
 #include "sim/netlist.hh"
 #include "sta/sta.hh"
-#include "util/arena.hh"
 #include "util/table.hh"
 #include "util/types.hh"
 
@@ -124,38 +123,6 @@ runBackend(Backend backend, const bench::BenchArgs &args)
                              "shared counting model at "
                           << taps << " taps\n";
                 return 1;
-            }
-
-            // --batch N: the batched engine must reproduce the
-            // scalar evaluation on every lane (same pinned operands
-            // broadcast across the width).
-            if (args.batch > 1) {
-                const std::size_t lanes =
-                    static_cast<std::size_t>(args.batch);
-                const std::size_t ntaps =
-                    static_cast<std::size_t>(taps);
-                // Operand-major: tap k's lane values contiguous.
-                std::vector<int> bstreams(ntaps * lanes);
-                std::vector<int> brls(ntaps * lanes);
-                for (std::size_t k = 0; k < ntaps; ++k)
-                    for (std::size_t b = 0; b < lanes; ++b) {
-                        bstreams[k * lanes + b] = streams[k];
-                        brls[k * lanes + b] = rls[k];
-                    }
-                std::vector<int> bout(lanes);
-                WordArena arena;
-                dpu.evaluateBatch(cfg, bstreams, brls, bout, arena);
-                const int expect = pinnedExpectedCount(cfg, taps);
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    if (bout[b] != expect) {
-                        std::cerr
-                            << "FAIL: batched functional DPU lane "
-                            << b << " (" << bout[b]
-                            << ") disagrees with the scalar engine ("
-                            << expect << ") at " << taps << " taps\n";
-                        return 1;
-                    }
-                }
             }
             unary = dpu.jjCount();
         }

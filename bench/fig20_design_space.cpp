@@ -13,12 +13,11 @@
  * STA gate is priced (area JJ including the inserted balancing
  * overhead, max lossless stream rate from the final STA, counting
  * accuracy from the functional mirror) and evaluated over seeded
- * epochs on the selected engine; the functional leg runs through
- * runBatchedSweep and must be bit-identical to the scalar sweep at any
- * width and any thread count, and the pulse leg must reproduce the
- * functional counts exactly (one result_digest across backends).  The
- * non-dominated set (area down, rate up, accuracy up) is the Pareto
- * front the artifact reports.
+ * epochs on the selected engine; the functional leg must be
+ * bit-identical at 1 and 4 sweep threads, and the pulse leg must
+ * reproduce the functional counts exactly (one result_digest across
+ * backends).  The non-dominated set (area down, rate up, accuracy up)
+ * is the Pareto front the artifact reports.
  *
  * Both backend artifacts carry the same metric set (including the
  * timing-margin Monte-Carlo yields, which depend only on the STA
@@ -318,33 +317,17 @@ evalPointEpochs(const GenPoint &p, std::size_t index, Backend backend)
 }
 
 /**
- * Evaluate every feasible point's epochs on @p backend.  The
- * functional leg goes through runBatchedSweep (lane-coalescing
- * engine); the pulse leg shards one netlist world per point.
+ * Evaluate every feasible point's epochs on @p backend, one point per
+ * shard.
  */
 std::vector<std::vector<long long>>
 evalSpace(const std::vector<GenPoint> &points,
           const std::vector<std::size_t> &feasible, Backend backend,
-          int batch_width, int threads)
+          int threads)
 {
     SweepOptions opt;
     opt.backend = backend;
     opt.threads = threads;
-    if (backend == Backend::Functional && batch_width > 1) {
-        opt.batch.width = batch_width;
-        return runBatchedSweep(
-            feasible.size(),
-            [&](const LaneGroupContext &ctx) {
-                std::vector<std::vector<long long>> rows;
-                for (int b = 0; b < ctx.lanes; ++b) {
-                    const std::size_t i = feasible[ctx.item(b)];
-                    rows.push_back(
-                        evalPointEpochs(points[i], i, ctx.backend));
-                }
-                return rows;
-            },
-            opt);
-    }
     return runSweep(
         feasible.size(),
         [&](const ShardContext &ctx) {
@@ -464,27 +447,22 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
-    // Functional reference evaluation + the engine contracts: batched
-    // == scalar at any width, any thread count.
-    const int width = args.batch > 1 ? args.batch : 16;
+    // Functional reference evaluation + the sweep contract: the same
+    // counts at any thread count.
     const auto funcCounts =
-        evalSpace(points, feasible, Backend::Functional, width, 0);
-    const auto scalar1 =
-        evalSpace(points, feasible, Backend::Functional, 1, 1);
-    const auto scalar4 =
-        evalSpace(points, feasible, Backend::Functional, 1, 4);
-    if (!sameCounts(funcCounts, scalar1) ||
-        !sameCounts(scalar1, scalar4)) {
+        evalSpace(points, feasible, Backend::Functional, 1);
+    const auto funcCounts4 =
+        evalSpace(points, feasible, Backend::Functional, 4);
+    if (!sameCounts(funcCounts, funcCounts4)) {
         std::fprintf(stderr,
                      "FAIL: functional sweep not bit-identical across "
-                     "batch width %d / thread counts\n",
-                     width);
+                     "thread counts\n");
         return 1;
     }
     const std::uint64_t funcDigest = digestOf(funcCounts);
-    std::printf("functional sweep: %zu points x %d epochs, batched "
-                "width %d == scalar at 1 and 4 threads, digest %s\n\n",
-                feasible.size(), kEpochsPerPoint, width,
+    std::printf("functional sweep: %zu points x %d epochs, identical "
+                "at 1 and 4 threads, digest %s\n\n",
+                feasible.size(), kEpochsPerPoint,
                 hexDigest(funcDigest).c_str());
 
     // Timing-margin Monte-Carlo (sta/monte_carlo.hh): depends only on
@@ -592,11 +570,11 @@ main(int argc, char **argv)
         // The generator sweep on this backend: the pulse leg replays
         // every feasible point's epochs at pulse level and must land
         // on the functional digest exactly; the functional leg reuses
-        // the batched reference run.
+        // the reference run.
         std::vector<std::vector<long long>> counts;
         if (backend == Backend::PulseLevel) {
             counts =
-                evalSpace(points, feasible, Backend::PulseLevel, 1, 0);
+                evalSpace(points, feasible, Backend::PulseLevel, 0);
             if (!sameCounts(counts, funcCounts)) {
                 std::fprintf(stderr,
                              "FAIL: pulse-level generator sweep "
@@ -608,9 +586,8 @@ main(int argc, char **argv)
                         feasible.size());
         } else {
             counts = funcCounts;
-            std::printf("generator sweep: batched functional counts "
-                        "reused (width %d).\n",
-                        width);
+            std::printf("generator sweep: functional reference counts "
+                        "reused.\n");
         }
         const std::uint64_t digest = digestOf(counts);
 

@@ -112,30 +112,6 @@ main(int argc, char **argv)
                     digest->type == usfq::JsonValue::Type::String)
                     digests[stem][backend] = digest->str;
             }
-            // Batched-engine artifacts (BENCH_*_batched.json) must
-            // record the lane count they measured at: downstream
-            // tooling cannot compare per-epoch numbers without it.
-            if (base.size() >= 18 &&
-                base.rfind("_batched.json") ==
-                    base.size() - 13) {
-                const usfq::JsonValue *metrics = doc.find("metrics");
-                const usfq::JsonValue *width =
-                    metrics ? metrics->find("batch_width") : nullptr;
-                const usfq::JsonValue *value =
-                    width ? width->find("value") : nullptr;
-                if (value == nullptr ||
-                    value->type !=
-                        usfq::JsonValue::Type::Number ||
-                    value->number < 1.0) {
-                    std::fprintf(stderr,
-                                 "json_lint: %s: batched artifact "
-                                 "without a batch_width metric "
-                                 ">= 1\n",
-                                 path.c_str());
-                    ++bad;
-                    continue;
-                }
-            }
             // Temporal-NoC artifacts must record the fabric geometry:
             // downstream tooling normalizes delivered/ledgered counts
             // per tile, which is meaningless without it.

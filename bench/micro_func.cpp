@@ -12,8 +12,10 @@
  * backend exists (docs/functional.md).
  *
  * BM_RunWorkload/<leg> times whole api::runWorkload calls from
- * precomputed design facts, one per engine leg (scalar, batched, FIR,
- * functional NoC, and the pulse-level DPU, gen and NoC rigs); items
+ * precomputed design facts: every functional serve_fresh template
+ * shape of perfbench (dpu16 at batch 1 and 8, dpu8u, pe5, fir4 at
+ * batch 1 and 4 -- batch selects nothing, so each pair reads alike),
+ * the functional NoC, and the pulse-level DPU, gen and NoC rigs; items
  * are epochs, so 1e9 / items_per_second is the leg's ns per epoch.
  *
  * BM_ResultToJson/<template> times api::resultToJson -- the broker's
@@ -26,7 +28,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,13 +36,11 @@
 #include "bench_gbench.hh"
 #include "core/dpu.hh"
 #include "core/encoding.hh"
-#include "func/batch.hh"
 #include "func/components.hh"
 #include "func/stream.hh"
 #include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
-#include "util/args.hh"
 
 using namespace usfq;
 
@@ -181,6 +180,12 @@ workloadLegs()
          legParams(F, 256, 1)},
         {"dpu16_batch8", legSpec(K::Dpu, 16, 6, DpuMode::Bipolar),
          legParams(F, 256, 8)},
+        {"dpu8u", legSpec(K::Dpu, 8, 5, DpuMode::Unipolar),
+         legParams(F, 256, 1)},
+        {"pe5", legSpec(K::Pe, 16, 5, DpuMode::Bipolar),
+         legParams(F, 256, 1)},
+        {"fir4", legSpec(K::Fir, 4, 6, DpuMode::Unipolar),
+         legParams(F, 256, 1)},
         {"fir4_batch4", legSpec(K::Fir, 4, 6, DpuMode::Unipolar),
          legParams(F, 256, 4)},
         {"noc4x4", mesh4, legParams(F, 32, 1)},
@@ -287,137 +292,11 @@ measureSpeedup()
     return pulse_ns / func_ns;
 }
 
-/**
- * Batched head-to-head on the same fig16 DPU workload: @p lanes
- * epochs per evaluateBatch call, steady-state (netlist and arena
- * reused, arena reset per call -- zero per-epoch allocation).
- * Records per-epoch times and gates against BOTH floors:
- *
- *   - >= 4x over the scalar functional build-in-loop path
- *     (funcDpuEpoch, the PR-5 baseline measureSpeedup times), and
- *   - >= 200x over the pulse-level kernel -- well above the scalar
- *     functional backend's 50x floor.
- */
-bool
-measureBatchedSpeedup(int lanes, bench::Artifact &artifact)
-{
-    using clock = std::chrono::steady_clock;
-    const EpochConfig cfg(6, 40 * kPicosecond);
-    const int length = 8;
-
-    Netlist nl;
-    auto &dpu = nl.create<func::DotProductUnit>("dpu", length,
-                                                DpuMode::Unipolar);
-    const std::size_t nlanes = static_cast<std::size_t>(lanes);
-    std::vector<int> streams(static_cast<std::size_t>(length) * nlanes,
-                             cfg.nmax() / 2);
-    std::vector<int> rls(streams);
-    std::vector<int> out(nlanes);
-    WordArena arena;
-
-    // Equal-work check: every lane must reproduce the scalar result.
-    const int scalar_count = funcDpuEpoch(length, cfg);
-    arena.reset();
-    dpu.evaluateBatch(cfg, streams, rls, out, arena);
-    for (int b = 0; b < lanes; ++b) {
-        if (out[static_cast<std::size_t>(b)] != scalar_count) {
-            std::fprintf(stderr,
-                         "FAIL: batched lane %d disagrees with the "
-                         "scalar functional engine: %d vs %d\n",
-                         b, out[static_cast<std::size_t>(b)],
-                         scalar_count);
-            return false;
-        }
-    }
-
-    // Best-of-N repetitions per leg: the batched leg is fast enough
-    // (tens of us per rep) that a single descheduling under a loaded
-    // ctest -j run would otherwise swamp the ratio.
-    const int reps = 5;
-    auto best_of = [&](auto &&body, int iters) {
-        double best = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            const auto t0 = clock::now();
-            for (int i = 0; i < iters; ++i)
-                body();
-            const auto t1 = clock::now();
-            const double ns =
-                std::chrono::duration<double, std::nano>(t1 - t0)
-                    .count() /
-                iters;
-            if (r == 0 || ns < best)
-                best = ns;
-        }
-        return best;
-    };
-
-    const double pulse_ns = best_of(
-        [&] { benchmark::DoNotOptimize(pulseDpuEpoch(length, cfg)); },
-        10);
-    const double func_ns = best_of(
-        [&] { benchmark::DoNotOptimize(funcDpuEpoch(length, cfg)); },
-        1000);
-    // Per-epoch time divides by the lane count.
-    const double batch_ns =
-        best_of(
-            [&] {
-                arena.reset();
-                dpu.evaluateBatch(cfg, streams, rls, out, arena);
-                benchmark::DoNotOptimize(out.data());
-            },
-            1000) /
-        lanes;
-    const double vs_func = func_ns / batch_ns;
-    const double vs_pulse = pulse_ns / batch_ns;
-    std::printf("\nbatched head-to-head (DPU length 8, %d lanes):\n"
-                "  pulse-level %.0f ns/epoch, scalar functional %.0f "
-                "ns/epoch, batched %.1f ns/epoch\n"
-                "  speedup vs scalar functional %.0fx, vs pulse "
-                "%.0fx\n",
-                lanes, pulse_ns, func_ns, batch_ns, vs_func, vs_pulse);
-
-    artifact.metric("batch_width", lanes, "lanes");
-    artifact.metric("batched_ns_per_epoch", batch_ns, "ns");
-    artifact.metric("speedup_vs_scalar_func_dpu8", vs_func, "x");
-    artifact.metric("speedup_vs_pulse_dpu8", vs_pulse, "x");
-
-    if (vs_func < 4.0) {
-        std::fprintf(stderr,
-                     "FAIL: batched engine only %.1fx faster than the "
-                     "scalar functional path (floor: 4x)\n",
-                     vs_func);
-        return false;
-    }
-    if (vs_pulse < 200.0) {
-        std::fprintf(stderr,
-                     "FAIL: batched engine only %.1fx faster than the "
-                     "pulse-level kernel (floor: 200x)\n",
-                     vs_pulse);
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // --batch N (N > 1) adds the batched head-to-head and its own
-    // BENCH_micro_func_batched.json artifact.  Extracted before the
-    // main artifact so its flag check stays loud.
-    int batch = 1;
-    const std::string batch_str =
-        args::extractFlag(&argc, argv, "batch");
-    if (!batch_str.empty()) {
-        batch = std::atoi(batch_str.c_str());
-        if (batch < 1) {
-            std::fprintf(stderr, "--batch: '%s' is not a lane count\n",
-                         batch_str.c_str());
-            return 1;
-        }
-    }
-
     bench::Artifact artifact("micro_func", &argc, argv);
     bench::ArtifactReporter reporter(artifact);
     for (const WorkloadLeg &leg : workloadLegs())
@@ -444,12 +323,6 @@ main(int argc, char **argv)
                      "the pulse-level kernel (floor: 50x)\n",
                      speedup);
         return 1;
-    }
-
-    if (batch > 1) {
-        bench::Artifact batched("micro_func_batched");
-        if (!measureBatchedSpeedup(batch, batched))
-            return 1;
     }
     return 0;
 }

@@ -1,22 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build + full ctest in the default configuration, then
 # again under AddressSanitizer (-DUSFQ_SANITIZE=address).  Run from the
-# repo root; pass extra ctest args after `--` (e.g. `-- -L sta`).
+# repo root; pass extra ctest args after `--` (e.g. `-- -L sta`).  The
+# default configuration (build/, also what bench-artifacts, regress and
+# obs build) passes -DUSFQ_WERROR=ON, so a new compiler warning fails
+# the stage; the sanitizer configurations (asan, ubsan, tsan) are left
+# as they were and keep warnings non-fatal.
 #
 #   ./scripts/check.sh                 # both configurations, full suite
 #   ./scripts/check.sh -- -L unit      # both configurations, unit tier
 #   ./scripts/check.sh diff            # functional-backend and kernel
 #                                      # gate: unit (incl. the event
 #                                      # kernel's determinism tests and
-#                                      # its order differential), golden,
+#                                      # its order differential, and the
+#                                      # span-kernel fuzzer), golden,
 #                                      # diff and sta tiers under default,
 #                                      # ASan and UBSan builds
-#   ./scripts/check.sh batch           # batched-engine gate: the batch
-#                                      # tier (span kernels, lane-level
-#                                      # differential, the figure
-#                                      # benches' --batch lane checks)
-#                                      # under default, ASan and UBSan
-#                                      # builds
 #   ./scripts/check.sh svc             # service gate: the svc tier
 #                                      # (C API, structural hash, result
 #                                      # cache, broker + the usfq_serve
@@ -26,10 +25,10 @@
 #                                      # (broker facts table + result
 #                                      # cache under N workers, the C ABI
 #                                      # hammer tests, the run lock, the
-#                                      # svc_serve_smoke), the noc and
-#                                      # batch tiers, the determinism
-#                                      # tests (sweep workers owning
-#                                      # per-worker rigs and arenas) and
+#                                      # svc_serve_smoke), the noc tier,
+#                                      # the determinism tests (sweep
+#                                      # workers owning per-worker rigs
+#                                      # and operand buffers) and
 #                                      # the unit-obs tier (traced broker
 #                                      # round trips: worker threads
 #                                      # appending netlist phase spans to
@@ -87,7 +86,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 mode="default"
 if [[ "${1:-}" == "bench-artifacts" || "${1:-}" == "diff" ||
-      "${1:-}" == "batch" || "${1:-}" == "svc" ||
+      "${1:-}" == "svc" ||
       "${1:-}" == "gen" || "${1:-}" == "noc" || "${1:-}" == "tsan" ||
       "${1:-}" == "regress" || "${1:-}" == "obs" ||
       "${1:-}" == "perfbench" ]]; then
@@ -106,17 +105,11 @@ if [[ "$mode" == "diff" ]]; then
     # simulator: unit (properties + models), golden (incl. functional
     # goldens), diff (the differential fuzzer) and sta.  The unit tier
     # carries the event kernel's determinism tests and its order
-    # differential against a reference heap; runs under UBSan as well,
-    # since the bucket ring is shift-and-mask arithmetic on signed
-    # 64-bit ticks.
+    # differential against a reference heap, and the span-kernel fuzzer
+    # under func::PulseStream; runs under UBSan as well, since the
+    # bucket ring is shift-and-mask arithmetic on signed 64-bit ticks
+    # and the SIMD kernels are where silent UB would hide.
     ctest_args=(-L 'unit|golden|diff|sta' "${ctest_args[@]}")
-elif [[ "$mode" == "batch" ]]; then
-    # The batched-engine gate: the span-kernel fuzzer, the lane-level
-    # differential tier and the figure benches' batched lane checks
-    # (docs/functional.md, "Batched evaluation").  Runs under UBSan as
-    # well -- the SIMD kernels and the arena are exactly the code where
-    # silent UB would hide.
-    ctest_args=(-L 'batch' "${ctest_args[@]}")
 elif [[ "$mode" == "svc" ]]; then
     # The simulation-service gate (docs/service.md): the stable C API
     # round-trips, structural-hash determinism, cache hit-vs-recompute
@@ -129,13 +122,13 @@ elif [[ "$mode" == "tsan" ]]; then
     # tier -- broker workers sharing the design-facts table and the
     # result cache, per-thread fatal() modes, the C ABI hammer tests,
     # the run lock at 3 sweep threads -- and the svc_serve_smoke
-    # (already in the svc label); plus the noc, batch and determinism
-    # tiers, whose multi-threaded sweeps hand every pool thread its
-    # own mutable rig, operand buffers and arena (sim/sweep.hh,
-    # WorkerLocal).  Plus the unit-obs tier: its traced broker round
-    # trip has worker threads appending netlist phase spans to the
-    # process-wide span log.  Under ThreadSanitizer.
-    ctest_args=(-L 'svc|noc|batch|determinism|unit-obs' "${ctest_args[@]}")
+    # (already in the svc label); plus the noc and determinism tiers,
+    # whose multi-threaded sweeps hand every pool thread its own
+    # mutable rig and operand buffers (sim/sweep.hh, WorkerLocal).
+    # Plus the unit-obs tier: its traced broker round trip has worker
+    # threads appending netlist phase spans to the process-wide span
+    # log.  Under ThreadSanitizer.
+    ctest_args=(-L 'svc|noc|determinism|unit-obs' "${ctest_args[@]}")
 elif [[ "$mode" == "gen" ]]; then
     # The design-space compiler gate (docs/synthesis.md): spec JSON
     # round-trips and hash determinism, balancer convergence/budget
@@ -193,7 +186,7 @@ if [[ "$mode" == "bench-artifacts" ]]; then
     artifacts="$repo/artifacts"
     rm -rf "$artifacts"
     mkdir -p "$artifacts"
-    cmake -B "$repo/build" -S "$repo"
+    cmake -B "$repo/build" -S "$repo" -DUSFQ_WERROR=ON
     cmake --build "$repo/build" -j "$jobs"
     echo "==> [bench-artifacts] running lint + bench-smoke tiers"
     USFQ_BENCH_JSON="$artifacts" ctest --test-dir "$repo/build" \
@@ -212,7 +205,7 @@ if [[ "$mode" == "bench-artifacts" ]]; then
 fi
 
 if [[ "$mode" == "regress" || "$mode" == "obs" ]]; then
-    cmake -B "$repo/build" -S "$repo"
+    cmake -B "$repo/build" -S "$repo" -DUSFQ_WERROR=ON
     cmake --build "$repo/build" -j "$jobs"
     tmproot="$(mktemp -d)"
     trap 'rm -rf "$tmproot"' EXIT
@@ -276,9 +269,9 @@ if [[ "$mode" == "tsan" ]]; then
     exit 0
 fi
 
-run_config default "$repo/build"
+run_config default "$repo/build" -DUSFQ_WERROR=ON
 run_config asan "$repo/build-asan" -DUSFQ_SANITIZE=address
-if [[ "$mode" == "batch" || "$mode" == "gen" || "$mode" == "diff" ]]; then
+if [[ "$mode" == "gen" || "$mode" == "diff" ]]; then
     run_config ubsan "$repo/build-ubsan" -DUSFQ_SANITIZE=undefined
     echo "==> all checks passed (default + asan + ubsan)"
 else

@@ -6,7 +6,6 @@
 #include "core/fir.hh"
 #include "core/multiplier.hh"
 #include "core/pe.hh"
-#include "func/batch.hh"
 #include "func/components.hh"
 #include "func/noc.hh"
 #include "gen/balance.hh"
@@ -20,7 +19,6 @@
 #include "sim/netlist.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
-#include "util/arena.hh"
 #include "util/hash.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -189,8 +187,10 @@ runPulseFir(const NetlistSpec &spec, const RunParams &params)
 //
 // Every leg builds what depends only on the spec once per sweep (FIR
 // coefficient counts, the NoC routing index) or once per sweep worker
-// (WorkerLocal: operand buffers and arenas, pulse-level rigs), and each
-// shard or lane group only re-programs its stimulus and evaluates.
+// (WorkerLocal: operand buffers, pulse-level rigs), and each shard
+// only re-programs its stimulus and evaluates.  RunParams::batch
+// selects nothing here: every kind has one functional leg, and its
+// epoch kernels allocate nothing per epoch.
 
 /** Sweep options of a run, with the thread count resolved once. */
 SweepOptions
@@ -200,7 +200,6 @@ sweepOptions(const RunParams &params)
     opt.threads = resolveSweepThreads(params.threads);
     opt.baseSeed = params.seed;
     opt.backend = params.backend;
-    opt.batch.width = params.batch;
     return opt;
 }
 
@@ -210,14 +209,10 @@ widen(const std::vector<int> &counts)
     return {counts.begin(), counts.end()};
 }
 
-/**
- * A functional leg's per-worker scratch: operand buffers resized in
- * place per shard or lane group, and an arena reset per group.
- */
+/** A leg's per-worker operand buffers, resized in place per shard. */
 struct Scratch
 {
-    std::vector<int> a, b, c;
-    WordArena arena;
+    std::vector<int> a, b;
 };
 
 /**
@@ -240,16 +235,14 @@ runDpu(const NetlistSpec &spec, const RunParams &params)
     const auto taps = static_cast<std::size_t>(spec.taps);
     const SweepOptions opt = sweepOptions(params);
     WorkerLocal<Scratch> scratch(opt);
-    // Element k of one epoch at streams[k * stride], ids[k * stride]:
-    // the draw order (stream, then id, per element) is the seed's.
-    const auto draw = [&](std::uint64_t seed, int *streams, int *ids,
-                          std::size_t stride) {
+    // The draw order (stream, then id, per element) is the seed's.
+    const auto draw = [&](std::uint64_t seed, Scratch &s) {
+        int *streams = sized(s.a, taps);
+        int *ids = sized(s.b, taps);
         Rng rng(seed);
         for (std::size_t k = 0; k < taps; ++k) {
-            streams[k * stride] =
-                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-            ids[k * stride] =
-                static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+            streams[k] = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+            ids[k] = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
         }
     };
     if (params.backend == Backend::PulseLevel) {
@@ -258,27 +251,9 @@ runDpu(const NetlistSpec &spec, const RunParams &params)
             epochs,
             [&](const ShardContext &ctx) {
                 Scratch &s = scratch.at(ctx.worker);
-                draw(ctx.seed, sized(s.a, taps), sized(s.b, taps), 1);
+                draw(ctx.seed, s);
                 return rigs.at(ctx.worker, cfg, spec.taps, spec.mode)
                     .run(s.a, s.b);
-            },
-            opt));
-    }
-    if (params.batch > 1) {
-        return widen(runBatchedSweep(
-            epochs,
-            [&](const LaneGroupContext &ctx) {
-                const auto lanes = static_cast<std::size_t>(ctx.lanes);
-                Scratch &s = scratch.at(ctx.worker);
-                int *streams = sized(s.a, taps * lanes);
-                int *ids = sized(s.b, taps * lanes);
-                for (std::size_t b = 0; b < lanes; ++b)
-                    draw(ctx.seeds[b], streams + b, ids + b, lanes);
-                std::vector<int> res(lanes);
-                s.arena.reset();
-                func::batchDpuExpectedCount(cfg, spec.mode, spec.taps,
-                                            s.a, s.b, res, s.arena);
-                return res;
             },
             opt));
     }
@@ -286,7 +261,7 @@ runDpu(const NetlistSpec &spec, const RunParams &params)
         epochs,
         [&](const ShardContext &ctx) {
             Scratch &s = scratch.at(ctx.worker);
-            draw(ctx.seed, sized(s.a, taps), sized(s.b, taps), 1);
+            draw(ctx.seed, s);
             return dpuExpectedCount(cfg, spec.mode, s.a, s.b);
         },
         opt));
@@ -321,30 +296,6 @@ runPe(const NetlistSpec &spec, const RunParams &params)
             },
             opt));
     }
-    if (params.batch > 1) {
-        WorkerLocal<Scratch> scratch(opt);
-        return widen(runBatchedSweep(
-            epochs,
-            [&](const LaneGroupContext &ctx) {
-                const auto lanes = static_cast<std::size_t>(ctx.lanes);
-                Scratch &s = scratch.at(ctx.worker);
-                int *in1 = sized(s.a, lanes);
-                int *in2 = sized(s.b, lanes);
-                int *in3 = sized(s.c, lanes);
-                for (std::size_t b = 0; b < lanes; ++b) {
-                    const Operands op = draw(ctx.seeds[b]);
-                    in1[b] = op.in1;
-                    in2[b] = op.in2;
-                    in3[b] = op.in3;
-                }
-                std::vector<int> res(lanes);
-                s.arena.reset();
-                func::batchPeExpectedSlot(cfg, s.a, s.b, s.c, res,
-                                          s.arena);
-                return res;
-            },
-            opt));
-    }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
@@ -372,7 +323,7 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
 
     // Sample ids are a pure function of (seed, epoch), never of sweep
     // shape, so the zero-padded windows below are identical at any
-    // batch width -- the cache-transparency contract.
+    // thread count -- the cache-transparency contract.
     std::vector<int> ids(epochs);
     for (std::size_t e = 0; e < epochs; ++e) {
         Rng rng(shardSeed(params.seed, e));
@@ -382,25 +333,6 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
         return e >= k ? ids[e - k] : 0;
     };
     WorkerLocal<Scratch> scratch(opt);
-    if (params.batch > 1) {
-        return widen(runBatchedSweep(
-            epochs,
-            [&](const LaneGroupContext &ctx) {
-                const auto lanes = static_cast<std::size_t>(ctx.lanes);
-                Scratch &s = scratch.at(ctx.worker);
-                int *windows = sized(s.a, taps * lanes);
-                for (std::size_t k = 0; k < taps; ++k)
-                    for (std::size_t b = 0; b < lanes; ++b)
-                        windows[k * lanes + b] =
-                            windowId(ctx.first + b, k);
-                std::vector<int> res(lanes);
-                s.arena.reset();
-                func::firStepCountBatch(ecfg, spec.mode, hCounts, s.a,
-                                        res, s.arena);
-                return res;
-            },
-            opt));
-    }
     return widen(runSweep(
         epochs,
         [&](const ShardContext &ctx) {
@@ -443,11 +375,10 @@ nocDigest(const noc::FabricObservation &obs)
 }
 
 /**
- * NoC sweep: one epoch per shard at any batch width, since the fabric
- * algebra has no batch kernel.  Fabric telemetry is summed per worker
- * and exported once after the sweep; counters add and the utilization
- * gauge keeps the max, so the registry is the one per-epoch exports
- * would merge to.
+ * NoC sweep: one epoch per shard.  Fabric telemetry is summed per
+ * worker and exported once after the sweep; counters add and the
+ * utilization gauge keeps the max, so the registry is the one
+ * per-epoch exports would merge to.
  */
 std::vector<long long>
 runNocMesh(const NetlistSpec &spec, const RunParams &params)
@@ -496,11 +427,10 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
 
 /**
  * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
- * leg walks one slot-set mirror (gen::EpochMirror) per worker at any
- * batch width, since the mirror has no batch kernel; the pulse leg
- * replays one balanced datapath rig per worker.  The balancing pass
- * @p bo is part of the design, not of any epoch: it arrives with the
- * spec's DesignFacts.
+ * leg walks one slot-set mirror (gen::EpochMirror) per worker; the
+ * pulse leg replays one balanced datapath rig per worker.  The
+ * balancing pass @p bo is part of the design, not of any epoch: it
+ * arrives with the spec's DesignFacts.
  */
 std::vector<long long>
 runGen(const NetlistSpec &spec, const RunParams &params,
@@ -841,8 +771,8 @@ resultToJson(const NetlistSpec &spec, const RunParams &params,
     payload.metric("total_jj", static_cast<double>(result.totalJJ),
                    "JJ");
     // batch/threads are deliberately absent: the wire format must be
-    // byte-identical however the result was scheduled, so a cache hit
-    // stored by a batched run serves a scalar request verbatim.
+    // byte-identical however the request was scheduled, so a cache hit
+    // stored at one batch/thread setting serves any other verbatim.
     std::vector<double> series(result.counts.begin(),
                                result.counts.end());
     payload.series("counts", std::move(series));

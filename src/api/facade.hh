@@ -3,7 +3,7 @@
  * Embeddable engine facade (docs/service.md): everything the
  * simulation stack can do -- build a parameterized netlist from a
  * NetlistSpec, elaborate + lint it, run STA, evaluate pulse-level or
- * functional/batched sweeps -- drivable as a library, with structured
+ * functional sweeps -- drivable as a library, with structured
  * errors instead of fatal() exits.
  *
  * This is the seam the C ABI (usfq.h), the request broker
@@ -44,7 +44,8 @@ struct RunResult
     /**
      * Per-epoch outputs, epoch order: output pulse counts (Dpu, Fir,
      * Inverter) or result RL slots (Pe).  Bit-identical at any sweep
-     * thread count and any batch width (sim/sweep.hh contracts).
+     * thread count (sim/sweep.hh contract) and any batch value, which
+     * selects nothing.
      */
     std::vector<long long> counts;
 
@@ -102,9 +103,8 @@ std::uint64_t structuralHash(Netlist &nl);
 
 /**
  * Evaluate the spec's workload: `epochs` independent seeded operand
- * sets through the requested engine, sharded over runSweep (or, for
- * the Dpu, Pe and Fir kinds, runBatchedSweep when params.batch > 1).
- * Throws FatalError on engine fatals; Session::run wraps this with the
+ * sets through the requested engine, sharded over runSweep; each kind
+ * has one leg per engine, whatever params.batch says.  Throws FatalError on engine fatals; Session::run wraps this with the
  * Status conversion.
  */
 RunResult runWorkload(const NetlistSpec &spec, const RunParams &params);

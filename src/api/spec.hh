@@ -3,14 +3,14 @@
  * Serializable request vocabulary of the simulation service
  * (docs/service.md): a NetlistSpec describes WHAT to build (a
  * parameterized DPU / PE / FIR / inverter-probe design), RunParams
- * describe HOW to evaluate it (backend, epochs, seed, batch width,
- * sweep threads).  Both round-trip through the dependency-free JSON
+ * describe HOW to evaluate it (backend, epochs, seed, batch, sweep
+ * threads).  Both round-trip through the dependency-free JSON
  * layer (util/json.hh), which is what crosses the C ABI (usfq.h).
  *
  * Everything that can change a result is in (spec, backend, seed,
- * epochs); batch and threads are performance knobs covered by the
- * engine's bit-identity contracts (docs/functional.md, sim/sweep.hh)
- * and therefore excluded from the cache key (src/svc/cache.hh).
+ * epochs); batch selects nothing and threads is a performance knob
+ * covered by the sweep's bit-identity contract (sim/sweep.hh), so both
+ * are excluded from the cache key (src/svc/cache.hh).
  */
 
 #ifndef USFQ_API_SPEC_HH
@@ -157,10 +157,10 @@ struct RunParams
     std::uint64_t seed = 0x5eedULL;
 
     /**
-     * Functional-engine lane coalescing (runBatchedSweep width) for
-     * the Dpu, Pe and Fir kinds; the other kinds run one epoch per
-     * shard at any width.  Results are bit-identical at any width, so
-     * this is NOT part of the cache key.  <=1 = scalar.
+     * Parsed and validated (1..4096, > 1 only on the functional
+     * backend) but selects nothing: every kind has one functional leg
+     * (docs/functional.md, "The batch parameter").  NOT part of the
+     * cache key or the response.
      */
     int batch = 1;
 

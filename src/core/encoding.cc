@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "util/logging.hh"
 
@@ -147,13 +146,15 @@ unipolarProductCount(const EpochConfig &cfg, int n, int rl_id)
     // Stream pulses sit at slot centers; the RL pulse lands on the
     // slot boundary rl_id, so exactly the pulses in slots < rl_id
     // pass.  For the Euclidean rhythm the prefix count telescopes to
-    // floor(rl_id * n / N) -- no need to materialize the slots.
+    // floor(rl_id * n / N) -- no need to materialize the slots.  N is
+    // 2^bits and both factors are checked non-negative, so the floor
+    // is a shift.
     if (n < 0 || n > cfg.nmax())
         panic("unipolarProductCount: stream count %d out of range", n);
     if (rl_id < 0 || rl_id > cfg.nmax())
         panic("unipolarProductCount: RL id %d out of range", rl_id);
-    return static_cast<int>(static_cast<std::int64_t>(rl_id) * n /
-                            cfg.nmax());
+    return static_cast<int>((static_cast<std::int64_t>(rl_id) * n) >>
+                            cfg.bits());
 }
 
 int
@@ -169,7 +170,7 @@ bipolarProductCount(const EpochConfig &cfg, int n, int rl_id)
 }
 
 int
-treeNetworkCount(std::vector<int> inputs)
+treeNetworkCount(std::span<int> inputs)
 {
     if (inputs.empty())
         panic("treeNetworkCount: no inputs");
@@ -254,28 +255,22 @@ dpuExpectedCount(const EpochConfig &cfg, DpuMode mode,
 {
     if (stream_counts.size() != rl_ids.size())
         panic("dpuExpectedCount: operand size mismatch");
-    std::size_t padded = 2;
-    while (padded < stream_counts.size())
-        padded <<= 1;
-    std::vector<int> products(padded, 0);
-    for (std::size_t i = 0; i < stream_counts.size(); ++i) {
-        products[i] =
-            mode == DpuMode::Unipolar
-                ? unipolarProductCount(cfg, stream_counts[i], rl_ids[i])
-                : bipolarProductCount(cfg, stream_counts[i], rl_ids[i]);
-    }
     // Padded inputs carry no pulses (a bipolar -1); the DPU decode
     // compensates for their contribution.
-    return treeNetworkCount(std::move(products));
+    return paddedTreeCount(stream_counts.size(), [&](std::size_t i) {
+        return mode == DpuMode::Unipolar
+                   ? unipolarProductCount(cfg, stream_counts[i], rl_ids[i])
+                   : bipolarProductCount(cfg, stream_counts[i], rl_ids[i]);
+    });
 }
 
 int
 peExpectedSlot(const EpochConfig &cfg, int in1_id, int in2_count,
                int in3_count)
 {
+    // treeNetworkCount({product, in3}): the Y1 chain's ceiling half.
     const int product = unipolarProductCount(cfg, in2_count, in1_id);
-    const int slot = treeNetworkCount({product, in3_count});
-    return std::min(slot, cfg.nmax());
+    return std::min((product + in3_count + 1) / 2, cfg.nmax());
 }
 
 } // namespace usfq

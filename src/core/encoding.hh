@@ -23,6 +23,10 @@
 #ifndef USFQ_CORE_ENCODING_HH
 #define USFQ_CORE_ENCODING_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/types.hh"
@@ -155,9 +159,38 @@ int bipolarProductCount(const EpochConfig &cfg, int n, int rl_id);
  * Pure model of an M:1 tree counting network over per-input pulse
  * counts: each balancer level halves (taking the ceiling on the Y1
  * chain); returns the final output pulse count.  @p inputs must have
- * power-of-two size.
+ * power-of-two size; the levels are reduced in place, so their values
+ * are consumed.
  */
-int treeNetworkCount(std::vector<int> inputs);
+int treeNetworkCount(std::span<int> inputs);
+
+/**
+ * treeNetworkCount over @p n inputs, input k = product(k), padded with
+ * zeros to a power of two >= 2 (padded inputs carry no pulses).  Up to
+ * 64 inputs -- the pulse DPU's tap limit and every serve template --
+ * stay on the stack; more take one heap block.
+ */
+template <typename Product>
+int
+paddedTreeCount(std::size_t n, Product &&product)
+{
+    std::size_t padded = 2;
+    while (padded < n)
+        padded <<= 1;
+    // Left uninitialised: only [0, padded) is read, and the loop and
+    // the fill below write all of it.
+    std::array<int, 64> local;
+    std::vector<int> heap;
+    int *inputs = local.data();
+    if (padded > local.size()) {
+        heap.resize(padded);
+        inputs = heap.data();
+    }
+    for (std::size_t k = 0; k < n; ++k)
+        inputs[k] = product(k);
+    std::fill(inputs + n, inputs + padded, 0);
+    return treeNetworkCount(std::span<int>(inputs, padded));
+}
 
 /**
  * Pure model of an M:1 merger tree over same-grid streams: the output
@@ -188,8 +221,9 @@ std::vector<int> uniformPnmSlots(int bits, int value);
 
 /**
  * Pure counting model of the dot-product unit (paper §5.3): per-element
- * multiplier products through a padded-to-power-of-two counting tree.
- * Shared by DotProductUnit::expectedCount and func::DotProductUnit.
+ * multiplier products through a padded-to-power-of-two counting tree
+ * (paddedTreeCount).  Shared by DotProductUnit::expectedCount,
+ * func::DotProductUnit and the service's functional DPU leg.
  */
 int dpuExpectedCount(const EpochConfig &cfg, DpuMode mode,
                      const std::vector<int> &stream_counts,
@@ -197,8 +231,9 @@ int dpuExpectedCount(const EpochConfig &cfg, DpuMode mode,
 
 /**
  * Pure model of the processing element (paper §5.2): the RL slot the
- * PE emits for operands (in1 as RL id, in2/in3 as stream counts),
- * clamped to the integrator's nmax ceiling.
+ * PE emits for operands (in1 as RL id, in2/in3 as stream counts) --
+ * one balancer's ceiling over the product and in3 -- clamped to the
+ * integrator's nmax ceiling.
  */
 int peExpectedSlot(const EpochConfig &cfg, int in1_id, int in2_count,
                    int in3_count);

@@ -18,23 +18,6 @@ epochSwitches(int jj)
     return cell::switchesPerOp(jj);
 }
 
-/** Batched evaluations record one epoch's switching per lane, so the
- *  power rollup of a B-lane call equals B scalar calls. */
-int
-batchSwitches(int jj, std::size_t lanes)
-{
-    return static_cast<int>(lanes) * epochSwitches(jj);
-}
-
-void
-checkBatchSpans(const char *what, const std::string &name,
-                std::size_t got, int operands, std::size_t lanes)
-{
-    if (got != static_cast<std::size_t>(operands) * lanes)
-        panic("%s %s: %zu operand values for %d inputs x %zu lanes",
-              what, name.c_str(), got, operands, lanes);
-}
-
 void
 checkFanIn(const char *what, const std::string &name, int num_inputs)
 {
@@ -61,16 +44,6 @@ UnipolarMultiplier::evaluate(const EpochConfig &cfg, int stream_count,
     return unipolarProductCount(cfg, stream_count, rl_id);
 }
 
-void
-UnipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
-                                  std::span<const int> ns,
-                                  std::span<const int> rl_ids,
-                                  std::span<int> out)
-{
-    recordSwitches(batchSwitches(jjCount(), out.size()));
-    batchUnipolarProductCount(cfg, ns, rl_ids, out);
-}
-
 BipolarMultiplier::BipolarMultiplier(Netlist &nl,
                                      const std::string &name)
     : Component(nl, name)
@@ -83,16 +56,6 @@ BipolarMultiplier::evaluate(const EpochConfig &cfg, int stream_count,
 {
     recordSwitches(epochSwitches(jjCount()));
     return bipolarProductCount(cfg, stream_count, rl_id);
-}
-
-void
-BipolarMultiplier::evaluateBatch(const EpochConfig &cfg,
-                                 std::span<const int> ns,
-                                 std::span<const int> rl_ids,
-                                 std::span<int> out)
-{
-    recordSwitches(batchSwitches(jjCount(), out.size()));
-    batchBipolarProductCount(cfg, ns, rl_ids, out);
 }
 
 // --- adders -----------------------------------------------------------------
@@ -117,29 +80,6 @@ MergerTreeAdder::evaluate(const EpochConfig &cfg,
     return mergerTreeUnionCount(cfg, counts);
 }
 
-void
-MergerTreeAdder::evaluateBatch(const EpochConfig &cfg,
-                               std::span<const int> counts,
-                               std::span<int> out)
-{
-    const std::size_t lanes = out.size();
-    checkBatchSpans("func::MergerTreeAdder", name(), counts.size(),
-                    fanIn, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    // Gather lane b's input counts and take their slot union, exactly
-    // the scalar evaluate(); the ledger adds the lane's sum minus it.
-    std::vector<int> lane(static_cast<std::size_t>(fanIn));
-    for (std::size_t b = 0; b < lanes; ++b) {
-        int sum = 0;
-        for (std::size_t k = 0; k < lane.size(); ++k) {
-            lane[k] = counts[k * lanes + b];
-            sum += lane[k];
-        }
-        out[b] = mergerTreeUnionCount(cfg, lane);
-        lost += static_cast<std::uint64_t>(sum - out[b]);
-    }
-}
-
 TreeCountingNetwork::TreeCountingNetwork(Netlist &nl,
                                          const std::string &name,
                                          int num_inputs)
@@ -155,21 +95,7 @@ TreeCountingNetwork::evaluate(std::vector<int> counts)
         panic("func::TreeCountingNetwork %s: %zu counts for %d inputs",
               name().c_str(), counts.size(), fanIn);
     recordSwitches(epochSwitches(jjCount()));
-    return treeNetworkCount(std::move(counts));
-}
-
-void
-TreeCountingNetwork::evaluateBatch(std::span<const int> counts,
-                                   std::span<int> out, WordArena &arena)
-{
-    const std::size_t lanes = out.size();
-    checkBatchSpans("func::TreeCountingNetwork", name(), counts.size(),
-                    fanIn, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    int *scratch = arena.allocAs<int>(counts.size());
-    std::copy(counts.begin(), counts.end(), scratch);
-    batchTreeNetworkCount(std::span<int>(scratch, counts.size()),
-                          static_cast<int>(lanes), out);
+    return treeNetworkCount(counts);
 }
 
 // --- race logic -------------------------------------------------------------
@@ -188,26 +114,6 @@ FirstArrival::evaluate(const std::vector<int> &rl_ids)
     return *std::min_element(rl_ids.begin(), rl_ids.end());
 }
 
-void
-FirstArrival::evaluateBatch(std::span<const int> rl_ids, int operands,
-                            std::span<int> out)
-{
-    if (operands < 1)
-        panic("func::FirstArrival %s: no operands", name().c_str());
-    const std::size_t lanes = out.size();
-    checkBatchSpans("func::FirstArrival", name(), rl_ids.size(),
-                    operands, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    std::copy(rl_ids.begin(),
-              rl_ids.begin() + static_cast<std::ptrdiff_t>(lanes),
-              out.begin());
-    for (int k = 1; k < operands; ++k)
-        for (std::size_t b = 0; b < lanes; ++b)
-            out[b] = std::min(
-                out[b],
-                rl_ids[static_cast<std::size_t>(k) * lanes + b]);
-}
-
 LastArrival::LastArrival(Netlist &nl, const std::string &name)
     : Component(nl, name)
 {
@@ -220,26 +126,6 @@ LastArrival::evaluate(const std::vector<int> &rl_ids)
         panic("func::LastArrival %s: no operands", name().c_str());
     recordSwitches(epochSwitches(jjCount()));
     return *std::max_element(rl_ids.begin(), rl_ids.end());
-}
-
-void
-LastArrival::evaluateBatch(std::span<const int> rl_ids, int operands,
-                           std::span<int> out)
-{
-    if (operands < 1)
-        panic("func::LastArrival %s: no operands", name().c_str());
-    const std::size_t lanes = out.size();
-    checkBatchSpans("func::LastArrival", name(), rl_ids.size(),
-                    operands, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    std::copy(rl_ids.begin(),
-              rl_ids.begin() + static_cast<std::ptrdiff_t>(lanes),
-              out.begin());
-    for (int k = 1; k < operands; ++k)
-        for (std::size_t b = 0; b < lanes; ++b)
-            out[b] = std::max(
-                out[b],
-                rl_ids[static_cast<std::size_t>(k) * lanes + b]);
 }
 
 // --- PNMs -------------------------------------------------------------------
@@ -341,17 +227,6 @@ ProcessingElement::evaluate(int in1_id, int in2_count, int in3_count)
     return peExpectedSlot(cfg, in1_id, in2_count, in3_count);
 }
 
-void
-ProcessingElement::evaluateBatch(std::span<const int> in1_ids,
-                                 std::span<const int> in2_counts,
-                                 std::span<const int> in3_counts,
-                                 std::span<int> out, WordArena &arena)
-{
-    recordSwitches(batchSwitches(jjCount(), out.size()));
-    batchPeExpectedSlot(cfg, in1_ids, in2_counts, in3_counts, out,
-                        arena);
-}
-
 // --- DPU --------------------------------------------------------------------
 
 DotProductUnit::DotProductUnit(Netlist &nl, const std::string &name,
@@ -377,22 +252,6 @@ DotProductUnit::evaluate(const EpochConfig &cfg,
               name().c_str());
     recordSwitches(epochSwitches(jjCount()));
     return dpuExpectedCount(cfg, dpuMode, stream_counts, rl_ids);
-}
-
-void
-DotProductUnit::evaluateBatch(const EpochConfig &cfg,
-                              std::span<const int> stream_counts,
-                              std::span<const int> rl_ids,
-                              std::span<int> out, WordArena &arena)
-{
-    const std::size_t lanes = out.size();
-    checkBatchSpans("func::DotProductUnit", name(),
-                    stream_counts.size(), numElems, lanes);
-    checkBatchSpans("func::DotProductUnit", name(), rl_ids.size(),
-                    numElems, lanes);
-    recordSwitches(batchSwitches(jjCount(), lanes));
-    batchDpuExpectedCount(cfg, dpuMode, numElems, stream_counts,
-                          rl_ids, out, arena);
 }
 
 double
@@ -450,48 +309,16 @@ firStepCount(const EpochConfig &epoch, DpuMode mode,
              std::span<const int> h_counts,
              std::span<const int> window_ids)
 {
-    std::vector<int> products(
-        static_cast<std::size_t>(firPadded(h_counts.size())), 0);
-    for (std::size_t k = 0; k < h_counts.size(); ++k) {
+    return paddedTreeCount(h_counts.size(), [&](std::size_t k) {
         const int id = k < window_ids.size()
                            ? window_ids[k]
                            : (mode == DpuMode::Unipolar
                                   ? 0
                                   : epoch.rlIdOfBipolar(0.0));
-        products[k] = mode == DpuMode::Unipolar
-                          ? unipolarProductCount(epoch, h_counts[k], id)
-                          : bipolarProductCount(epoch, h_counts[k], id);
-    }
-    return treeNetworkCount(std::move(products));
-}
-
-void
-firStepCountBatch(const EpochConfig &epoch, DpuMode mode,
-                  std::span<const int> h_counts,
-                  std::span<const int> window_ids, std::span<int> out,
-                  WordArena &arena)
-{
-    const std::size_t lanes = out.size();
-    const std::size_t taps = h_counts.size();
-    const auto padded = static_cast<std::size_t>(firPadded(taps));
-    int *products = arena.allocAs<int>(padded * lanes);
-    int *hs = arena.allocAs<int>(lanes);
-    for (std::size_t k = 0; k < taps; ++k) {
-        std::fill(hs, hs + lanes, h_counts[k]);
-        const std::size_t off = k * lanes;
-        std::span<int> lane_out(products + off, lanes);
-        if (mode == DpuMode::Unipolar)
-            batchUnipolarProductCount(
-                epoch, std::span<const int>(hs, lanes),
-                window_ids.subspan(off, lanes), lane_out);
-        else
-            batchBipolarProductCount(
-                epoch, std::span<const int>(hs, lanes),
-                window_ids.subspan(off, lanes), lane_out);
-    }
-    std::fill(products + taps * lanes, products + padded * lanes, 0);
-    batchTreeNetworkCount(std::span<int>(products, padded * lanes),
-                          static_cast<int>(lanes), out);
+        return mode == DpuMode::Unipolar
+                   ? unipolarProductCount(epoch, h_counts[k], id)
+                   : bipolarProductCount(epoch, h_counts[k], id);
+    });
 }
 
 UsfqFir::UsfqFir(Netlist &nl, const std::string &name,
@@ -522,16 +349,6 @@ UsfqFir::stepCount(const std::vector<int> &window_ids)
 {
     recordSwitches(epochSwitches(jjCount()));
     return firStepCount(epoch, cfg.mode, hCounts, window_ids);
-}
-
-void
-UsfqFir::stepCountBatch(std::span<const int> window_ids,
-                        std::span<int> out, WordArena &arena)
-{
-    checkBatchSpans("func::UsfqFir", name(), window_ids.size(),
-                    cfg.taps, out.size());
-    recordSwitches(batchSwitches(jjCount(), out.size()));
-    firStepCountBatch(epoch, cfg.mode, hCounts, window_ids, out, arena);
 }
 
 double

@@ -37,7 +37,6 @@
 #include "core/pe.hh"
 #include "core/pnm.hh"
 #include "core/shift_register.hh"
-#include "func/batch.hh"
 #include "sim/component.hh"
 #include "sim/netlist.hh"
 
@@ -53,14 +52,6 @@ class UnipolarMultiplier : public Component
     /** Product pulse count for one epoch. */
     int evaluate(const EpochConfig &cfg, int stream_count, int rl_id);
 
-    /**
-     * B independent epochs at once: out[b] = evaluate(cfg, ns[b],
-     * rl_ids[b]) lane-by-lane, with the switching estimate recorded
-     * once per lane (stats match B scalar calls exactly).
-     */
-    void evaluateBatch(const EpochConfig &cfg, std::span<const int> ns,
-                       std::span<const int> rl_ids, std::span<int> out);
-
     int jjCount() const override { return usfq::UnipolarMultiplier::kJJs; }
 };
 
@@ -71,10 +62,6 @@ class BipolarMultiplier : public Component
     BipolarMultiplier(Netlist &nl, const std::string &name);
 
     int evaluate(const EpochConfig &cfg, int stream_count, int rl_id);
-
-    /** out[b] = evaluate(cfg, ns[b], rl_ids[b]), lane-by-lane. */
-    void evaluateBatch(const EpochConfig &cfg, std::span<const int> ns,
-                       std::span<const int> rl_ids, std::span<int> out);
 
     int jjCount() const override { return usfq::BipolarMultiplier::kJJs; }
 };
@@ -90,15 +77,6 @@ class MergerTreeAdder : public Component
 
     /** Output pulse count: the slot union of the input streams. */
     int evaluate(const EpochConfig &cfg, const std::vector<int> &counts);
-
-    /**
-     * B epochs at once.  @p counts is operand-major (input k's B lane
-     * values contiguous, numInputs()*B total); out[b] = evaluate over
-     * lane b's counts.  Collision losses accumulate per lane, so the
-     * ledger matches B scalar evaluations.
-     */
-    void evaluateBatch(const EpochConfig &cfg,
-                       std::span<const int> counts, std::span<int> out);
 
     /** Pulses lost to same-slot coincidences across all evaluations. */
     std::uint64_t collisions() const { return lost; }
@@ -126,11 +104,6 @@ class TreeCountingNetwork : public Component
     /** Output pulse count (sum of inputs / M, ceiling per level). */
     int evaluate(std::vector<int> counts);
 
-    /** B epochs at once: operand-major @p counts (numInputs()*B),
-     *  out[b] = evaluate over lane b's counts. */
-    void evaluateBatch(std::span<const int> counts, std::span<int> out,
-                       WordArena &arena);
-
     int jjCount() const override
     {
         return usfq::TreeCountingNetwork::jjsFor(fanIn);
@@ -149,11 +122,6 @@ class FirstArrival : public Component
     /** MIN of the operand RL slot ids. */
     int evaluate(const std::vector<int> &rl_ids);
 
-    /** B epochs at once: operand-major @p rl_ids (operands*B),
-     *  out[b] = MIN over lane b's ids. */
-    void evaluateBatch(std::span<const int> rl_ids, int operands,
-                       std::span<int> out);
-
     int jjCount() const override { return cell::kFirstArrivalJJs; }
 };
 
@@ -165,11 +133,6 @@ class LastArrival : public Component
 
     /** MAX of the operand RL slot ids. */
     int evaluate(const std::vector<int> &rl_ids);
-
-    /** B epochs at once: operand-major @p rl_ids (operands*B),
-     *  out[b] = MAX over lane b's ids. */
-    void evaluateBatch(std::span<const int> rl_ids, int operands,
-                       std::span<int> out);
 
     int jjCount() const override { return cell::kLastArrivalJJs; }
 };
@@ -264,12 +227,6 @@ class ProcessingElement : public Component
     /** The RL slot emitted one epoch later. */
     int evaluate(int in1_id, int in2_count, int in3_count);
 
-    /** out[b] = evaluate(in1_ids[b], in2_counts[b], in3_counts[b]). */
-    void evaluateBatch(std::span<const int> in1_ids,
-                       std::span<const int> in2_counts,
-                       std::span<const int> in3_counts,
-                       std::span<int> out, WordArena &arena);
-
     int jjCount() const override
     {
         return usfq::ProcessingElement::kJJs;
@@ -294,16 +251,6 @@ class DotProductUnit : public Component
     int evaluate(const EpochConfig &cfg,
                  const std::vector<int> &stream_counts,
                  const std::vector<int> &rl_ids);
-
-    /**
-     * B epochs at once.  Operand-major spans (element k's B lane
-     * values contiguous, length()*B total); out[b] = evaluate over
-     * lane b's operands.
-     */
-    void evaluateBatch(const EpochConfig &cfg,
-                       std::span<const int> stream_counts,
-                       std::span<const int> rl_ids, std::span<int> out,
-                       WordArena &arena);
 
     /** Decode an output count to the dot-product value. */
     double decode(const EpochConfig &cfg, std::size_t count) const;
@@ -353,21 +300,12 @@ int firCoefficientCount(const EpochConfig &epoch, DpuMode mode,
  * Output pulse count of one FIR step: tap k multiplies coefficient
  * count h_counts[k] by RL sample id window_ids[k] (ids past the end
  * of a short window read as the zero sample), and the counting tree,
- * padded to a power of two >= 2, sums the products.
+ * padded to a power of two >= 2, sums the products (paddedTreeCount:
+ * no allocation up to 64 taps).
  */
 int firStepCount(const EpochConfig &epoch, DpuMode mode,
                  std::span<const int> h_counts,
                  std::span<const int> window_ids);
-
-/**
- * B full windows at once: @p window_ids is operand-major (tap k's B
- * lane ids contiguous, taps*B total); out[b] = firStepCount over lane
- * b's window.  Scratch comes from @p arena.
- */
-void firStepCountBatch(const EpochConfig &epoch, DpuMode mode,
-                       std::span<const int> h_counts,
-                       std::span<const int> window_ids,
-                       std::span<int> out, WordArena &arena);
 
 /**
  * Functional 16-tap-class FIR: same constructor and arithmetic
@@ -395,14 +333,6 @@ class UsfqFir : public Component
 
     /** Output pulse count for a window of RL sample ids (x[n] first). */
     int stepCount(const std::vector<int> &window_ids);
-
-    /**
-     * B windows at once.  @p window_ids is operand-major (tap k's B
-     * lane ids contiguous, taps*B total -- batched windows are always
-     * full); out[b] = stepCount over lane b's window.
-     */
-    void stepCountBatch(std::span<const int> window_ids,
-                        std::span<int> out, WordArena &arena);
 
     /** One decoded output sample from the sample window. */
     double step(const std::vector<double> &window);

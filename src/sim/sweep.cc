@@ -92,15 +92,6 @@ runIndexed(std::size_t n, int threads,
         std::rethrow_exception(firstError);
 }
 
-void
-checkGroupResultSize(std::size_t got, int lanes, std::size_t first)
-{
-    if (got != static_cast<std::size_t>(lanes))
-        panic("runBatchedSweep: group at item %zu returned %zu "
-              "results for %d lanes",
-              first, got, lanes);
-}
-
 } // namespace detail
 
 } // namespace usfq

@@ -5,7 +5,7 @@
  *
  * Determinism contract: a shard computes a pure function of its seed,
  * derived only from (base seed, shard index).  Shards may reuse
- * per-worker state -- a netlist built once, operand buffers, an arena
+ * per-worker state -- a netlist built once, operand buffers
  * (WorkerLocal below, indexed by ShardContext::worker) -- provided every
  * shard resets whatever of it it reads before it reads it, so no shard
  * sees what an earlier one left behind (a shard that threw included).
@@ -31,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,33 +39,6 @@
 
 namespace usfq
 {
-
-/**
- * Batched-evaluation request for a sweep (docs/functional.md,
- * "Batched evaluation").
- *
- * width is the number of sweep items coalesced into one lane group:
- * runBatchedSweep hands the shard function groups of up to width
- * consecutive items, each with its own item-derived seed.  Because the
- * per-item seed depends only on (base seed, item index) -- never on
- * the group shape -- results are bit-identical at any width and any
- * thread count; width changes wall-clock time and nothing else.
- */
-struct BatchSpec
-{
-    /** Lanes per group; <= 1 means scalar (one item per group). */
-    int width = 1;
-
-    /** Lanes a group of items starting at @p first actually gets. */
-    int lanesFor(std::size_t first, std::size_t total) const
-    {
-        const int w = width < 1 ? 1 : width;
-        const std::size_t left = total - first;
-        return left < static_cast<std::size_t>(w)
-                   ? static_cast<int>(left)
-                   : w;
-    }
-};
 
 /** Tuning knobs of a sweep. */
 struct SweepOptions
@@ -87,9 +59,6 @@ struct SweepOptions
      * function serve both engines (docs/functional.md).
      */
     Backend backend = Backend::PulseLevel;
-
-    /** Lane coalescing for runBatchedSweep (ignored by runSweep). */
-    BatchSpec batch;
 };
 
 /** What a shard function receives. */
@@ -102,26 +71,6 @@ struct ShardContext
     int worker = 0;    ///< dense index of the worker running the shard
 };
 
-/** What a batched shard function receives: one group of lanes. */
-struct LaneGroupContext
-{
-    std::size_t first; ///< sweep-item index of lane 0
-    std::size_t total; ///< total items in the sweep
-    int lanes;         ///< lanes in this group (tail groups are short)
-    Backend backend;   ///< engine requested via SweepOptions
-    int worker;        ///< dense index of the worker running the group
-
-    /** seeds[b] = shardSeed(base, first + b): identical to what the
-     *  scalar sweep hands item first+b, whatever the batch width. */
-    std::span<const std::uint64_t> seeds;
-
-    /** The sweep-item index lane @p b evaluates. */
-    std::size_t item(int b) const
-    {
-        return first + static_cast<std::size_t>(b);
-    }
-};
-
 /**
  * The seed shard @p index draws under base seed @p base: a SplitMix64
  * hash of the pair, so neighbouring shards get uncorrelated streams.
@@ -132,14 +81,14 @@ std::uint64_t shardSeed(std::uint64_t base, std::size_t index);
 int resolveSweepThreads(int requested);
 
 /**
- * One T per sweep worker, indexed by ShardContext::worker or
- * LaneGroupContext::worker.  at(w, args...) builds slot w from args on
- * worker w's first shard and returns that object for the rest of the
- * sweep.  Only worker w touches slot w, so shard functions use it
- * without locks; the determinism contract above makes them reset what
- * they read.  Sized by resolveSweepThreads(opt.threads), the worker
- * count the sweep itself resolves, so construct it from the options
- * the sweep runs under.
+ * One T per sweep worker, indexed by ShardContext::worker.  at(w,
+ * args...) builds slot w from args on worker w's first shard and
+ * returns that object for the rest of the sweep.  Only worker w
+ * touches slot w, so shard functions use it without locks; the
+ * determinism contract above makes them reset what they read.  Sized
+ * by resolveSweepThreads(opt.threads), the worker count the sweep
+ * itself resolves, so construct it from the options the sweep runs
+ * under.
  */
 template <typename T>
 class WorkerLocal
@@ -186,10 +135,6 @@ namespace detail
  */
 void runIndexed(std::size_t n, int threads,
                 const std::function<void(std::size_t, int)> &fn);
-
-/** Panic unless a batched shard returned one result per lane. */
-void checkGroupResultSize(std::size_t got, int lanes,
-                          std::size_t first);
 
 /**
  * One sweep worker's stats.  Each shard records into scratch, which
@@ -252,64 +197,6 @@ runSweep(std::size_t num_shards, Fn &&fn, const SweepOptions &opt = {})
     results.reserve(num_shards);
     for (auto &slot : slots)
         results.push_back(std::move(*slot));
-    return results;
-}
-
-/**
- * Run a batched sweep: @p num_items independent evaluations coalesced
- * into lane groups of up to opt.batch.width consecutive items, each
- * group handed to @p fn once.
- *
- * @p fn is invoked as fn(const LaneGroupContext &) and must return a
- * container with one result per lane, lane order (size() == ctx.lanes
- * -- panics otherwise).  The flattened item-order result vector is
- * returned.
- *
- * Determinism contract, extending runSweep's: lane seeds derive only
- * from (base seed, item index), groups are formed by item index alone,
- * per-group stats are merged order-free.  Results and
- * merged stats are therefore bit-identical at any thread count AND any
- * batch width -- provided fn honours the lane-equivalence contract of
- * func/batch.hh (lane b computes exactly what a scalar run of item
- * first+b would).
- */
-template <typename Fn>
-auto
-runBatchedSweep(std::size_t num_items, Fn &&fn,
-                const SweepOptions &opt = {})
-{
-    using GroupResult =
-        decltype(fn(std::declval<const LaneGroupContext &>()));
-    using Result = typename GroupResult::value_type;
-    const int width = opt.batch.width < 1 ? 1 : opt.batch.width;
-    const std::size_t stride = static_cast<std::size_t>(width);
-    const std::size_t groups = (num_items + stride - 1) / stride;
-    std::vector<std::optional<GroupResult>> slots(groups);
-    obs::StatsRegistry &parent = obs::currentStats();
-    const int threads = resolveSweepThreads(opt.threads);
-    std::vector<detail::WorkerStats> workerStats(
-        static_cast<std::size_t>(threads));
-    detail::runIndexed(groups, threads, [&](std::size_t g, int worker) {
-        const std::size_t first = g * stride;
-        const int lanes = opt.batch.lanesFor(first, num_items);
-        std::vector<std::uint64_t> seeds(
-            static_cast<std::size_t>(lanes));
-        for (int b = 0; b < lanes; ++b)
-            seeds[static_cast<std::size_t>(b)] = shardSeed(
-                opt.baseSeed, first + static_cast<std::size_t>(b));
-        const LaneGroupContext ctx{first,       num_items, lanes,
-                                   opt.backend, worker,    seeds};
-        workerStats[static_cast<std::size_t>(worker)].record(
-            [&] { slots[g].emplace(fn(ctx)); });
-        detail::checkGroupResultSize(slots[g]->size(), lanes, first);
-    });
-    for (const detail::WorkerStats &ws : workerStats)
-        parent.mergeFrom(ws.total);
-    std::vector<Result> results;
-    results.reserve(num_items);
-    for (auto &slot : slots)
-        for (auto &r : *slot)
-            results.push_back(std::move(r));
     return results;
 }
 

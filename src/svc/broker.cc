@@ -72,10 +72,9 @@ Broker::submit(Request request)
             return std::nullopt;
         }
         ++counters.submitted;
-        Pending p{nextId++, std::move(request), std::move(promise)};
-        p.enqueueUs = obs::wallClockUs();
-        p.trace = obs::TraceContext::begin();
-        queue.push_back(std::move(p));
+        queue.push_back(Pending{nextId++, std::move(request),
+                                std::move(promise), obs::wallClockUs(),
+                                obs::TraceContext::begin()});
         counters.queueDepthHighWater = std::max(
             counters.queueDepthHighWater,
             static_cast<std::uint64_t>(queue.size()));

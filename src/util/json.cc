@@ -307,6 +307,8 @@ struct JsonParser
     int depth = 0;
     static constexpr int kMaxDepth = 200;
 
+    explicit JsonParser(std::string_view t) : text(t) {}
+
     bool
     fail(const std::string &what)
     {
@@ -539,7 +541,7 @@ struct JsonParser
 bool
 parseJson(std::string_view text, JsonValue &out, std::string *error)
 {
-    JsonParser p{text};
+    JsonParser p(text);
     out = JsonValue{};
     if (!p.parseValue(out)) {
         if (error)

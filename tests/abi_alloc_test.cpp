@@ -6,7 +6,7 @@
  * This binary replaces the global operator new so a test can make an
  * allocation throw std::bad_alloc: the next one on its own thread, or
  * the next one of at least a given size on any thread.  The
- * replacement also counts the bytes live on the heap.
+ * replacement also counts the calls and the bytes live on the heap.
  *  - A thread's first usfq_broker_run call allocates its per-thread
  *    error slot before anything else; when that allocation fails the
  *    call must return USFQ_ERR_INTERNAL, not let the exception cross
@@ -16,6 +16,8 @@
  *    not let the exception end the process.
  *  - A warm broker retains nothing per request: serving hundreds more
  *    requests leaves the live heap where it was.
+ *  - The functional DPU, PE and FIR legs allocate nothing per epoch: a
+ *    run of 4096 epochs makes as many operator new calls as one of 64.
  * The replacement allocator applies to the whole program, hence the
  * separate binary.
  */
@@ -31,6 +33,7 @@
 #include <string>
 #include <thread>
 
+#include "api/facade.hh"
 #include "api/usfq.h"
 #include "obs/trace.hh"
 #include "util/json.hh"
@@ -47,6 +50,9 @@ std::atomic<std::size_t> failAllocationOfAtLeast{0};
 
 /** Bytes held by live operator new allocations (usable sizes). */
 std::atomic<std::int64_t> liveBytes{0};
+
+/** operator new calls that returned memory. */
+std::atomic<std::uint64_t> allocations{0};
 
 void
 countLive(void *p, int sign)
@@ -78,6 +84,7 @@ operator new(std::size_t size)
         throw std::bad_alloc();
     if (void *p = std::malloc(size == 0 ? 1 : size)) {
         countLive(p, 1);
+        allocations.fetch_add(1, std::memory_order_relaxed);
         return p;
     }
     throw std::bad_alloc();
@@ -136,13 +143,13 @@ TEST(SvcBrokerAbiAlloc, SerializeAllocationFailureIsInternal)
     usfq_broker *broker = nullptr;
     ASSERT_EQ(usfq_broker_create(1, 4, 4, &broker), USFQ_OK);
     const char *spec = "{\"kind\": \"dpu\", \"taps\": 16, \"bits\": 6}";
-    // 2^17 epochs in lane groups of 4096: the run's largest buffers are
-    // the 8-byte-per-epoch counts, while the response document takes
-    // more than ten bytes per count.  The first allocation of 12 bytes
-    // per epoch is therefore the worker's serialize step.
+    // 2^17 epochs: the run's largest buffers are the 8-byte-per-epoch
+    // sweep slots and counts, while the response document takes more
+    // than ten bytes per count.  The first allocation of 12 bytes per
+    // epoch is therefore the worker's serialize step.
     constexpr std::size_t kEpochs = std::size_t{1} << 17;
     const std::string params = "{\"epochs\": " + std::to_string(kEpochs) +
-                               ", \"batch\": 4096, \"threads\": 1, "
+                               ", \"threads\": 1, "
                                "\"backend\": \"functional\"}";
 
     char *out = nullptr;
@@ -221,6 +228,60 @@ TEST(SvcBrokerAbiAlloc, WarmBrokerRetainsNothingPerRequest)
     const std::int64_t grown = liveBytes.load() - warm;
     EXPECT_LT(grown, 16 * 1024) << "bytes retained over 400 requests";
     usfq_broker_destroy(broker);
+}
+
+TEST(FunctionalRunAlloc, NothingPerEpoch)
+{
+    // The serve templates' functional DPU, PE and FIR shapes, batch
+    // included (it selects nothing): a run allocates its sweep and
+    // result buffers, and its epoch kernels nothing.
+    using K = usfq::api::WorkloadKind;
+    const auto Bi = usfq::DpuMode::Bipolar;
+    const auto Uni = usfq::DpuMode::Unipolar;
+    struct Leg
+    {
+        const char *name;
+        K kind;
+        int taps, bits;
+        usfq::DpuMode mode;
+        int batch;
+    };
+    const Leg legs[] = {
+        {"dpu16", K::Dpu, 16, 6, Bi, 1},
+        {"dpu16 batch 8", K::Dpu, 16, 6, Bi, 8},
+        {"dpu8u", K::Dpu, 8, 5, Uni, 1},
+        {"pe5", K::Pe, 16, 5, Bi, 1},
+        {"fir4", K::Fir, 4, 6, Uni, 1},
+        {"fir4 batch 4", K::Fir, 4, 6, Uni, 4},
+    };
+    for (const Leg &leg : legs) {
+        usfq::api::NetlistSpec spec;
+        spec.kind = leg.kind;
+        spec.name = "leg";
+        spec.taps = leg.taps;
+        spec.bits = leg.bits;
+        spec.mode = leg.mode;
+        usfq::api::Session session(spec);
+        usfq::api::DesignFacts facts;
+        ASSERT_EQ(session.designFacts(facts), usfq::api::Status::Ok)
+            << leg.name << ": " << session.lastError();
+        const auto allocationsOf = [&](int epochs) {
+            usfq::api::RunParams params;
+            params.backend = usfq::Backend::Functional;
+            params.epochs = epochs;
+            params.batch = leg.batch;
+            params.threads = 1;
+            const std::uint64_t before = allocations.load();
+            const usfq::api::RunResult result =
+                usfq::api::runWorkload(spec, params, facts);
+            const std::uint64_t calls = allocations.load() - before;
+            EXPECT_EQ(result.counts.size(),
+                      static_cast<std::size_t>(epochs));
+            return calls;
+        };
+        EXPECT_EQ(allocationsOf(64), allocationsOf(4096))
+            << leg.name << ": operator new calls at 64 vs 4096 epochs";
+    }
 }
 
 } // namespace

@@ -24,8 +24,6 @@
 #include <vector>
 
 #include "core/encoding.hh"
-#include "func/batch.hh"
-#include "func/components.hh"
 #include "sim/event_queue.hh"
 #include "sim/netlist.hh"
 #include "sim/sweep.hh"
@@ -90,77 +88,6 @@ TEST(Determinism, SweepIdenticalAcrossThreadCounts)
         runSweep(shards, shard, SweepOptions{.threads = 8});
     ASSERT_EQ(serial.size(), shards);
     EXPECT_EQ(serial, parallel);
-}
-
-/**
- * The batched-sweep leg of contract (b): the same functional sweep is
- * bit-identical whether batching is off (plain runSweep), coalesced at
- * B=8, or at B=64 -- at 1 thread and at many.  Lane seeds derive only
- * from the item index, so the grouping must be invisible.
- */
-TEST(Determinism, SweepIdenticalAcrossBatchWidths)
-{
-    const std::size_t items = 200;
-    const EpochConfig cfg(6);
-    constexpr int kElems = 6;
-    auto drawOperands = [&](std::uint64_t seed) {
-        Rng rng(seed);
-        std::array<int, 2 * kElems> ops;
-        for (auto &v : ops)
-            v = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-        return ops;
-    };
-    // Batching off: one item per shard through the scalar model.
-    const auto off = runSweep(
-        items,
-        [&](const ShardContext &ctx) {
-            const auto ops = drawOperands(ctx.seed);
-            Netlist nl;
-            auto &dpu = nl.create<func::DotProductUnit>(
-                "dpu", kElems, DpuMode::Bipolar);
-            return dpu.evaluate(
-                cfg,
-                std::vector<int>(ops.begin(), ops.begin() + kElems),
-                std::vector<int>(ops.begin() + kElems, ops.end()));
-        },
-        SweepOptions{.threads = 1});
-    ASSERT_EQ(off.size(), items);
-    for (int width : {8, 64}) {
-        for (int threads : {1, 4}) {
-            SweepOptions opt;
-            opt.threads = threads;
-            opt.batch.width = width;
-            const auto batched = runBatchedSweep(
-                items,
-                [&](const LaneGroupContext &ctx) {
-                    const std::size_t lanes =
-                        static_cast<std::size_t>(ctx.lanes);
-                    std::vector<int> counts(kElems * lanes);
-                    std::vector<int> ids(kElems * lanes);
-                    for (std::size_t b = 0; b < lanes; ++b) {
-                        const auto ops = drawOperands(ctx.seeds[b]);
-                        for (int k = 0; k < kElems; ++k) {
-                            counts[static_cast<std::size_t>(k) * lanes +
-                                   b] = ops[static_cast<std::size_t>(k)];
-                            ids[static_cast<std::size_t>(k) * lanes +
-                                b] =
-                                ops[static_cast<std::size_t>(k) +
-                                    kElems];
-                        }
-                    }
-                    Netlist nl;
-                    auto &dpu = nl.create<func::DotProductUnit>(
-                        "dpu", kElems, DpuMode::Bipolar);
-                    WordArena arena;
-                    std::vector<int> out(lanes);
-                    dpu.evaluateBatch(cfg, counts, ids, out, arena);
-                    return out;
-                },
-                opt);
-            EXPECT_EQ(batched, off)
-                << "width=" << width << " threads=" << threads;
-        }
-    }
 }
 
 TEST(Determinism, SweepPoolThreadsRunInTheCallersFatalMode)

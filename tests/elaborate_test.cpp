@@ -183,8 +183,9 @@ TEST(ElaborateLint, PortWaiversSuppressErrorsWithAReason)
     EXPECT_EQ(countWaived(findings, LintRule::DanglingInput), 1u);
     EXPECT_EQ(countWaived(findings, LintRule::OpenOutput), 1u);
     for (const auto &f : findings)
-        if (f.waived)
+        if (f.waived) {
             EXPECT_FALSE(f.waiverReason.empty()) << f.message;
+        }
 }
 
 TEST(ElaborateLint, BlanketWaiversCoverAreaStudies)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 
@@ -263,9 +264,10 @@ TEST(ProductModel, PaperFig3bExamples)
 
 TEST(TreeModel, TwoInputAverage)
 {
-    EXPECT_EQ(treeNetworkCount({4, 4}), 4);
-    EXPECT_EQ(treeNetworkCount({5, 4}), 5); // ceil(9/2)
-    EXPECT_EQ(treeNetworkCount({0, 0}), 0);
+    std::array<int, 2> equal{4, 4}, odd{5, 4}, zero{0, 0};
+    EXPECT_EQ(treeNetworkCount(equal), 4);
+    EXPECT_EQ(treeNetworkCount(odd), 5); // ceil(9/2)
+    EXPECT_EQ(treeNetworkCount(zero), 0);
 }
 
 TEST(TreeModel, FourInputAverageWithinRounding)

@@ -481,15 +481,14 @@ TEST(SweepStats, NetlistStatsMergeAcrossShards)
 
 TEST(SweepStats, ShardsSettingOneCounterSum)
 {
-    // exportStats() set()s its counters, so every shard (and lane
-    // group) needs a registry of its own even though workers keep one
-    // running registry each: 32 set(7)s must sum to 32 x 7.
+    // exportStats() set()s its counters, so every shard needs a
+    // registry of its own even though workers keep one running
+    // registry each: 32 set(7)s must sum to 32 x 7.
     constexpr std::size_t kShards = 32;
     constexpr std::uint64_t kValue = 7;
     for (const int threads : {1, 4}) {
         SweepOptions opt;
         opt.threads = threads;
-        opt.batch.width = 3;
         obs::StatsRegistry plain;
         {
             obs::ScopedStatsRegistry guard(plain);
@@ -504,23 +503,6 @@ TEST(SweepStats, ShardsSettingOneCounterSum)
         ASSERT_NE(plain.findCounter("shard/set"), nullptr);
         EXPECT_EQ(plain.findCounter("shard/set")->value(), kShards * kValue)
             << "runSweep, threads=" << threads;
-
-        obs::StatsRegistry batched;
-        {
-            obs::ScopedStatsRegistry guard(batched);
-            runBatchedSweep(
-                kShards,
-                [](const LaneGroupContext &ctx) {
-                    obs::currentStats().counter("group/set").set(kValue);
-                    return std::vector<int>(
-                        static_cast<std::size_t>(ctx.lanes));
-                },
-                opt);
-        }
-        // ceil(32 / 3) = 11 lane groups.
-        ASSERT_NE(batched.findCounter("group/set"), nullptr);
-        EXPECT_EQ(batched.findCounter("group/set")->value(), 11u * kValue)
-            << "runBatchedSweep, threads=" << threads;
     }
 }
 

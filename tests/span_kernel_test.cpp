@@ -2,7 +2,7 @@
 // against naive scalar references, across every kernel level the host
 // supports, unaligned span starts, and lengths that exercise partial
 // SIMD tails.  The SIMD builds must be bit-identical to the portable
-// fallback -- batching is never allowed to change a single bit.
+// fallback -- the kernel level is never allowed to change a single bit.
 
 #include <cstdint>
 #include <vector>

@@ -526,7 +526,7 @@ TEST(Hash, WordsFoldLowByteFirst)
 
 TEST(Hash, StringsFoldTheirLengthFirst)
 {
-    for (const std::string s : {std::string(), std::string("a"),
+    for (const std::string &s : {std::string(), std::string("a"),
                                 std::string("foobar"),
                                 std::string(300, 'x')}) {
         EXPECT_EQ(fnvStr(kFnvBasis, s),
