@@ -18,6 +18,7 @@
 #include "bench_common.hh"
 #include "core/adder.hh"
 #include "core/bitonic.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/table.hh"
@@ -45,7 +46,7 @@ runMergerTree(int width)
     PulseTrace out;
     add.out().connect(out.input());
     for (int i = 0; i < width; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(add.in(i));
         for (int k = 0; k < kWaves; ++k)
             src.pulseAt(10 * kPicosecond + k * kSpacing);
@@ -63,7 +64,7 @@ runBalancerTree(int width)
     PulseTrace out;
     net.out().connect(out.input());
     for (int i = 0; i < width; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(i));
         for (int k = 0; k < kWaves; ++k)
             src.pulseAt(10 * kPicosecond + k * kSpacing);
@@ -81,11 +82,11 @@ runBitonic(int width)
     std::vector<std::unique_ptr<PulseTrace>> outs;
     for (int i = 0; i < width; ++i) {
         outs.push_back(
-            std::make_unique<PulseTrace>("o" + std::to_string(i)));
+            std::make_unique<PulseTrace>(indexedName("o", i)));
         net.out(i).connect(outs.back()->input());
     }
     for (int i = 0; i < width; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(i));
         for (int k = 0; k < kWaves; ++k)
             src.pulseAt(10 * kPicosecond + k * kSpacing);

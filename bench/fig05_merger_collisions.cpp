@@ -12,6 +12,7 @@
 
 #include "bench_common.hh"
 #include "core/adder.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/table.hh"
@@ -38,7 +39,7 @@ runMerger(int fan_in, bool spaced, int rounds)
     std::size_t sent = 0;
     const Tick spacing = MergerTreeAdder::safeSpacing(fan_in);
     for (int i = 0; i < fan_in; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(add.in(i));
         for (int k = 0; k < rounds; ++k) {
             const Tick base = 10 * kPicosecond + k * spacing;
@@ -72,7 +73,7 @@ main(int argc, char **argv)
         const Tick at[4] = {10 * kPicosecond, 10 * kPicosecond,
                             60 * kPicosecond, 110 * kPicosecond};
         for (int i = 0; i < 4; ++i) {
-            auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+            auto &src = nl.create<PulseSource>(indexedName("s", i));
             src.out.connect(add.in(i));
             src.pulseAt(at[i]);
         }

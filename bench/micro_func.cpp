@@ -14,9 +14,10 @@
  * BM_RunWorkload/<leg> times whole api::runWorkload calls from
  * precomputed design facts: every functional serve_fresh template
  * shape of perfbench (dpu16 at batch 1 and 8, dpu8u, pe5, fir4 at
- * batch 1 and 4 -- batch selects nothing, so each pair reads alike),
- * the functional NoC, and the pulse-level DPU, gen and NoC rigs; items
- * are epochs, so 1e9 / items_per_second is the leg's ns per epoch.
+ * batch 1 and 4 -- batch selects nothing, so each pair reads alike --
+ * the functional NoC and gen8x5's slot mirror), and the pulse-level
+ * DPU, gen and NoC rigs; items are epochs, so 1e9 / items_per_second
+ * is the leg's ns per epoch.
  *
  * BM_ResultToJson/<template> times api::resultToJson -- the broker's
  * serialize step -- on a precomputed result of a serve_fresh-sized
@@ -60,8 +61,8 @@ pulseDpuEpoch(int length, const EpochConfig &cfg)
     dpu.out().connect(out.input());
     e.pulseAt(0);
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("b", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         r.pulseAt(20 * kPicosecond + cfg.rlTime(cfg.nmax() / 2));
@@ -175,6 +176,11 @@ workloadLegs()
     gen4.gen.clockPeriodPs = 24;
     gen4.gen.tree = gen::TreeKind::Balancer;
     gen4.gen.shape = gen::LaneShape::Skewed;
+    api::NetlistSpec gen8 = gen4;
+    gen8.gen.lanes = 8;
+    gen8.gen.bits = 5;
+    gen8.gen.clockPeriodPs = 20;
+    gen8.gen.tree = gen::TreeKind::Merger;
     return {
         {"dpu16", legSpec(K::Dpu, 16, 6, DpuMode::Bipolar),
          legParams(F, 256, 1)},
@@ -189,6 +195,7 @@ workloadLegs()
         {"fir4_batch4", legSpec(K::Fir, 4, 6, DpuMode::Unipolar),
          legParams(F, 256, 4)},
         {"noc4x4", mesh4, legParams(F, 32, 1)},
+        {"gen8x5", gen8, legParams(F, 256, 1)},
         {"pulse_dpu4", legSpec(K::Dpu, 4, 4, DpuMode::Bipolar),
          legParams(P, 16, 1)},
         {"pulse_gen4x4", gen4, legParams(P, 16, 1)},

@@ -17,6 +17,7 @@
 #include "core/multiplier.hh"
 #include "dsp/fir_design.hh"
 #include "sim/event_queue.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/params.hh"
 #include "sfq/sources.hh"
@@ -133,7 +134,7 @@ BM_CountingNetworkEpoch(benchmark::State &state)
         PulseTrace out;
         net.out().connect(out.input());
         for (int i = 0; i < fan_in; ++i) {
-            auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+            auto &src = nl.create<PulseSource>(indexedName("s", i));
             src.out.connect(net.in(i));
             src.pulsesAt(cfg.streamTimes(cfg.nmax() / 2));
         }
@@ -158,8 +159,8 @@ BM_DpuEpochPulseLevel(benchmark::State &state)
         dpu.out().connect(out.input());
         e.pulseAt(0);
         for (int i = 0; i < length; ++i) {
-            auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-            auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+            auto &r = nl.create<PulseSource>(indexedName("a", i));
+            auto &s = nl.create<PulseSource>(indexedName("b", i));
             r.out.connect(dpu.rlIn(i));
             s.out.connect(dpu.streamIn(i));
             r.pulseAt(20 * kPicosecond + cfg.rlTime(cfg.nmax() / 2));

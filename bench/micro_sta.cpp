@@ -71,7 +71,7 @@ BM_StaJtlChain(benchmark::State &state)
         auto &src = nl.create<PulseSource>("s");
         OutputPort *prev = &src.out;
         for (int i = 0; i < length; ++i) {
-            auto &j = nl.create<Jtl>("j" + std::to_string(i));
+            auto &j = nl.create<Jtl>(indexedName("j", i));
             prev->connect(j.in);
             prev = &j.out;
         }

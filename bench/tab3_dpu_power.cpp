@@ -17,6 +17,7 @@
 #include "core/encoding.hh"
 #include "core/multiplier.hh"
 #include "metrics/power.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 
@@ -89,8 +90,8 @@ dpuPower()
     src_e.pulseAt(0);
     src_clk.pulsesAt(BipolarMultiplier::gridClockTimes(kCfg, 0));
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("b", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         r.pulseAt(16 * kPicosecond +

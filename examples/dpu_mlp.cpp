@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/dpu.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/random.hh"
@@ -43,8 +44,8 @@ dotOnDpu(const EpochConfig &cfg, const std::vector<double> &weights,
     src_e.pulseAt(0);
     src_clk.pulsesAt(BipolarMultiplier::gridClockTimes(cfg, 0));
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("w" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("w", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         r.pulseAt(rl_off + cfg.rlTime(cfg.rlIdOfBipolar(

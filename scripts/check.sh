@@ -15,7 +15,8 @@
 #                                      # its order differential, and the
 #                                      # span-kernel fuzzer), golden,
 #                                      # diff and sta tiers under default,
-#                                      # ASan and UBSan builds
+#                                      # ASan and UBSan builds (a UBSan
+#                                      # report fails the stage)
 #   ./scripts/check.sh svc             # service gate: the svc tier
 #                                      # (C API, structural hash, result
 #                                      # cache, broker + the usfq_serve
@@ -69,12 +70,16 @@
 #                                      # the traced usfq_serve smoke's
 #                                      # trace (netlist phase spans
 #                                      # present), then the regress stage
-#   ./scripts/check.sh perfbench       # benchmark gate: build perfbench/
-#                                      # against this tree (Release) and
-#                                      # run every BENCHMARK.json
-#                                      # workload at --tiny through
-#                                      # perfbench/smoke.py (correct
-#                                      # results, repeatable digests)
+#   ./scripts/check.sh perfbench       # benchmark gate: configure and
+#                                      # build build-release/ (Release,
+#                                      # -DUSFQ_WERROR=ON, so the -O3
+#                                      # build stays warning-free), then
+#                                      # build perfbench/ against this
+#                                      # tree (Release) and run every
+#                                      # BENCHMARK.json workload at
+#                                      # --tiny through perfbench/smoke.py
+#                                      # (correct results, repeatable
+#                                      # digests)
 #
 # docs/observability.md describes the artifact format; docs/functional.md
 # describes the diff tier (differential fuzzer + functional goldens).
@@ -172,7 +177,14 @@ if [[ "$mode" == "perfbench" ]]; then
     # tree in its own Release build dir, which no other stage compiles:
     # smoke.py builds it and runs every workload at a tiny size,
     # checking correct=true, the metric set, and that a seed repeats
-    # its input and output digests.
+    # its input and output digests.  First the whole tree in Release
+    # with -Werror: -O3 inlines deeper than the default build and
+    # brings warnings of its own (GCC 12's -Wrestrict on
+    # `"x" + std::to_string(i)`), which no other stage would see.
+    echo "==> [perfbench] configure + build build-release (Release, -Werror)"
+    cmake -B "$repo/build-release" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+        -DUSFQ_WERROR=ON
+    cmake --build "$repo/build-release" -j "$jobs"
     echo "==> [perfbench] smoke (build + tiny runs of every workload)"
     (cd "$repo" && python3 perfbench/smoke.py)
     echo "==> perfbench gate passed"
@@ -272,7 +284,10 @@ fi
 run_config default "$repo/build" -DUSFQ_WERROR=ON
 run_config asan "$repo/build-asan" -DUSFQ_SANITIZE=address
 if [[ "$mode" == "gen" || "$mode" == "diff" ]]; then
-    run_config ubsan "$repo/build-ubsan" -DUSFQ_SANITIZE=undefined
+    # halt_on_error: a UBSan report fails its test, not just the log
+    # (the build keeps UBSan's default recoverable checks).
+    UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+        run_config ubsan "$repo/build-ubsan" -DUSFQ_SANITIZE=undefined
     echo "==> all checks passed (default + asan + ubsan)"
 else
     echo "==> all checks passed (default + asan)"

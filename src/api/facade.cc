@@ -145,10 +145,11 @@ runPulseFir(const NetlistSpec &spec, const RunParams &params)
     const EpochConfig ecfg(spec.bits, cfg.clockPeriod());
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
 
+    const UniformInt sample(0, ecfg.nmax());
     std::vector<int> ids(epochs);
     for (std::size_t e = 0; e < epochs; ++e) {
         Rng rng(shardSeed(params.seed, e));
-        ids[e] = static_cast<int>(rng.uniformInt(0, ecfg.nmax()));
+        ids[e] = static_cast<int>(sample(rng));
     }
 
     auto &clk = nl.create<ClockSource>("clk");
@@ -236,13 +237,14 @@ runDpu(const NetlistSpec &spec, const RunParams &params)
     const SweepOptions opt = sweepOptions(params);
     WorkerLocal<Scratch> scratch(opt);
     // The draw order (stream, then id, per element) is the seed's.
+    const UniformInt operand(0, cfg.nmax());
     const auto draw = [&](std::uint64_t seed, Scratch &s) {
         int *streams = sized(s.a, taps);
         int *ids = sized(s.b, taps);
         Rng rng(seed);
         for (std::size_t k = 0; k < taps; ++k) {
-            streams[k] = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-            ids[k] = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+            streams[k] = static_cast<int>(operand(rng));
+            ids[k] = static_cast<int>(operand(rng));
         }
     };
     if (params.backend == Backend::PulseLevel) {
@@ -277,12 +279,13 @@ runPe(const NetlistSpec &spec, const RunParams &params)
     {
         int in1, in2, in3;
     };
+    const UniformInt operand(0, cfg.nmax());
     const auto draw = [&](std::uint64_t seed) {
         Rng rng(seed);
         Operands op;
-        op.in1 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-        op.in2 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
-        op.in3 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+        op.in1 = static_cast<int>(operand(rng));
+        op.in2 = static_cast<int>(operand(rng));
+        op.in3 = static_cast<int>(operand(rng));
         return op;
     };
     if (params.backend == Backend::PulseLevel) {
@@ -324,10 +327,11 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
     // Sample ids are a pure function of (seed, epoch), never of sweep
     // shape, so the zero-padded windows below are identical at any
     // thread count -- the cache-transparency contract.
+    const UniformInt sample(0, ecfg.nmax());
     std::vector<int> ids(epochs);
     for (std::size_t e = 0; e < epochs; ++e) {
         Rng rng(shardSeed(params.seed, e));
-        ids[e] = static_cast<int>(rng.uniformInt(0, ecfg.nmax()));
+        ids[e] = static_cast<int>(sample(rng));
     }
     const auto windowId = [&](std::size_t e, std::size_t k) {
         return e >= k ? ids[e - k] : 0;

@@ -180,8 +180,8 @@ DpuEpochRig::DpuEpochRig(const EpochConfig &config, int length,
     }
     dpu.out().connect(out.input());
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("b", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         rl.push_back(&r);

@@ -195,18 +195,20 @@ mergerTreeUnionCount(const EpochConfig &cfg,
 {
     if (counts.empty())
         panic("mergerTreeUnionCount: no inputs");
+    const int n_slots = cfg.nmax();
+    for (int n : counts)
+        if (n < 0 || n > n_slots)
+            panic("mergerTreeUnionCount: count %d out of range", n);
     // Union of the Euclidean slot sets.  Slot i of an n-count stream
     // is occupied iff floor((i+1)n/N) > floor(i*n/N); evaluate the
-    // predicate directly per (slot, stream).
-    const int n_slots = cfg.nmax();
+    // predicate directly per (slot, stream).  N is 2^bits and both
+    // factors are non-negative, so each floor is a shift.
+    const int bits = cfg.bits();
     int unioned = 0;
     for (int i = 0; i < n_slots; ++i) {
         for (int n : counts) {
-            if (n < 0 || n > n_slots)
-                panic("mergerTreeUnionCount: count %d out of range", n);
-            const auto lo = static_cast<std::int64_t>(i) * n / n_slots;
-            const auto hi =
-                static_cast<std::int64_t>(i + 1) * n / n_slots;
+            const auto lo = (static_cast<std::int64_t>(i) * n) >> bits;
+            const auto hi = (static_cast<std::int64_t>(i + 1) * n) >> bits;
             if (hi > lo) {
                 ++unioned;
                 break;

@@ -107,9 +107,9 @@ drawEpochInputs(const DesignSpec &spec, std::uint64_t seed)
     EpochInputs in;
     in.n = static_cast<int>(rng.uniformInt(1, spec.nmax()));
     in.gates.resize(static_cast<std::size_t>(spec.lanes));
+    const UniformInt gate(0, 3);
     for (int i = 0; i < spec.lanes; ++i)
-        in.gates[static_cast<std::size_t>(i)] =
-            rng.uniformInt(0, 3) != 0;
+        in.gates[static_cast<std::size_t>(i)] = gate(rng) != 0;
     return in;
 }
 

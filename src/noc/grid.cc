@@ -19,20 +19,6 @@ namespace
 
 constexpr Tick kPeRlOff = 5 * kPicosecond;
 
-std::string
-tileName(const GridPlan &gp, int t)
-{
-    return "t" + std::to_string(t / gp.spec.cols) + "_" +
-           std::to_string(t % gp.spec.cols);
-}
-
-std::string
-routerName(const GridPlan &gp, int r)
-{
-    return "r" + std::to_string(r / gp.spec.cols) + "_" +
-           std::to_string(r % gp.spec.cols);
-}
-
 } // namespace
 
 TileGrid::TileGrid(Netlist &netlist, const GridPlan &plan)
@@ -62,7 +48,7 @@ TileGrid::programSchedule()
 void
 TileGrid::buildTile(int t, int flow)
 {
-    const std::string tn = tileName(gp, t);
+    const std::string tn = tileLabel(gp.spec, t);
     const EpochConfig &cfg = gp.cfg;
     Tile &tile = tiles[static_cast<std::size_t>(t)];
     auto scope = nl.scope(tn);
@@ -175,7 +161,7 @@ TileGrid::buildRouters()
         if (!rp.used())
             continue;
         routers[static_cast<std::size_t>(r)] = &nl.create<NocRouter>(
-            routerName(gp, r), rp, gp.routerLatency);
+            routerLabel(gp.spec, r), rp, gp.routerLatency);
     }
 
     for (const auto &[key, windowSides] : sides) {
@@ -193,7 +179,7 @@ TileGrid::buildRouters()
                 continue;
             }
             auto &src = nl.create<PulseSource>(
-                routerName(gp, r) + ".sel_" + dirName(in) + "_" +
+                routerLabel(gp.spec, r) + ".sel_" + dirName(in) + "_" +
                 std::to_string(node) + "_" + std::to_string(side));
             src.out.connect(router.sel(in, node, side));
             schedule.push_back({&src, std::move(times)});
@@ -227,7 +213,7 @@ TileGrid::buildLinks()
                 : dir == kDirE ? r + 1
                                : r - 1;
             auto &link = nl.create<NocLink>(
-                routerName(gp, r) + ".l_" + dirName(dir),
+                routerLabel(gp.spec, r) + ".l_" + dirName(dir),
                 gp.spec.linkHops, gp.linkLatency);
             routers[static_cast<std::size_t>(r)]->out(dir).connect(
                 link.in());
@@ -256,7 +242,7 @@ TileGrid::buildTaps()
             for (const OutputWindowBase &b : bases[ch])
                 starts.emplace_back(b.start, b.window);
             auto &tap = nl.create<NocTap>(
-                routerName(gp, r) + ".tap_" + dirName(d),
+                routerLabel(gp.spec, r) + ".tap_" + dirName(d),
                 std::move(starts), gp.windows, gp.cfg.nmax(),
                 gp.cfg.slotWidth());
             OutputPort &out =

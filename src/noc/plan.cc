@@ -423,11 +423,34 @@ observationDigest(const FabricObservation &obs)
     return h;
 }
 
+namespace
+{
+
+/** "<prefix><row>_<col>" of grid position @p id.  Appended, not
+ *  "r" + std::to_string(...): GCC 12 at -O3 reports a false
+ *  -Wrestrict overlap on that form. */
+std::string
+gridLabel(char prefix, const GridSpec &spec, int id)
+{
+    std::string label(1, prefix);
+    label += std::to_string(id / spec.cols);
+    label += '_';
+    label += std::to_string(id % spec.cols);
+    return label;
+}
+
+} // namespace
+
 std::string
 routerLabel(const GridSpec &spec, int router)
 {
-    return "r" + std::to_string(router / spec.cols) + "_" +
-           std::to_string(router % spec.cols);
+    return gridLabel('r', spec, router);
+}
+
+std::string
+tileLabel(const GridSpec &spec, int tile)
+{
+    return gridLabel('t', spec, tile);
 }
 
 std::vector<std::vector<OutputWindowBase>>
@@ -597,15 +620,14 @@ TileOperands
 drawTileOperands(const GridPlan &plan, std::uint64_t seed)
 {
     Rng rng(seed);
+    const UniformInt operand(0, plan.cfg.nmax());
     const int n = plan.tiles() * plan.spec.taps;
     TileOperands ops;
     ops.streams.reserve(n);
     ops.ids.reserve(n);
     for (int i = 0; i < n; ++i) {
-        ops.streams.push_back(
-            static_cast<int>(rng.uniformInt(0, plan.cfg.nmax())));
-        ops.ids.push_back(
-            static_cast<int>(rng.uniformInt(0, plan.cfg.nmax())));
+        ops.streams.push_back(static_cast<int>(operand(rng)));
+        ops.ids.push_back(static_cast<int>(operand(rng)));
     }
     return ops;
 }

@@ -249,6 +249,10 @@ std::uint64_t observationDigest(const FabricObservation &obs);
  *  netlist name of the router alike. */
 std::string routerLabel(const GridSpec &spec, int router);
 
+/** Hierarchy label of @p tile ("t<row>_<col>"): its netlist scope and
+ *  its name in route descriptions. */
+std::string tileLabel(const GridSpec &spec, int tile);
+
 /** Wall-clock-free window timetable entry of one router output. */
 struct OutputWindowBase
 {

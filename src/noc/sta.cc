@@ -79,18 +79,15 @@ describeRoute(const GridPlan &plan, int flow)
 {
     const FlowPlan &fp =
         plan.flows[static_cast<std::size_t>(flow)];
-    auto rc = [&](int id) {
-        return std::to_string(id / plan.spec.cols) + "_" +
-               std::to_string(id % plan.spec.cols);
-    };
-    std::string s = "t" + rc(fp.spec.src);
+    std::string s = tileLabel(plan.spec, fp.spec.src);
     for (std::size_t k = 0; k < fp.routers.size(); ++k) {
         s += " -[";
         s += dirName(fp.outDir[k]);
-        s += "]-> r";
-        s += rc(fp.routers[k]);
+        s += "]-> ";
+        s += routerLabel(plan.spec, fp.routers[k]);
     }
-    s += " -> t" + rc(fp.spec.dst);
+    s += " -> ";
+    s += tileLabel(plan.spec, fp.spec.dst);
     return s;
 }
 

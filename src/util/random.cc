@@ -11,12 +11,6 @@ namespace
 {
 
 inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-inline std::uint64_t
 splitmix64(std::uint64_t &x)
 {
     std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
@@ -41,22 +35,6 @@ Rng::seed(std::uint64_t seed_value)
     haveSpareGaussian = false;
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
 double
 Rng::uniform()
 {
@@ -70,22 +48,16 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
+UniformInt::UniformInt(std::int64_t lo_value, std::int64_t hi_value)
+    : lo(static_cast<std::uint64_t>(lo_value)),
+      span(static_cast<std::uint64_t>(hi_value) - lo + 1), limit(0)
 {
-    if (lo > hi)
-        panic("Rng::uniformInt: empty range [%lld, %lld]",
-              static_cast<long long>(lo), static_cast<long long>(hi));
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) // full 64-bit range
-        return static_cast<std::int64_t>(next());
-    // Rejection sampling for an unbiased draw.
-    const std::uint64_t limit = (~0ULL / span) * span;
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return lo + static_cast<std::int64_t>(v % span);
+    if (lo_value > hi_value)
+        panic("UniformInt: empty range [%lld, %lld]",
+              static_cast<long long>(lo_value),
+              static_cast<long long>(hi_value));
+    if (span != 0)
+        limit = (~0ULL / span) * span;
 }
 
 bool

@@ -11,6 +11,7 @@
 
 #include "core/adder.hh"
 #include "core/encoding.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/random.hh"
@@ -54,7 +55,7 @@ TEST(MergerTreeAdder, SimultaneousPulsesCollide)
     std::vector<PulseSource *> srcs;
     PulseTrace out;
     for (int i = 0; i < 4; ++i) {
-        auto &s = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &s = nl.create<PulseSource>(indexedName("s", i));
         s.out.connect(add.in(i));
         srcs.push_back(&s);
     }
@@ -78,7 +79,7 @@ TEST(MergerTreeAdder, SafeSpacingAvoidsCollisions)
     std::vector<PulseSource *> srcs;
     PulseTrace out;
     for (int i = 0; i < 4; ++i) {
-        auto &s = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &s = nl.create<PulseSource>(indexedName("s", i));
         s.out.connect(add.in(i));
         srcs.push_back(&s);
     }
@@ -313,7 +314,7 @@ runTree(int m, const std::vector<int> &counts, Tick spacing = 2 * kSafe)
     PulseTrace out;
     net.out().connect(out.input());
     for (int i = 0; i < m; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(i));
         // Stagger lanes so same-lane spacing is `spacing` and cross-lane
         // arrivals at shared balancers are offset.
@@ -381,7 +382,7 @@ TEST(TreeCountingNetwork, SimultaneousArrivalsDoNotLosePulses)
     PulseTrace out;
     net.out().connect(out.input());
     for (int i = 0; i < m; ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(i));
         src.pulseAt(10 * kPicosecond);
     }

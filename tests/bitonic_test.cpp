@@ -10,6 +10,7 @@
 #include <numeric>
 
 #include "core/bitonic.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/random.hh"
@@ -32,7 +33,7 @@ struct Harness
         net = &nl.create<BitonicCountingNetwork>("net", width);
         for (int i = 0; i < width; ++i) {
             outs.push_back(std::make_unique<PulseTrace>(
-                "o" + std::to_string(i)));
+                indexedName("o", i)));
             net->out(i).connect(outs.back()->input());
         }
     }
@@ -42,7 +43,7 @@ struct Harness
     drive(const std::vector<int> &counts)
     {
         for (std::size_t i = 0; i < counts.size(); ++i) {
-            auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+            auto &src = nl.create<PulseSource>(indexedName("s", i));
             src.out.connect(net->in(static_cast<int>(i)));
             for (int k = 0; k < counts[i]; ++k)
                 src.pulseAt(10 * kPicosecond +
@@ -138,7 +139,7 @@ TEST(BitonicNetwork, SimultaneousWaveConserved)
     const int width = 4;
     Harness h(width);
     for (int i = 0; i < width; ++i) {
-        auto &src = h.nl.create<PulseSource>("w" + std::to_string(i));
+        auto &src = h.nl.create<PulseSource>(indexedName("w", i));
         src.out.connect(h.net->in(i));
         for (int k = 0; k < 3; ++k)
             src.pulseAt(10 * kPicosecond + k * 4 * kSpacing);

@@ -13,6 +13,7 @@
 #include "analog/rsj.hh"
 #include "core/adder.hh"
 #include "core/fanout.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/cells.hh"
 #include "sfq/sources.hh"
@@ -35,7 +36,7 @@ TEST_P(TffChain, DividesByPowerOfTwo)
     Netlist nl;
     std::vector<Tff *> chain;
     for (int k = 0; k < depth; ++k) {
-        auto &t = nl.create<Tff>("t" + std::to_string(k));
+        auto &t = nl.create<Tff>(indexedName("t", k));
         if (k > 0)
             chain.back()->out.connect(t.in);
         chain.push_back(&t);
@@ -101,7 +102,7 @@ TEST_P(FanoutWidth, AllLeavesReceiveSimultaneously)
     std::vector<InputPort *> dsts;
     for (int i = 0; i < width; ++i) {
         traces.push_back(
-            std::make_unique<PulseTrace>("t" + std::to_string(i)));
+            std::make_unique<PulseTrace>(indexedName("t", i)));
         dsts.push_back(&traces.back()->input());
     }
     std::vector<std::unique_ptr<Splitter>> store;
@@ -138,7 +139,7 @@ TEST(MergerTreeProperty, SafeScheduleAlwaysConserves)
         const Tick spacing = MergerTreeAdder::safeSpacing(width);
         std::size_t sent = 0;
         for (int i = 0; i < width; ++i) {
-            auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+            auto &src = nl.create<PulseSource>(indexedName("s", i));
             src.out.connect(add.in(i));
             const int n = static_cast<int>(rng.uniformInt(0, 6));
             for (int k = 0; k < n; ++k) {

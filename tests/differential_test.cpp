@@ -28,6 +28,7 @@
 #include "core/pe.hh"
 #include "core/pnm.hh"
 #include "func/components.hh"
+#include "sim/netlist.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
@@ -107,7 +108,7 @@ runMergerTree(const EpochConfig &cfg, const std::vector<int> &counts)
     PulseTrace out;
     add.out().connect(out.input());
     for (std::size_t i = 0; i < counts.size(); ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(add.in(static_cast<int>(i)));
         src.pulsesAt(cfg.streamTimes(counts[i]));
     }
@@ -147,8 +148,8 @@ runPulseDpu(const EpochConfig &cfg, DpuMode mode,
 
     std::vector<PulseSource *> rl_srcs, st_srcs;
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("b", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         rl_srcs.push_back(&r);
@@ -230,8 +231,11 @@ std::string
 describe(const DiffCase &c)
 {
     std::string s = "bits=" + std::to_string(c.bits) + " operands=[";
-    for (std::size_t i = 0; i < c.operands.size(); ++i)
-        s += (i ? "," : "") + std::to_string(c.operands[i]);
+    for (std::size_t i = 0; i < c.operands.size(); ++i) {
+        if (i)
+            s += ',';
+        s += std::to_string(c.operands[i]);
+    }
     return s + "]";
 }
 
@@ -327,7 +331,7 @@ TEST(Differential, CountingTreeBoundedByDepthRounding)
         net.out().connect(out.input());
         const Tick spacing = 2 * cell::kBffDeadTime;
         for (int i = 0; i < m; ++i) {
-            auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+            auto &src = nl.create<PulseSource>(indexedName("s", i));
             src.out.connect(net.in(i));
             for (int k = 0; k < counts[static_cast<std::size_t>(i)]; ++k)
                 src.pulseAt(10 * kPicosecond + k * spacing * m +

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "core/dpu.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/random.hh"
@@ -52,8 +53,8 @@ runDpu(const EpochConfig &cfg, DpuMode mode,
 
     std::vector<PulseSource *> rl_srcs, st_srcs;
     for (int i = 0; i < length; ++i) {
-        auto &r = nl.create<PulseSource>("a" + std::to_string(i));
-        auto &s = nl.create<PulseSource>("b" + std::to_string(i));
+        auto &r = nl.create<PulseSource>(indexedName("a", i));
+        auto &s = nl.create<PulseSource>(indexedName("b", i));
         r.out.connect(dpu.rlIn(i));
         s.out.connect(dpu.streamIn(i));
         rl_srcs.push_back(&r);

@@ -247,15 +247,35 @@ TEST(FuncProperty, PulseStreamGatesMatchCountingModels)
 
 TEST(FuncProperty, PulseStreamUnionMatchesMergerModel)
 {
-    const EpochConfig cfg(4);
-    for (int na = 0; na <= cfg.nmax(); ++na)
-        for (int nb = 0; nb <= cfg.nmax(); ++nb) {
-            const auto u =
-                func::PulseStream::euclidean(cfg, na).unionWith(
-                    func::PulseStream::euclidean(cfg, nb));
-            EXPECT_EQ(u.count(), mergerTreeUnionCount(cfg, {na, nb}))
-                << "na=" << na << " nb=" << nb;
+    // The model takes each floor(i * n / 2^bits) as a shift: every pair
+    // exhaustively at bits 1..6, and 3-5 random streams at bits 1..8,
+    // against the slot-wise union of the Euclidean bitmaps.
+    for (int bits = 1; bits <= 6; ++bits) {
+        const EpochConfig cfg(bits);
+        for (int na = 0; na <= cfg.nmax(); ++na)
+            for (int nb = 0; nb <= cfg.nmax(); ++nb) {
+                const auto u =
+                    func::PulseStream::euclidean(cfg, na).unionWith(
+                        func::PulseStream::euclidean(cfg, nb));
+                ASSERT_EQ(u.count(), mergerTreeUnionCount(cfg, {na, nb}))
+                    << "bits=" << bits << " na=" << na << " nb=" << nb;
+            }
+    }
+    Rng rng(0x3e76);
+    for (int bits = 1; bits <= 8; ++bits) {
+        const EpochConfig cfg(bits);
+        for (int trial = 0; trial < 300; ++trial) {
+            std::vector<int> counts(
+                static_cast<std::size_t>(rng.uniformInt(3, 5)));
+            auto u = func::PulseStream::empty(cfg);
+            for (int &n : counts) {
+                n = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
+                u = u.unionWith(func::PulseStream::euclidean(cfg, n));
+            }
+            ASSERT_EQ(u.count(), mergerTreeUnionCount(cfg, counts))
+                << "bits=" << bits << " trial=" << trial;
         }
+    }
 }
 
 // --- small functional blocks --------------------------------------------------

@@ -241,7 +241,7 @@ foldCountingNetwork(Digest &d, const std::vector<int> &counts)
     PulseTrace out;
     net.out().connect(out.input());
     for (std::size_t i = 0; i < counts.size(); ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(static_cast<int>(i)));
         src.pulsesAt(cfg.streamTimes(counts[i]));
     }
@@ -596,7 +596,7 @@ withoutTimings(std::string doc)
              at = doc.find(key, at + klen)) {
             const std::size_t from = at + klen;
             const std::size_t to = doc.find_first_of(",\n", from);
-            doc.replace(from, to - from, "#");
+            doc.replace(from, to - from, 1, '#');
         }
     }
     return doc;

@@ -8,6 +8,7 @@
 
 #include "core/memory.hh"
 #include "core/shift_register.hh"
+#include "sim/netlist.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 
@@ -289,8 +290,7 @@ TEST(RlShiftRegister, DelaysEachStageByOneEpoch)
     epoch.out.connect(sr.epochIn());
     std::vector<std::unique_ptr<PulseTrace>> taps;
     for (int k = 0; k < depth; ++k) {
-        taps.push_back(std::make_unique<PulseTrace>("t" +
-                                                    std::to_string(k)));
+        taps.push_back(std::make_unique<PulseTrace>(indexedName("t", k)));
         sr.tapOut(k).connect(taps.back()->input());
     }
 

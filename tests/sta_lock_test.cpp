@@ -181,7 +181,7 @@ foldCountingNetwork(Digest &d, const std::vector<int> &counts)
     PulseTrace out;
     net.out().connect(out.input());
     for (std::size_t i = 0; i < counts.size(); ++i) {
-        auto &src = nl.create<PulseSource>("s" + std::to_string(i));
+        auto &src = nl.create<PulseSource>(indexedName("s", i));
         src.out.connect(net.in(static_cast<int>(i)));
         src.pulsesAt(cfg.streamTimes(counts[i]));
     }

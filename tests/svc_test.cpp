@@ -715,7 +715,7 @@ TEST(SvcFacts, TableIsBoundedAtTheLargerOfCacheCapacityAnd1024)
     constexpr std::size_t kSpecs = kBound + 6;
     for (std::size_t i = 0; i < kSpecs; ++i) {
         api::NetlistSpec spec = dpuSpec(2, 3);
-        spec.name = "d" + std::to_string(i);
+        spec.name = indexedName("d", i);
         const svc::Response r = runOne(
             broker, svc::Request{spec, functionalParams(1),
                                  svc::RequestIntent::Default});

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -103,6 +104,109 @@ TEST(Rng, UniformIntCoversRangeInclusive)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+/**
+ * The draw Rng::uniformInt made before UniformInt: the span and the
+ * rejection limit recomputed on every draw.  Span and result are taken
+ * in unsigned arithmetic here so that spans above 2^63 are expressible;
+ * on every range whose signed span fits, that is the old signed form.
+ */
+std::int64_t
+referenceUniformInt(Rng &rng, std::int64_t lo, std::int64_t hi)
+{
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) -
+                               static_cast<std::uint64_t>(lo) + 1;
+    if (span == 0)
+        return static_cast<std::int64_t>(rng.next());
+    const std::uint64_t limit = (~0ULL / span) * span;
+    std::uint64_t v;
+    do {
+        v = rng.next();
+    } while (v >= limit);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     v % span);
+}
+
+TEST(Rng, UniformIntMatchesReferenceDraws)
+{
+    // [lo, hi] ranges: spans 2^k and 2^k + 1 for k <= 20 (1, 2 and 3
+    // among them) and 2^32 - 1..2^32 + 1, each from lo = 0 and from a
+    // negative lo; then spans 2^63 + 1 (about half of all raw draws
+    // rejected), 2^64 and 2^63, and a range at INT64_MIN.
+    std::vector<std::uint64_t> spans;
+    for (int k = 0; k <= 20; ++k) {
+        spans.push_back(1ULL << k);
+        spans.push_back((1ULL << k) + 1);
+    }
+    spans.push_back((1ULL << 32) - 1);
+    spans.push_back(1ULL << 32);
+    spans.push_back((1ULL << 32) + 1);
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    for (std::uint64_t span : spans) {
+        const auto width = static_cast<std::int64_t>(span - 1);
+        ranges.push_back({0, width});
+        ranges.push_back({-7 - width / 2, -7 - width / 2 + width});
+    }
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    ranges.push_back({-1, kMax});      // span 2^63 + 1
+    ranges.push_back({kMin, kMax});    // the full range
+    ranges.push_back({kMin, -1});      // span 2^63
+    ranges.push_back({kMin + 5, kMin + 9});
+
+    std::uint64_t seed = 0x5eed;
+    for (const auto &[lo, hi] : ranges) {
+        Rng ref(seed), one(seed), each(seed);
+        const UniformInt dist(lo, hi);
+        for (int i = 0; i < 2000; ++i) {
+            const std::int64_t want = referenceUniformInt(ref, lo, hi);
+            ASSERT_EQ(dist(one), want)
+                << "[" << lo << ", " << hi << "] draw " << i;
+            ASSERT_EQ(each.uniformInt(lo, hi), want)
+                << "[" << lo << ", " << hi << "] draw " << i;
+        }
+        // Same raw draws consumed, rejections included.
+        const std::uint64_t after = ref.next();
+        EXPECT_EQ(one.next(), after) << "[" << lo << ", " << hi << "]";
+        EXPECT_EQ(each.next(), after) << "[" << lo << ", " << hi << "]";
+        ++seed;
+    }
+}
+
+TEST(Rng, UniformIntWideRangesAreDefined)
+{
+    // Spans above INT64_MAX: the span overflowed int64 when computed
+    // signed, and so did lo + (v % span) for v % span >= 2^63, which
+    // half the draws on [INT64_MIN + 1, INT64_MAX] reach.  UBSan checks
+    // this test in its build.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    struct Range
+    {
+        std::int64_t lo, hi;
+        bool negative, positive; ///< sides holding half the range or more
+    };
+    const Range ranges[] = {{-1, kMax, false, true},
+                            {kMin, kMax, true, true},
+                            {kMin, 0, true, false},
+                            {kMin + 1, kMax, true, true}};
+    Rng rng(17);
+    for (const Range &r : ranges) {
+        const UniformInt dist(r.lo, r.hi);
+        bool negative = false, positive = false;
+        for (int i = 0; i < 4000; ++i) {
+            for (const std::int64_t v :
+                 {dist(rng), rng.uniformInt(r.lo, r.hi)}) {
+                ASSERT_GE(v, r.lo);
+                ASSERT_LE(v, r.hi);
+                negative |= v < 0;
+                positive |= v > 0;
+            }
+        }
+        EXPECT_TRUE(negative || !r.negative) << r.lo << ", " << r.hi;
+        EXPECT_TRUE(positive || !r.positive) << r.lo << ", " << r.hi;
+    }
 }
 
 TEST(Rng, BernoulliRate)
@@ -513,14 +617,35 @@ TEST(Hash, Fnv1aKnownAnswers)
 
 TEST(Hash, WordsFoldLowByteFirst)
 {
+    // fnvU64 folds a word's high zero bytes as one multiply, so the
+    // words cover every significant width 0..8 (random words almost
+    // never have a zero top byte) and zero bytes below the top one.
     Rng rng(19);
-    for (int i = 0; i < 1000; ++i) {
-        const std::uint64_t h = rng.next();
-        const std::uint64_t v = rng.next();
+    const auto check = [](std::uint64_t h, std::uint64_t v) {
         unsigned char bytes[8];
         for (int b = 0; b < 8; ++b)
             bytes[b] = static_cast<unsigned char>(v >> (8 * b));
-        EXPECT_EQ(fnvU64(h, v), fnv1a(h, bytes, sizeof bytes));
+        EXPECT_EQ(fnvU64(h, v), fnv1a(h, bytes, sizeof bytes))
+            << std::hex << "h=" << h << " v=" << v;
+    };
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t h = rng.next();
+        const std::uint64_t v = rng.next();
+        check(h, v);
+        for (int width = 0; width <= 8; ++width) {
+            // Exactly `width` significant bytes: the top one nonzero.
+            const std::uint64_t low =
+                width == 8 ? v : v & ((1ULL << (8 * width)) - 1);
+            const std::uint64_t top =
+                width == 0 ? 0 : 1ULL << (8 * width - 1);
+            check(h, low | top);
+            // The same word with random bytes below the top zeroed.
+            std::uint64_t holes = low | top;
+            for (int b = 0; b + 1 < width; ++b)
+                if (rng.next() & 1)
+                    holes &= ~(0xffULL << (8 * b));
+            check(h, holes);
+        }
     }
 }
 
