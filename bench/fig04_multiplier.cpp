@@ -14,18 +14,18 @@
  *    exponentially and beats WP binary below ~8 bits.
  *
  * The pulse-level leg instantiates the real multiplier netlist; the
- * functional leg uses the stream-level model (src/func/).  Both must
- * report the closed-form 46 JJs -- the area contract is
- * backend-independent -- and the functional leg range-checks its epoch
- * evaluation on a pinned operand sweep.
+ * functional leg reads the closed form (BipolarMultiplier::kJJs).
+ * Both must report 46 JJs -- the area contract is backend-independent
+ * -- and the functional leg range-checks the counting kernel
+ * (bipolarProductCount) on a pinned operand sweep.
  */
 
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hh"
+#include "core/encoding.hh"
 #include "core/multiplier.hh"
-#include "func/components.hh"
 #include "sim/netlist.hh"
 #include "soa/table2.hh"
 #include "util/table.hh"
@@ -38,8 +38,8 @@ namespace
 int
 unaryJjOn(Backend backend)
 {
-    Netlist nl;
     if (backend == Backend::PulseLevel) {
+        Netlist nl;
         auto &mult = nl.create<BipolarMultiplier>("mult");
         nl.waive(LintRule::DanglingInput,
                  "area study: the multiplier is instantiated unwired");
@@ -57,14 +57,11 @@ unaryJjOn(Backend backend)
         return mult.jjCount();
     }
 
-    auto &mult = nl.create<func::BipolarMultiplier>("mult");
-    nl.elaborate();
-
-    // Arithmetic sanity on the functional model: a pinned sweep.
+    // Arithmetic sanity on the functional kernel: a pinned sweep.
     const EpochConfig cfg(8);
     for (int n : {0, 17, cfg.nmax()}) {
         for (int rl : {0, cfg.nmax() / 3, cfg.nmax()}) {
-            const int scalar = mult.evaluate(cfg, n, rl);
+            const int scalar = bipolarProductCount(cfg, n, rl);
             if (scalar < 0 || scalar > cfg.nmax()) {
                 std::cerr << "FAIL: functional multiplier count "
                           << scalar << " out of range at n=" << n
@@ -73,7 +70,7 @@ unaryJjOn(Backend backend)
             }
         }
     }
-    return mult.jjCount();
+    return BipolarMultiplier::kJJs;
 }
 
 int

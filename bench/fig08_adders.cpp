@@ -9,19 +9,20 @@
  * adder across 4..16 bits.
  *
  * The pulse-level leg instantiates the real merger/balancer cells; the
- * functional leg uses the stream-level models (a 2:1 func::
- * MergerTreeAdder and a 2-input func::TreeCountingNetwork, whose
- * closed form is exactly one balancer).  Both legs must report the
- * same JJ figures, and the functional leg checks the balancer's
- * counting contract (output = ceil(sum/2)).
+ * functional leg reads the closed forms (MergerTreeAdder::jjsFor(2),
+ * and TreeCountingNetwork::jjsFor(2), exactly one balancer) and checks
+ * the balancer's counting contract (output = ceil(sum/2)) on the
+ * counting kernel treeNetworkCount.  Both legs must report the same JJ
+ * figures.
  */
 
+#include <array>
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hh"
 #include "core/adder.hh"
-#include "func/components.hh"
+#include "core/encoding.hh"
 #include "sim/netlist.hh"
 #include "soa/table2.hh"
 #include "util/table.hh"
@@ -40,8 +41,8 @@ struct AdderAreas
 AdderAreas
 areasOn(Backend backend)
 {
-    Netlist nl;
     if (backend == Backend::PulseLevel) {
+        Netlist nl;
         auto &merger = nl.create<MergerTreeAdder>("m", 2);
         auto &balancer = nl.create<Balancer>("b");
         nl.waive(LintRule::DanglingInput,
@@ -58,23 +59,20 @@ areasOn(Backend backend)
         return {merger.jjCount(), balancer.jjCount()};
     }
 
-    auto &merger = nl.create<func::MergerTreeAdder>("m", 2);
-    auto &balancer = nl.create<func::TreeCountingNetwork>("b", 2);
-    nl.elaborate();
-
     // Counting contract of the balancer: the output stream carries
     // ceil((a + b) / 2) pulses -- the "average" the paper's adder
     // computes.
     for (const auto &[a, b] : std::initializer_list<
              std::pair<int, int>>{{0, 0}, {5, 6}, {255, 255}, {1, 0}}) {
         const int expect = (a + b + 1) / 2;
-        if (balancer.evaluate({a, b}) != expect) {
+        std::array<int, 2> counts{a, b};
+        if (treeNetworkCount(counts) != expect) {
             std::cerr << "FAIL: functional balancer (" << a << ", "
                       << b << ") != " << expect << "\n";
             return {};
         }
     }
-    return {merger.jjCount(), balancer.jjCount()};
+    return {MergerTreeAdder::jjsFor(2), TreeCountingNetwork::jjsFor(2)};
 }
 
 int

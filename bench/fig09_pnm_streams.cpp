@@ -7,18 +7,18 @@
  * either engine (--backend).
  *
  * The pulse-level leg runs the real netlists and measures the emitted
- * trains; the functional leg uses the stream-level models, whose count
- * contract (exactly the programmed value per epoch) and slot layout
- * (the divider chain's schedule, for the uniform PNM) must agree with
- * the pulse-level observation.
+ * trains; the functional leg reads the count contract (exactly the
+ * programmed value per epoch) and, for the uniform PNM, the divider
+ * chain's slot layout (uniformPnmSlots), which must agree with the
+ * pulse-level observation.
  */
 
 #include <iostream>
 
 #include "analog/waveform.hh"
 #include "bench_common.hh"
+#include "core/encoding.hh"
 #include "core/pnm.hh"
-#include "func/components.hh"
 #include "sim/trace.hh"
 #include "sfq/sources.hh"
 #include "util/stats.hh"
@@ -72,37 +72,30 @@ runPnm(int bits, int value, Tick t_clk)
 }
 
 /**
- * The functional uniform PNM's train, laid onto the clock grid: slot
- * s fires at (s + 1) * t_clk like the netlist's divider chain.  The
- * classic PNM's functional model is count-only (bursty, no layout),
- * so only its count is comparable.
+ * The uniform PNM's functional train (uniformPnmSlots), laid onto the
+ * clock grid: slot s fires at (s + 1) * t_clk like the netlist's
+ * divider chain.  The classic PNM's functional count is the programmed
+ * value (bursty, no layout), so only its count is comparable.
  */
 StreamStats
 functionalUniform(int bits, int value, Tick t_clk)
 {
-    Netlist nl;
-    auto &pnm = nl.create<func::UniformPnm>("pnm", bits);
-    nl.elaborate();
-    pnm.program(value);
     std::vector<Tick> times;
-    for (const int slot : pnm.slots())
+    for (const int slot : uniformPnmSlots(bits, value))
         times.push_back((static_cast<Tick>(slot) + 1) * t_clk);
-    if (static_cast<int>(times.size()) != pnm.count()) {
+    if (static_cast<int>(times.size()) != value) {
         fatal("functional uniform PNM: slot layout (%zu) disagrees "
-              "with count() (%d)",
-              times.size(), pnm.count());
+              "with the programmed value (%d)",
+              times.size(), value);
     }
     return statsOf(std::move(times));
 }
 
-int
-functionalClassicCount(int bits, int value)
+/** The classic PNM's functional train: the programmed count only. */
+StreamStats
+functionalClassic(int value)
 {
-    Netlist nl;
-    auto &pnm = nl.create<func::ClassicPnm>("pnm", bits);
-    nl.elaborate();
-    pnm.program(value);
-    return pnm.count();
+    return {static_cast<std::size_t>(value), 0.0, 0, {}};
 }
 
 } // namespace
@@ -129,13 +122,9 @@ main(int argc, char **argv)
             classic4 = runPnm<ClassicPnm>(bits, 0b0100, t_clk);
             uniform4 = runPnm<UniformPnm>(bits, 0b0100, t_clk);
         } else {
-            classic15 = {static_cast<std::size_t>(
-                             functionalClassicCount(bits, 0b1111)),
-                         0.0, 0, {}};
+            classic15 = functionalClassic(0b1111);
             uniform15 = functionalUniform(bits, 0b1111, t_clk);
-            classic4 = {static_cast<std::size_t>(
-                            functionalClassicCount(bits, 0b0100)),
-                        0.0, 0, {}};
+            classic4 = functionalClassic(0b0100);
             uniform4 = functionalUniform(bits, 0b0100, t_clk);
         }
 
@@ -193,11 +182,12 @@ main(int argc, char **argv)
 
         // Per-stage area: classic TFF+splitter+NDRO vs uniform
         // TFF2+NDRO -- the dual output replaces the tap splitter.
-        // Both engines report the closed forms.
-        Netlist nl;
-        int classic_jj = 0;
-        int uniform_jj = 0;
+        // Both engines report the closed forms; the pulse leg's
+        // netlists must add up to them.
+        const int classic_jj = ClassicPnm::jjsFor(8);
+        const int uniform_jj = UniformPnm::jjsFor(8);
         if (pulse) {
+            Netlist nl;
             auto &c = nl.create<ClassicPnm>("c", 8);
             auto &u = nl.create<UniformPnm>("u", 8);
             nl.waive(LintRule::DanglingInput,
@@ -207,21 +197,12 @@ main(int argc, char **argv)
                      "area comparison: the PNMs are instantiated "
                      "unwired");
             nl.elaborate();
-            classic_jj = c.jjCount();
-            uniform_jj = u.jjCount();
-        } else {
-            auto &c = nl.create<func::ClassicPnm>("c", 8);
-            auto &u = nl.create<func::UniformPnm>("u", 8);
-            nl.elaborate();
-            classic_jj = c.jjCount();
-            uniform_jj = u.jjCount();
-        }
-        if (classic_jj != ClassicPnm::jjsFor(8) ||
-            uniform_jj != UniformPnm::jjsFor(8)) {
-            std::cerr << "FAIL: PNM JJ counts disagree with the "
-                         "closed forms on the "
-                      << backendName(backend) << " backend\n";
-            return 1;
+            if (c.jjCount() != classic_jj || u.jjCount() != uniform_jj) {
+                std::cerr << "FAIL: PNM JJ counts disagree with the "
+                             "closed forms on the "
+                          << backendName(backend) << " backend\n";
+                return 1;
+            }
         }
         std::cout << "\nPer-stage area (" << backendName(backend)
                   << " backend): 8-bit classic: " << classic_jj

@@ -9,13 +9,12 @@
  * bits), and beyond 256 taps the parallel datapath outgrows a single
  * binary MAC.
  *
- * The pulse-level leg builds the full netlist; the functional leg
- * builds the stream-level models (src/func/).  Both go through the
- * same report()/exportStats() rollup checks, and the bench asserts
- * the two engines agree on every JJ figure (the functional models use
- * the closed forms, the netlist counts real cells) and on the DPU
- * output count for a pinned operand set -- the area and arithmetic
- * contracts are backend-independent.
+ * The pulse-level leg builds the full netlist and checks it: the
+ * report()/exportStats() rollups agree with totalJJs(), and the cells
+ * it instantiates add up to the closed form DotProductUnit::jjsFor.
+ * The functional leg reports that closed form, so the two engines
+ * agree on every JJ figure -- the area contract is
+ * backend-independent.
  */
 
 #include <iostream>
@@ -23,7 +22,6 @@
 #include "baseline/binary_models.hh"
 #include "bench_common.hh"
 #include "core/dpu.hh"
-#include "func/components.hh"
 #include "sim/backend.hh"
 #include "sim/netlist.hh"
 #include "sta/sta.hh"
@@ -35,16 +33,77 @@ using namespace usfq;
 namespace
 {
 
-/** Pinned operand set for the cross-backend arithmetic check. */
-int
-pinnedExpectedCount(const EpochConfig &cfg, int taps)
+/**
+ * Build the @p taps-element bipolar DPU netlist and check its area
+ * rollups against the closed form; false (after printing why) on a
+ * mismatch.  At 16 taps, also prints the hierarchical JJ rollup.
+ */
+bool
+netlistMatchesClosedForm(int taps)
 {
-    std::vector<int> streams, rls;
-    for (int i = 0; i < taps; ++i) {
-        streams.push_back((i * 37 + 11) % (cfg.nmax() + 1));
-        rls.push_back((i * 53 + 7) % (cfg.nmax() + 1));
+    Netlist nl;
+    auto &dpu = nl.create<DotProductUnit>("dpu", taps, DpuMode::Bipolar);
+    nl.waive(LintRule::DanglingInput,
+             "area study: the DPU is instantiated unwired");
+    nl.waive(LintRule::OpenOutput,
+             "area study: the DPU is instantiated unwired");
+    nl.elaborate();
+
+    // Zero-anchor STA turns the windows into pure path-skew analysis
+    // (no stimulus exists in an area study); annotating puts the
+    // per-subtree worst slack beside the JJ rollup.
+    StaOptions staOpts;
+    staOpts.anchorMode = StaOptions::AnchorMode::Zero;
+    const StaReport timing = runSta(nl, staOpts);
+    if (taps == 16) {
+        std::cout << "Hierarchical JJ rollup (16 taps, two levels; "
+                     "glue JJs show up as JJ > child JJ, worst "
+                     "zero-anchor skew slack per subtree beside "
+                     "it):\n";
+        nl.report().print(std::cout, 2);
+        if (timing.hasWorstSlack)
+            std::cout << "  worst slack overall: "
+                      << ticksToPs(timing.worstSlack) << " ps ("
+                      << timing.errors()
+                      << " unwaived timing findings)\n";
+        std::cout << "\n";
     }
-    return dpuExpectedCount(cfg, DpuMode::Bipolar, streams, rls);
+
+    // Cross-backend area contract: the closed form the functional
+    // backend reports must count exactly the cells this netlist
+    // instantiates.
+    if (dpu.jjCount() != DotProductUnit::jjsFor(taps, DpuMode::Bipolar)) {
+        std::cerr << "FAIL: netlist DPU jjCount (" << dpu.jjCount()
+                  << ") != closed form ("
+                  << DotProductUnit::jjsFor(taps, DpuMode::Bipolar)
+                  << ") at " << taps << " taps\n";
+        return false;
+    }
+
+    // The hierarchical rollup must agree with the flat count: the DPU
+    // is the only top-level block, so the root's inclusive JJ total is
+    // exactly totalJJs().
+    const HierReport rollup = nl.report();
+    if (rollup.root.jj != nl.totalJJs()) {
+        std::cerr << "FAIL: report() rollup (" << rollup.root.jj
+                  << " JJs) != totalJJs() (" << nl.totalJJs()
+                  << ") at " << taps << " taps\n";
+        return false;
+    }
+
+    // The stats-registry rollup must agree with both: export this
+    // netlist into a private registry and cross-check the subtree sum
+    // against report()/totalJJs().
+    obs::StatsRegistry reg;
+    nl.exportStats(reg);
+    const std::uint64_t regJJ = reg.sumCounters(nl.name(), "jj");
+    if (regJJ != static_cast<std::uint64_t>(nl.totalJJs())) {
+        std::cerr << "FAIL: stats-registry JJ rollup (" << regJJ
+                  << ") != totalJJs() (" << nl.totalJJs() << ") at "
+                  << taps << " taps\n";
+        return false;
+    }
+    return true;
 }
 
 int
@@ -57,99 +116,11 @@ runBackend(Backend backend, const bench::BenchArgs &args)
                 {"Taps", "Unary DPU", "Binary 6b", "Binary 8b",
                  "Binary 12b", "Binary 16b", "Unary wins at"});
     for (int taps : {16, 32, 64, 128, 256}) {
-        Netlist nl;
-        double unary = 0;
-        if (backend == Backend::PulseLevel) {
-            auto &dpu = nl.create<DotProductUnit>("dpu", taps,
-                                                  DpuMode::Bipolar);
-            nl.waive(LintRule::DanglingInput,
-                     "area study: the DPU is instantiated unwired");
-            nl.waive(LintRule::OpenOutput,
-                     "area study: the DPU is instantiated unwired");
-            nl.elaborate();
-
-            // Zero-anchor STA turns the windows into pure path-skew
-            // analysis (no stimulus exists in an area study);
-            // annotating puts the per-subtree worst slack beside the
-            // JJ rollup.
-            StaOptions staOpts;
-            staOpts.anchorMode = StaOptions::AnchorMode::Zero;
-            const StaReport timing = runSta(nl, staOpts);
-            if (taps == 16) {
-                std::cout
-                    << "Hierarchical JJ rollup (16 taps, two levels; "
-                       "glue JJs show up as JJ > child JJ, worst "
-                       "zero-anchor skew slack per subtree beside "
-                       "it):\n";
-                nl.report().print(std::cout, 2);
-                if (timing.hasWorstSlack)
-                    std::cout << "  worst slack overall: "
-                              << ticksToPs(timing.worstSlack)
-                              << " ps (" << timing.errors()
-                              << " unwaived timing findings)\n";
-                std::cout << "\n";
-            }
-
-            // Cross-backend area contract: the closed form the
-            // functional backend reports must count exactly the cells
-            // this netlist instantiates.
-            if (dpu.jjCount() !=
-                DotProductUnit::jjsFor(taps, DpuMode::Bipolar)) {
-                std::cerr << "FAIL: netlist DPU jjCount ("
-                          << dpu.jjCount() << ") != closed form ("
-                          << DotProductUnit::jjsFor(taps,
-                                                    DpuMode::Bipolar)
-                          << ") at " << taps << " taps\n";
-                return 1;
-            }
-            unary = dpu.jjCount();
-        } else {
-            auto &dpu = nl.create<func::DotProductUnit>(
-                "dpu", taps, DpuMode::Bipolar);
-            nl.elaborate();
-
-            // Cross-backend arithmetic contract: the functional DPU's
-            // epoch evaluation must match the shared counting model
-            // for a pinned operand set.
-            const EpochConfig cfg(8);
-            std::vector<int> streams, rls;
-            for (int i = 0; i < taps; ++i) {
-                streams.push_back((i * 37 + 11) % (cfg.nmax() + 1));
-                rls.push_back((i * 53 + 7) % (cfg.nmax() + 1));
-            }
-            if (dpu.evaluate(cfg, streams, rls) !=
-                pinnedExpectedCount(cfg, taps)) {
-                std::cerr << "FAIL: functional DPU disagrees with the "
-                             "shared counting model at "
-                          << taps << " taps\n";
-                return 1;
-            }
-            unary = dpu.jjCount();
-        }
-
-        // The hierarchical rollup must agree with the flat count: the
-        // DPU is the only top-level block, so the root's inclusive JJ
-        // total is exactly totalJJs().
-        const HierReport rollup = nl.report();
-        if (rollup.root.jj != nl.totalJJs()) {
-            std::cerr << "FAIL: report() rollup (" << rollup.root.jj
-                      << " JJs) != totalJJs() (" << nl.totalJJs()
-                      << ") at " << taps << " taps\n";
+        if (backend == Backend::PulseLevel &&
+            !netlistMatchesClosedForm(taps))
             return 1;
-        }
-
-        // The stats-registry rollup must agree with both: export this
-        // netlist into a private registry and cross-check the subtree
-        // sum against report()/totalJJs().
-        obs::StatsRegistry reg;
-        nl.exportStats(reg);
-        const std::uint64_t regJJ = reg.sumCounters(nl.name(), "jj");
-        if (regJJ != static_cast<std::uint64_t>(nl.totalJJs())) {
-            std::cerr << "FAIL: stats-registry JJ rollup (" << regJJ
-                      << ") != totalJJs() (" << nl.totalJJs()
-                      << ") at " << taps << " taps\n";
-            return 1;
-        }
+        const double unary =
+            DotProductUnit::jjsFor(taps, DpuMode::Bipolar);
 
         artifact.metric("unary_jj_" + std::to_string(taps) + "taps",
                         unary, "JJ");
@@ -173,9 +144,10 @@ runBackend(Backend backend, const bench::BenchArgs &args)
     }
     table.print(std::cout);
 
-    artifact.note("rollup_check",
-                  "report(), stats registry and totalJJs() agree at "
-                  "every vector length");
+    if (backend == Backend::PulseLevel)
+        artifact.note("rollup_check",
+                      "report(), stats registry and totalJJs() agree "
+                      "at every vector length");
     return 0;
 }
 
@@ -195,10 +167,9 @@ main(int argc, char **argv)
             return rc;
     }
 
-    std::cout << "\nrollup check: the report() root JJ total matches "
-                 "totalJJs() at every vector length, on every "
-                 "backend, and the two backends report identical "
-                 "areas.\n";
+    std::cout << "\nrollup check: the pulse-level report() root JJ "
+                 "total matches totalJJs() at every vector length, "
+                 "and the two backends report identical areas.\n";
     std::cout << "\nThe unary column is resolution-independent: the "
                  "same netlist serves every bit width.\nPer-tap unary "
                  "cost = bipolar multiplier (46 JJs) + balancer tree "

@@ -24,6 +24,7 @@
  * relative to the state-free functional model.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -36,7 +37,6 @@
 #include "dsp/fir_design.hh"
 #include "dsp/signal.hh"
 #include "dsp/snr.hh"
-#include "func/components.hh"
 #include "sfq/sources.hh"
 #include "sim/backend.hh"
 #include "sim/trace.hh"
@@ -107,11 +107,11 @@ runPulseEquivalence(const bench::BenchArgs &args)
     }
     nl.queue().run();
 
-    // Functional run of the identical filter.
-    Netlist fnl;
-    auto &ffir = fnl.create<func::UsfqFir>("fir", cfg);
-    for (int k = 0; k < taps; ++k)
-        ffir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
+    // Functional run of the identical filter: the bank's quantized
+    // coefficients through the FIR counting kernel.
+    std::vector<int> hCounts;
+    for (double hk : h)
+        hCounts.push_back(firCoefficientCount(ecfg, cfg.mode, hk));
 
     // Tolerance: one pulse of rounding per counting-tree level
     // (padded = 4 taps -> 2 levels), from toggle state carried across
@@ -123,7 +123,8 @@ runPulseEquivalence(const bench::BenchArgs &args)
         window.insert(window.begin(), ecfg.rlIdOfUnipolar(x[e]));
         if (static_cast<int>(window.size()) > taps)
             window.pop_back();
-        const int func_count = ffir.stepCount(window);
+        const int func_count =
+            firStepCount(ecfg, cfg.mode, hCounts, window);
 
         const Tick lo = t_clk0 +
                         static_cast<Tick>(e) * cfg.epochLatency() +
@@ -187,28 +188,33 @@ runAccuracyStudy(const bench::BenchArgs &args)
         artifact.metric("snr16_db", snr16, "dB");
         artifact.metric("snr6_db", snr6, "dB");
 
-        // Engine self-check: func::UsfqFir programmed with the
-        // model's pre-scaled coefficients runs the exact same integer
+        // Engine self-check: the FIR counting kernel on the model's
+        // pre-scaled coefficients runs the exact same integer
         // arithmetic, so the two functional paths agree to rounding.
-        Netlist fnl;
-        UsfqFirConfig fcfg{.taps = kTaps, .bits = 16,
-                           .mode = DpuMode::Bipolar};
-        auto &ffir = fnl.create<func::UsfqFir>("fir", fcfg);
+        const EpochConfig &ecfg = q16.epochConfig();
+        const DpuMode mode = DpuMode::Bipolar; // UsfqFirConfig's default
         const double scale = q16.coefficientScale();
-        for (int k = 0; k < kTaps; ++k)
-            ffir.setCoefficient(
-                k, h[static_cast<std::size_t>(k)] * scale);
+        std::vector<int> hCounts;
+        for (double hk : h)
+            hCounts.push_back(firCoefficientCount(ecfg, mode, hk * scale));
+        std::vector<int> window(kTaps, ecfg.rlIdOfBipolar(0.0));
         const auto y_model = q16.filter(x);
-        const auto y_func = ffir.filter(x);
         for (std::size_t n = 0; n < x.size(); ++n) {
-            if (std::fabs(y_model[n] - y_func[n] / scale) > 1e-9) {
-                std::cerr << "FAIL: UsfqFirModel and func::UsfqFir "
+            std::copy_backward(window.begin(), window.end() - 1,
+                               window.end());
+            window[0] = ecfg.rlIdOfBipolar(x[n]);
+            const int count = firStepCount(ecfg, mode, hCounts, window);
+            const double y_func = DotProductUnit::decode(
+                ecfg, mode, kTaps, q16.paddedLength(),
+                static_cast<std::size_t>(count));
+            if (std::fabs(y_model[n] - y_func / scale) > 1e-9) {
+                std::cerr << "FAIL: UsfqFirModel and firStepCount "
                              "disagree at sample "
                           << n << "\n";
                 return 1;
             }
         }
-        std::cout << "engine self-check: func::UsfqFir matches "
+        std::cout << "engine self-check: firStepCount matches "
                      "UsfqFirModel exactly over "
                   << x.size() << " samples\n\n";
     }

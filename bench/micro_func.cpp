@@ -1,15 +1,16 @@
 /**
  * @file
- * google-benchmark micro benches of the stream-level functional
- * backend (src/func/), plus a measured head-to-head against the
- * pulse-level event kernel on the identical workload.
+ * google-benchmark micro benches of the functional engine (the
+ * counting kernels of core/encoding.hh, the PulseStream bitmap oracle
+ * and whole api::runWorkload legs), plus a measured head-to-head
+ * against the pulse-level event kernel on the identical workload.
  *
  * The headline artifact metric is speedup_vs_pulse_dpu8: wall-clock
  * ratio of the pulse-level BM_DpuEpochPulseLevel/8 workload
- * (micro_simkernel.cpp) to the same epoch evaluated by
- * func::DotProductUnit.  The bench FAILS (exit 1) if the functional
- * engine is less than 50x faster -- that floor is the reason the
- * backend exists (docs/functional.md).
+ * (micro_simkernel.cpp) to the same epoch evaluated by the DPU
+ * counting kernel (dpuExpectedCount).  The bench FAILS (exit 1) if the
+ * functional engine is less than 50x faster -- that floor is the
+ * reason the backend exists (docs/functional.md).
  *
  * BM_RunWorkload/<leg> times whole api::runWorkload calls from
  * precomputed design facts: every functional serve_fresh template
@@ -37,7 +38,6 @@
 #include "bench_gbench.hh"
 #include "core/dpu.hh"
 #include "core/encoding.hh"
-#include "func/components.hh"
 #include "func/stream.hh"
 #include "sim/netlist.hh"
 #include "sim/trace.hh"
@@ -72,18 +72,15 @@ pulseDpuEpoch(int length, const EpochConfig &cfg)
     return out.count();
 }
 
-/** The same epoch on the functional backend, netlist-in-loop. */
+/** The same epoch on the functional backend: one kernel call. */
 int
 funcDpuEpoch(int length, const EpochConfig &cfg)
 {
-    Netlist nl;
-    auto &dpu = nl.create<func::DotProductUnit>("dpu", length,
-                                                DpuMode::Unipolar);
     const std::vector<int> streams(static_cast<std::size_t>(length),
                                    cfg.nmax() / 2);
     const std::vector<int> rls(static_cast<std::size_t>(length),
                                cfg.nmax() / 2);
-    return dpu.evaluate(cfg, streams, rls);
+    return dpuExpectedCount(cfg, DpuMode::Unipolar, streams, rls);
 }
 
 void
@@ -96,26 +93,6 @@ BM_DpuEpochFunctional(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * length);
 }
 BENCHMARK(BM_DpuEpochFunctional)->Arg(8)->Arg(32);
-
-void
-BM_DpuEpochFunctionalReuse(benchmark::State &state)
-{
-    // Component built once, evaluated per iteration: the steady-state
-    // cost of a functional sweep that keeps its netlist.
-    const int length = static_cast<int>(state.range(0));
-    const EpochConfig cfg(6, 40 * kPicosecond);
-    Netlist nl;
-    auto &dpu = nl.create<func::DotProductUnit>("dpu", length,
-                                                DpuMode::Unipolar);
-    const std::vector<int> streams(static_cast<std::size_t>(length),
-                                   cfg.nmax() / 2);
-    const std::vector<int> rls(static_cast<std::size_t>(length),
-                               cfg.nmax() / 2);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(dpu.evaluate(cfg, streams, rls));
-    state.SetItemsProcessed(state.iterations() * length);
-}
-BENCHMARK(BM_DpuEpochFunctionalReuse)->Arg(8)->Arg(32);
 
 void
 BM_PulseStreamProduct(benchmark::State &state)
@@ -292,9 +269,9 @@ measureSpeedup()
     const double func_ns =
         std::chrono::duration<double, std::nano>(t2 - t1).count() /
         func_iters;
-    std::printf("\nhead-to-head (DPU length 8, one epoch, build in "
-                "loop):\n  pulse-level %.0f ns/epoch, functional "
-                "%.0f ns/epoch, speedup %.0fx\n",
+    std::printf("\nhead-to-head (DPU length 8, one epoch, the pulse "
+                "netlist built in the loop):\n  pulse-level %.0f "
+                "ns/epoch, functional %.0f ns/epoch, speedup %.0fx\n",
                 pulse_ns, func_ns, pulse_ns / func_ns);
     return pulse_ns / func_ns;
 }

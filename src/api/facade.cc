@@ -6,7 +6,6 @@
 #include "core/fir.hh"
 #include "core/multiplier.hh"
 #include "core/pe.hh"
-#include "func/components.hh"
 #include "func/noc.hh"
 #include "gen/balance.hh"
 #include "gen/datapath.hh"
@@ -322,7 +321,7 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
     const std::vector<double> h = firCoefficients(spec);
     std::vector<int> hCounts(taps);
     for (std::size_t k = 0; k < taps; ++k)
-        hCounts[k] = func::firCoefficientCount(ecfg, spec.mode, h[k]);
+        hCounts[k] = firCoefficientCount(ecfg, spec.mode, h[k]);
 
     // Sample ids are a pure function of (seed, epoch), never of sweep
     // shape, so the zero-padded windows below are identical at any
@@ -344,7 +343,7 @@ runFunctionalFir(const NetlistSpec &spec, const RunParams &params)
             int *window = sized(s.a, taps);
             for (std::size_t k = 0; k < taps; ++k)
                 window[k] = windowId(ctx.index, k);
-            return func::firStepCount(ecfg, spec.mode, hCounts, s.a);
+            return firStepCount(ecfg, spec.mode, hCounts, s.a);
         },
         opt));
 }
@@ -430,11 +429,12 @@ runNocMesh(const NetlistSpec &spec, const RunParams &params)
 }
 
 /**
- * Gen sweep: one drawEpochInputs() epoch per shard.  The functional
- * leg walks one slot-set mirror (gen::EpochMirror) per worker; the
- * pulse leg replays one balanced datapath rig per worker.  The
- * balancing pass @p bo is part of the design, not of any epoch: it
- * arrives with the spec's DesignFacts.
+ * Gen sweep: one drawEpochInputs() epoch per shard, drawn into one
+ * EpochInputs per worker.  The functional leg walks one slot-set
+ * mirror (gen::EpochMirror) per worker; the pulse leg replays one
+ * balanced datapath rig per worker.  The balancing pass @p bo is part
+ * of the design, not of any epoch: it arrives with the spec's
+ * DesignFacts.
  */
 std::vector<long long>
 runGen(const NetlistSpec &spec, const RunParams &params,
@@ -445,14 +445,19 @@ runGen(const NetlistSpec &spec, const RunParams &params,
               gen::balanceStatusName(bo.status), bo.detail.c_str());
     const std::size_t epochs = static_cast<std::size_t>(params.epochs);
     const SweepOptions opt = sweepOptions(params);
+    WorkerLocal<gen::EpochInputs> inputs(opt);
+    const auto draw = [&](const ShardContext &ctx) -> gen::EpochInputs & {
+        gen::EpochInputs &in = inputs.at(ctx.worker);
+        gen::drawEpochInputs(spec.gen, ctx.seed, in);
+        return in;
+    };
     if (params.backend == Backend::PulseLevel) {
         WorkerLocal<gen::PulseEpochRig> rigs(opt);
         return widen(runSweep(
             epochs,
             [&](const ShardContext &ctx) {
                 return static_cast<int>(
-                    rigs.at(ctx.worker, spec.gen, bo.plan)
-                        .run(gen::drawEpochInputs(spec.gen, ctx.seed)));
+                    rigs.at(ctx.worker, spec.gen, bo.plan).run(draw(ctx)));
             },
             opt));
     }
@@ -461,10 +466,7 @@ runGen(const NetlistSpec &spec, const RunParams &params,
         epochs,
         [&](const ShardContext &ctx) {
             return static_cast<int>(
-                mirrors.at(ctx.worker)
-                    .eval(spec.gen,
-                          gen::drawEpochInputs(spec.gen, ctx.seed))
-                    .count);
+                mirrors.at(ctx.worker).eval(spec.gen, draw(ctx)).count);
         },
         opt));
 }

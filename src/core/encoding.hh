@@ -15,9 +15,9 @@
  *    complement stream (used by the bipolar multiplier's inverter) has
  *    pulses exactly in the empty slots.
  *
- * The pure counting arithmetic of the U-SFQ blocks also lives here so
- * the fast functional models and the pulse-level netlists can be checked
- * against one another.
+ * The pure counting arithmetic of the U-SFQ blocks also lives here: it
+ * is the functional engine (Backend::Functional; docs/functional.md),
+ * and the differential tests check it against the pulse-level netlists.
  */
 
 #ifndef USFQ_CORE_ENCODING_HH
@@ -133,8 +133,7 @@ class EpochConfig
 
 /**
  * Data representation of a DPU / FIR instance.  Lives here (not in
- * dpu.hh) so the pure counting models below can be shared by the
- * pulse-level netlists and the src/func/ stream-level backend.
+ * dpu.hh) so the pure counting models below can take it.
  */
 enum class DpuMode
 {
@@ -222,8 +221,8 @@ std::vector<int> uniformPnmSlots(int bits, int value);
 /**
  * Pure counting model of the dot-product unit (paper §5.3): per-element
  * multiplier products through a padded-to-power-of-two counting tree
- * (paddedTreeCount).  Shared by DotProductUnit::expectedCount,
- * func::DotProductUnit and the service's functional DPU leg.
+ * (paddedTreeCount).  Shared by DotProductUnit::expectedCount and the
+ * service's functional DPU leg.
  */
 int dpuExpectedCount(const EpochConfig &cfg, DpuMode mode,
                      const std::vector<int> &stream_counts,

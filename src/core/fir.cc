@@ -65,6 +65,32 @@ usfqFirAreaJJ(int taps, int bits, DpuMode mode)
     return total;
 }
 
+// --- counting kernels ----------------------------------------------------------
+
+int
+firCoefficientCount(const EpochConfig &epoch, DpuMode mode, double value)
+{
+    return mode == DpuMode::Unipolar ? epoch.streamCountOfUnipolar(value)
+                                     : epoch.streamCountOfBipolar(value);
+}
+
+int
+firStepCount(const EpochConfig &epoch, DpuMode mode,
+             std::span<const int> h_counts,
+             std::span<const int> window_ids)
+{
+    return paddedTreeCount(h_counts.size(), [&](std::size_t k) {
+        const int id = k < window_ids.size()
+                           ? window_ids[k]
+                           : (mode == DpuMode::Unipolar
+                                  ? 0
+                                  : epoch.rlIdOfBipolar(0.0));
+        return mode == DpuMode::Unipolar
+                   ? unipolarProductCount(epoch, h_counts[k], id)
+                   : bipolarProductCount(epoch, h_counts[k], id);
+    });
+}
+
 // --- UsfqFirModel -------------------------------------------------------------------
 
 UsfqFirModel::UsfqFirModel(const std::vector<double> &coefficients,
@@ -92,12 +118,8 @@ UsfqFirModel::UsfqFirModel(const std::vector<double> &coefficients,
     hScale = peak > 0.0 && peak < 0.95 ? 0.95 / peak : 1.0;
 
     hCounts.reserve(coefficients.size());
-    for (double c : coefficients) {
-        const double scaled = c * hScale;
-        hCounts.push_back(cfg.mode == DpuMode::Unipolar
-                              ? epoch.streamCountOfUnipolar(scaled)
-                              : epoch.streamCountOfBipolar(scaled));
-    }
+    for (double c : coefficients)
+        hCounts.push_back(firCoefficientCount(epoch, cfg.mode, c * hScale));
 }
 
 namespace
@@ -156,18 +178,14 @@ UsfqFirModel::productCount(int h_count, int x_id)
 double
 UsfqFirModel::step(const std::vector<double> &window)
 {
-    std::vector<int> products(static_cast<std::size_t>(padded), 0);
-    for (int k = 0; k < cfg.taps; ++k) {
-        const double xv =
-            k < static_cast<int>(window.size()) ? window[static_cast<
-                std::size_t>(k)] : 0.0;
+    // Products are requested in tap order, so the error draws are too.
+    const int count = paddedTreeCount(hCounts.size(), [&](std::size_t k) {
+        const double xv = k < window.size() ? window[k] : 0.0;
         const int id = cfg.mode == DpuMode::Unipolar
                            ? epoch.rlIdOfUnipolar(xv)
                            : epoch.rlIdOfBipolar(xv);
-        products[static_cast<std::size_t>(k)] =
-            productCount(hCounts[static_cast<std::size_t>(k)], id);
-    }
-    const int count = treeNetworkCount(products);
+        return productCount(hCounts[k], id);
+    });
     return DotProductUnit::decode(epoch, cfg.mode, cfg.taps, padded,
                                   static_cast<std::size_t>(count)) /
            hScale;

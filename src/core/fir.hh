@@ -22,6 +22,7 @@
 #define USFQ_CORE_FIR_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,27 @@ struct UsfqFirConfig
 /** Closed-form JJ count of the U-SFQ FIR (validated against UsfqFir). */
 long long usfqFirAreaJJ(int taps, int bits,
                         DpuMode mode = DpuMode::Bipolar);
+
+/**
+ * Quantized coefficient stream count of FIR tap value @p value, as the
+ * netlist's CoefficientBank rounds it (what UsfqFir::setCoefficient
+ * stores).
+ */
+int firCoefficientCount(const EpochConfig &epoch, DpuMode mode,
+                        double value);
+
+/**
+ * Output pulse count of one FIR step: tap k multiplies coefficient
+ * count h_counts[k] by RL sample id window_ids[k] (ids past the end
+ * of a short window read as the zero sample), and the counting tree,
+ * padded to a power of two >= 2, sums the products (paddedTreeCount:
+ * no allocation up to 64 taps).  Without errors, UsfqFirModel::step
+ * computes the same count; DotProductUnit::decode turns a count into
+ * a sample.
+ */
+int firStepCount(const EpochConfig &epoch, DpuMode mode,
+                 std::span<const int> h_counts,
+                 std::span<const int> window_ids);
 
 /**
  * Epoch-accurate functional model of the U-SFQ FIR.

@@ -13,11 +13,11 @@
  *    its per-input stream sizes minus their overall union (union loss
  *    is associative over the merger-tree topology).
  *
- * Tile results come from the func:: component models (exact for DPU /
- * FIR-step counts; the PE injects exactly one result pulse, so its
- * count is exact too even though its slot is +/-1).  The differential
- * tier (tests/noc_differential_test.cpp) locks all of this to the
- * pulse engine flit-for-flit.
+ * Tile results come from the counting kernels of core/encoding.hh
+ * (exact for DPU / FIR-step counts; the PE injects exactly one result
+ * pulse, so its count is exact too even though its slot is +/-1).
+ * The differential tier (tests/noc_differential_test.cpp) locks all of
+ * this to the pulse engine flit-for-flit.
  */
 
 #ifndef USFQ_FUNC_NOC_HH

@@ -100,16 +100,23 @@ laneSlots(const DesignSpec &spec, int lane, int n, bool gate_on)
     return slots;
 }
 
+void
+drawEpochInputs(const DesignSpec &spec, std::uint64_t seed,
+                EpochInputs &out)
+{
+    Rng rng(seed);
+    out.n = static_cast<int>(rng.uniformInt(1, spec.nmax()));
+    out.gates.resize(static_cast<std::size_t>(spec.lanes));
+    const UniformInt gate(0, 3);
+    for (int i = 0; i < spec.lanes; ++i)
+        out.gates[static_cast<std::size_t>(i)] = gate(rng) != 0;
+}
+
 EpochInputs
 drawEpochInputs(const DesignSpec &spec, std::uint64_t seed)
 {
-    Rng rng(seed);
     EpochInputs in;
-    in.n = static_cast<int>(rng.uniformInt(1, spec.nmax()));
-    in.gates.resize(static_cast<std::size_t>(spec.lanes));
-    const UniformInt gate(0, 3);
-    for (int i = 0; i < spec.lanes; ++i)
-        in.gates[static_cast<std::size_t>(i)] = gate(rng) != 0;
+    drawEpochInputs(spec, seed, in);
     return in;
 }
 

@@ -48,6 +48,13 @@ struct EpochEval
 std::vector<int> laneSlots(const DesignSpec &spec, int lane, int n,
                            bool gate_on);
 
+/**
+ * Draw one epoch's stimulus deterministically from @p seed into
+ * @p out, reusing its storage (a sweep worker refills one per epoch).
+ */
+void drawEpochInputs(const DesignSpec &spec, std::uint64_t seed,
+                     EpochInputs &out);
+
 /** Draw one epoch's stimulus deterministically from @p seed. */
 EpochInputs drawEpochInputs(const DesignSpec &spec, std::uint64_t seed);
 

@@ -7,10 +7,11 @@
  *  - Backend::PulseLevel: the event-driven netlist simulator -- every
  *    pulse is an event, every cell a state machine.  The golden truth.
  *
- *  - Backend::Functional: the stream-level models in src/func/ --
- *    a pulse stream is a {count, rate, window} value (plus a packed
- *    bitmap where slot positions matter), and whole epochs evaluate in
- *    a handful of integer operations.
+ *  - Backend::Functional: the pure counting kernels of
+ *    core/encoding.hh and core/fir.hh -- a pulse stream is its pulse
+ *    count, and a whole epoch evaluates in a handful of integer
+ *    operations (src/func/ adds the NoC fabric mirror and the packed
+ *    PulseStream bitmap the kernels are checked against).
  *
  * Benches and sweeps thread a Backend through SweepOptions /
  * ShardContext (sim/sweep.hh) and bench::BenchArgs (bench_common.hh)
@@ -31,7 +32,7 @@ namespace usfq
 enum class Backend
 {
     PulseLevel, ///< event-driven pulse simulation (src/sim + src/sfq)
-    Functional, ///< stream-level functional models (src/func)
+    Functional, ///< counting kernels (core/encoding.hh, core/fir.hh)
 };
 
 /** Stable lower-case name, used in artifact tags and --backend. */

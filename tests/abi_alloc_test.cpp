@@ -16,8 +16,9 @@
  *    not let the exception end the process.
  *  - A warm broker retains nothing per request: serving hundreds more
  *    requests leaves the live heap where it was.
- *  - The functional DPU, PE and FIR legs allocate nothing per epoch: a
- *    run of 4096 epochs makes as many operator new calls as one of 64.
+ *  - The functional DPU, PE, FIR and gen legs allocate nothing per
+ *    epoch: a run of 4096 epochs makes as many operator new calls as
+ *    one of 64.
  * The replacement allocator applies to the whole program, hence the
  * separate binary.
  */
@@ -232,9 +233,9 @@ TEST(SvcBrokerAbiAlloc, WarmBrokerRetainsNothingPerRequest)
 
 TEST(FunctionalRunAlloc, NothingPerEpoch)
 {
-    // The serve templates' functional DPU, PE and FIR shapes, batch
-    // included (it selects nothing): a run allocates its sweep and
-    // result buffers, and its epoch kernels nothing.
+    // The serve templates' functional DPU, PE, FIR and gen shapes,
+    // batch included (it selects nothing): a run allocates its sweep
+    // and result buffers, and its epoch kernels nothing.
     using K = usfq::api::WorkloadKind;
     const auto Bi = usfq::DpuMode::Bipolar;
     const auto Uni = usfq::DpuMode::Unipolar;
@@ -253,6 +254,7 @@ TEST(FunctionalRunAlloc, NothingPerEpoch)
         {"pe5", K::Pe, 16, 5, Bi, 1},
         {"fir4", K::Fir, 4, 6, Uni, 1},
         {"fir4 batch 4", K::Fir, 4, 6, Uni, 4},
+        {"gen8x5", K::Gen, 16, 8, Bi, 1},
     };
     for (const Leg &leg : legs) {
         usfq::api::NetlistSpec spec;
@@ -261,6 +263,15 @@ TEST(FunctionalRunAlloc, NothingPerEpoch)
         spec.taps = leg.taps;
         spec.bits = leg.bits;
         spec.mode = leg.mode;
+        if (leg.kind == K::Gen) {
+            // The gen8x5 serve shape: the merger tree's slot mirror
+            // on eight skewed lanes.
+            spec.gen.lanes = 8;
+            spec.gen.bits = 5;
+            spec.gen.clockPeriodPs = 20;
+            spec.gen.tree = usfq::gen::TreeKind::Merger;
+            spec.gen.shape = usfq::gen::LaneShape::Skewed;
+        }
         usfq::api::Session session(spec);
         usfq::api::DesignFacts facts;
         ASSERT_EQ(session.designFacts(facts), usfq::api::Status::Ok)

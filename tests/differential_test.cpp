@@ -1,9 +1,10 @@
 /**
  * @file
  * Differential fuzzer between the pulse-level netlists and the
- * stream-level functional backend (src/func/): seeded random operands
- * for every component class, sharded over runSweep so the full corpus
- * runs in parallel yet stays bit-identical at any thread count.
+ * functional engine's counting kernels (core/encoding.hh): seeded
+ * random operands for every component class, sharded over runSweep so
+ * the full corpus runs in parallel yet stays bit-identical at any
+ * thread count.
  *
  * Exactness contract (docs/functional.md):
  *   - multipliers, counting-network DPUs, PNMs: exact count equality
@@ -24,10 +25,10 @@
 
 #include "core/adder.hh"
 #include "core/dpu.hh"
+#include "core/encoding.hh"
 #include "core/multiplier.hh"
 #include "core/pe.hh"
 #include "core/pnm.hh"
-#include "func/components.hh"
 #include "sim/netlist.hh"
 #include "sim/sweep.hh"
 #include "sim/trace.hh"
@@ -249,8 +250,7 @@ unipolarMultCase(Rng &rng)
     const int id = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
     c.operands = {n, id};
     c.pulse = runUnipolarMult(cfg, n, id);
-    Netlist nl;
-    c.func = nl.create<func::UnipolarMultiplier>("m").evaluate(cfg, n, id);
+    c.func = unipolarProductCount(cfg, n, id);
     return c;
 }
 
@@ -273,9 +273,7 @@ TEST(Differential, BipolarMultiplierExact)
         const int id = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
         c.operands = {n, id};
         c.pulse = runBipolarMult(cfg, n, id);
-        Netlist nl;
-        c.func =
-            nl.create<func::BipolarMultiplier>("m").evaluate(cfg, n, id);
+        c.func = bipolarProductCount(cfg, n, id);
         return c;
     });
     for (const DiffCase &c : cases)
@@ -298,13 +296,12 @@ TEST(Differential, MergerTreeAdderExactUnionAndCollisions)
         c.operands = counts;
         const auto [survivors, collided] = runMergerTree(cfg, counts);
         c.pulse = survivors;
-        Netlist nl;
-        auto &add = nl.create<func::MergerTreeAdder>("add", m);
-        c.func = add.evaluate(cfg, counts);
+        c.func = mergerTreeUnionCount(cfg, counts);
         // Fold the collision cross-check into the comparison: a
         // survivor match with a collision mismatch must still fail.
-        if (collided != static_cast<int>(add.collisions()))
-            c.func = -1000 - static_cast<int>(add.collisions());
+        const int lost = mergerTreeCollisionLoss(cfg, counts);
+        if (collided != lost)
+            c.func = -1000 - lost;
         return c;
     });
     for (const DiffCase &c : cases)
@@ -339,9 +336,7 @@ TEST(Differential, CountingTreeBoundedByDepthRounding)
         }
         nl.queue().run();
         c.pulse = static_cast<int>(out.count());
-        Netlist fnl;
-        c.func = fnl.create<func::TreeCountingNetwork>("net", m)
-                     .evaluate(counts);
+        c.func = treeNetworkCount(counts); // reduces counts in place
         return c;
     });
     for (const DiffCase &c : cases) {
@@ -382,17 +377,11 @@ TEST(Differential, PnmCountsExact)
         clk.program(kTclk, kTclk, 1ULL << static_cast<unsigned>(c.bits));
         nl.queue().run();
         c.pulse = static_cast<int>(stream.count());
-
-        Netlist fnl;
-        if (uniform) {
-            auto &fpnm = fnl.create<func::UniformPnm>("pnm", c.bits);
-            fpnm.program(value);
-            c.func = fpnm.count();
-        } else {
-            auto &fpnm = fnl.create<func::ClassicPnm>("pnm", c.bits);
-            fpnm.program(value);
-            c.func = fpnm.count();
-        }
+        // The uniform PNM's divider-chain layout carries one pulse per
+        // slot; the classic PNM's bursts, exactly the programmed value.
+        c.func = uniform ? static_cast<long long>(
+                               uniformPnmSlots(c.bits, value).size())
+                         : value;
         return c;
     });
     for (const DiffCase &c : cases)
@@ -430,10 +419,7 @@ TEST(Differential, UniformPnmSlotLayoutExact)
         std::vector<int> slots;
         for (Tick t : stream.times())
             slots.push_back(static_cast<int>(t / kTclk - 2));
-        Netlist fnl;
-        auto &fpnm = fnl.create<func::UniformPnm>("pnm", c.bits);
-        fpnm.program(value);
-        c.pulse = slots == fpnm.slots() ? 1 : 0;
+        c.pulse = slots == uniformPnmSlots(c.bits, value) ? 1 : 0;
         c.func = 1;
         return c;
     });
@@ -452,9 +438,7 @@ TEST(Differential, ProcessingElementWithinOneSlot)
         const int in3 = static_cast<int>(rng.uniformInt(0, cfg.nmax()));
         c.operands = {in1, in2, in3};
         c.pulse = runPulsePe(cfg, in1, in2, in3);
-        Netlist nl;
-        c.func = nl.create<func::ProcessingElement>("pe", cfg)
-                     .evaluate(in1, in2, in3);
+        c.func = peExpectedSlot(cfg, in1, in2, in3);
         return c;
     });
     for (const DiffCase &c : cases)
@@ -476,9 +460,7 @@ dpuCase(Rng &rng, DpuMode mode)
     c.operands = streams;
     c.operands.insert(c.operands.end(), ids.begin(), ids.end());
     c.pulse = runPulseDpu(cfg, mode, streams, ids);
-    Netlist nl;
-    c.func = nl.create<func::DotProductUnit>("dpu", length, mode)
-                 .evaluate(cfg, streams, ids);
+    c.func = dpuExpectedCount(cfg, mode, streams, ids);
     return c;
 }
 

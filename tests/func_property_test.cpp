@@ -1,12 +1,13 @@
 /**
  * @file
- * Algebraic property tests of the stream-level functional backend
- * (src/func/): the laws the paper's unary arithmetic promises --
- * commutativity, monotonicity, linearity, superposition -- plus the
- * encode/decode round-trip identities of the packed PulseStream.
+ * Algebraic property tests of the functional engine's counting
+ * kernels (core/encoding.hh, core/fir.hh): the laws the paper's unary
+ * arithmetic promises -- commutativity, monotonicity, linearity,
+ * superposition -- plus the encode/decode round-trip identities of the
+ * packed PulseStream (src/func/stream.hh).
  *
  * These are pure-model tests (no event queue): together with
- * differential_test.cpp (which locks the models to the pulse-level
+ * differential_test.cpp (which locks the kernels to the pulse-level
  * netlists) they freeze the functional backend's semantics.
  */
 
@@ -14,19 +15,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "core/dpu.hh"
 #include "core/encoding.hh"
 #include "core/fir.hh"
-#include "func/components.hh"
 #include "func/stream.hh"
-#include "sim/netlist.hh"
 #include "util/random.hh"
 
 namespace usfq
 {
 namespace
 {
+
+/** treeNetworkCount on a copy: the kernel reduces its input in place. */
+int
+treeCountOf(std::vector<int> counts)
+{
+    return treeNetworkCount(counts);
+}
 
 // --- multiplier commutativity ------------------------------------------------
 
@@ -36,12 +44,10 @@ TEST(FuncProperty, UnipolarMultiplyCommutes)
     // and RL operands cannot change the product.  Exhaustive to 5 bits.
     for (int bits = 1; bits <= 5; ++bits) {
         const EpochConfig cfg(bits);
-        Netlist nl;
-        auto &mult = nl.create<func::UnipolarMultiplier>("m");
         for (int n = 0; n <= cfg.nmax(); ++n)
             for (int id = 0; id <= cfg.nmax(); ++id)
-                EXPECT_EQ(mult.evaluate(cfg, n, id),
-                          mult.evaluate(cfg, id, n))
+                EXPECT_EQ(unipolarProductCount(cfg, n, id),
+                          unipolarProductCount(cfg, id, n))
                     << "bits=" << bits << " n=" << n << " id=" << id;
     }
 }
@@ -49,11 +55,9 @@ TEST(FuncProperty, UnipolarMultiplyCommutes)
 TEST(FuncProperty, UnipolarProductBoundedByOperands)
 {
     const EpochConfig cfg(6);
-    Netlist nl;
-    auto &mult = nl.create<func::UnipolarMultiplier>("m");
     for (int n = 0; n <= cfg.nmax(); ++n)
         for (int id = 0; id <= cfg.nmax(); ++id) {
-            const int p = mult.evaluate(cfg, n, id);
+            const int p = unipolarProductCount(cfg, n, id);
             EXPECT_LE(p, std::min(n, id));
             EXPECT_GE(p, 0);
         }
@@ -67,16 +71,14 @@ TEST(FuncProperty, CountingTreeMonotone)
     Rng rng(0xfadedu);
     for (int trial = 0; trial < 400; ++trial) {
         const int m = 1 << rng.uniformInt(1, 4); // 2..16
-        Netlist nl;
-        auto &net = nl.create<func::TreeCountingNetwork>("net", m);
         std::vector<int> counts;
         for (int i = 0; i < m; ++i)
             counts.push_back(static_cast<int>(rng.uniformInt(0, 32)));
-        const int base = net.evaluate(counts);
+        const int base = treeCountOf(counts);
         const std::size_t bump =
             static_cast<std::size_t>(rng.uniformInt(0, m - 1));
         counts[bump] += 1;
-        EXPECT_GE(net.evaluate(counts), base)
+        EXPECT_GE(treeCountOf(counts), base)
             << "m=" << m << " bumped input " << bump;
     }
 }
@@ -88,21 +90,19 @@ TEST(FuncProperty, CountingTreeAveragesWithinDepthRounding)
     Rng rng(0xbeadu);
     for (int trial = 0; trial < 400; ++trial) {
         const int m = 1 << rng.uniformInt(1, 4);
-        Netlist nl;
-        auto &net = nl.create<func::TreeCountingNetwork>("net", m);
         std::vector<int> counts;
         int sum = 0;
         for (int i = 0; i < m; ++i) {
             counts.push_back(static_cast<int>(rng.uniformInt(0, 32)));
             sum += counts.back();
         }
-        const double out = net.evaluate(counts);
+        const double out = treeCountOf(counts);
         EXPECT_GE(out, std::floor(static_cast<double>(sum) / m));
         EXPECT_LE(out, static_cast<double>(sum) / m +
                            std::log2(static_cast<double>(m)));
 
         const int a = static_cast<int>(rng.uniformInt(0, 32));
-        EXPECT_EQ(net.evaluate(std::vector<int>(
+        EXPECT_EQ(treeCountOf(std::vector<int>(
                       static_cast<std::size_t>(m), a)),
                   a);
     }
@@ -143,23 +143,48 @@ TEST(FuncProperty, UniformPnmLinearOverDisjointBits)
 
 // --- FIR superposition --------------------------------------------------------
 
+/**
+ * The error-free FIR on the counting kernels: coefficient counts
+ * @p h_counts, one decoded output sample per input sample.
+ */
+std::vector<double>
+kernelFilter(const UsfqFirConfig &cfg, std::span<const int> h_counts,
+             const std::vector<double> &x)
+{
+    const EpochConfig epoch(cfg.bits, cfg.clockPeriod());
+    int padded = 2;
+    while (padded < cfg.taps)
+        padded <<= 1;
+    std::vector<int> window(h_counts.size(), epoch.rlIdOfBipolar(0.0));
+    std::vector<double> y;
+    for (double xn : x) {
+        std::copy_backward(window.begin(), window.end() - 1, window.end());
+        window[0] = epoch.rlIdOfBipolar(xn);
+        const int count = firStepCount(epoch, cfg.mode, h_counts, window);
+        y.push_back(DotProductUnit::decode(epoch, cfg.mode, cfg.taps,
+                                           padded,
+                                           static_cast<std::size_t>(count)));
+    }
+    return y;
+}
+
 TEST(FuncProperty, FirSuperpositionWithinQuantization)
 {
     // The unary FIR is linear up to quantization: filtering x1 + x2
     // equals the sum of the filtered parts within the operand/product
     // rounding budget (each tap's RL quantization and product floor,
     // plus the counting tree's per-level ceilings).
-    UsfqFirConfig cfg;
+    UsfqFirConfig cfg; // bipolar
     cfg.taps = 4;
     cfg.bits = 10;
-    Netlist nl;
-    auto &fir = nl.create<func::UsfqFir>("fir", cfg);
+    const EpochConfig epoch(cfg.bits, cfg.clockPeriod());
     const double h[4] = {0.5, 0.25, 0.125, 0.0625};
+    int h_counts[4];
     for (int k = 0; k < 4; ++k)
-        fir.setCoefficient(k, h[k]);
+        h_counts[k] = firCoefficientCount(epoch, cfg.mode, h[k]);
 
     Rng rng(0x50f7u);
-    const int nmax = fir.epochConfig().nmax();
+    const int nmax = epoch.nmax();
     const double tol = 4.0 * (cfg.taps + 4) / nmax;
     for (int trial = 0; trial < 50; ++trial) {
         std::vector<double> x1, x2, sum;
@@ -170,9 +195,9 @@ TEST(FuncProperty, FirSuperpositionWithinQuantization)
             x2.push_back(b);
             sum.push_back(a + b);
         }
-        const auto y1 = fir.filter(x1);
-        const auto y2 = fir.filter(x2);
-        const auto ysum = fir.filter(sum);
+        const auto y1 = kernelFilter(cfg, h_counts, x1);
+        const auto y2 = kernelFilter(cfg, h_counts, x2);
+        const auto ysum = kernelFilter(cfg, h_counts, sum);
         for (std::size_t i = 0; i < ysum.size(); ++i)
             EXPECT_NEAR(ysum[i], y1[i] + y2[i], tol)
                 << "trial=" << trial << " sample=" << i;
@@ -276,50 +301,6 @@ TEST(FuncProperty, PulseStreamUnionMatchesMergerModel)
                 << "bits=" << bits << " trial=" << trial;
         }
     }
-}
-
-// --- small functional blocks --------------------------------------------------
-
-TEST(FuncProperty, RaceLogicMinMax)
-{
-    Netlist nl;
-    auto &first = nl.create<func::FirstArrival>("min");
-    auto &last = nl.create<func::LastArrival>("max");
-    Rng rng(0x3a3au);
-    for (int trial = 0; trial < 200; ++trial) {
-        std::vector<int> ids;
-        for (int i = 0; i < 4; ++i)
-            ids.push_back(static_cast<int>(rng.uniformInt(0, 63)));
-        EXPECT_EQ(first.evaluate(ids),
-                  *std::min_element(ids.begin(), ids.end()));
-        EXPECT_EQ(last.evaluate(ids),
-                  *std::max_element(ids.begin(), ids.end()));
-    }
-}
-
-TEST(FuncProperty, IntegratorClampsAndConverts)
-{
-    const EpochConfig cfg(4);
-    Netlist nl;
-    auto &integ = nl.create<func::PulseToRlIntegrator>("i", cfg);
-    integ.accumulate(10);
-    EXPECT_EQ(integ.pendingCount(), 10);
-    integ.accumulate(100); // far past nmax: must clamp
-    EXPECT_EQ(integ.pendingCount(), cfg.nmax());
-    EXPECT_EQ(integ.epoch(), cfg.nmax());
-    EXPECT_EQ(integ.pendingCount(), 0); // the marker restarts it
-}
-
-TEST(FuncProperty, IntegratorBufferDelaysOneEpoch)
-{
-    Netlist nl;
-    auto &buf =
-        nl.create<func::IntegratorBuffer>("b", 100 * kPicosecond);
-    EXPECT_EQ(buf.push(7), 0); // initial held value
-    EXPECT_EQ(buf.push(3), 7);
-    EXPECT_EQ(buf.push(12), 3);
-    buf.reset();
-    EXPECT_EQ(buf.push(5), 0);
 }
 
 // --- tail-bit invariant ------------------------------------------------------

@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "core/adder.hh"
+#include "core/dpu.hh"
 #include "core/encoding.hh"
 #include "core/fir.hh"
 #include "core/multiplier.hh"
 #include "core/pnm.hh"
-#include "func/components.hh"
 #include "gen/balance.hh"
 #include "gen/datapath.hh"
 #include "gen/functional.hh"
@@ -389,12 +389,12 @@ TEST(GoldenTrace, GenRegisterBalancer)
 
 // --- functional-backend goldens ---------------------------------------------
 //
-// The src/func/ engine has no pulse times to freeze, so its goldens
-// pin integer epoch results instead: the channel "times" are output
-// pulse counts (and JJ figures), one entry per design point.  Both
-// scenarios mirror the pinned fig16/fig19 bench runs and are evaluated
-// through a Backend::Functional sweep, so the goldens also cover the
-// backend plumbing end to end.
+// The functional engine has no pulse times to freeze, so its goldens
+// pin integer epoch results of its counting kernels instead: the
+// channel "times" are output pulse counts (and closed-form JJ figures),
+// one entry per design point.  Both scenarios mirror pinned fig16/fig19
+// runs and are evaluated through a Backend::Functional sweep, so the
+// goldens also cover the backend plumbing end to end.
 
 TEST(GoldenTrace, FunctionalDpuFig16Pinned)
 {
@@ -408,16 +408,14 @@ TEST(GoldenTrace, FunctionalDpuFig16Pinned)
             EXPECT_EQ(ctx.backend, Backend::Functional);
             const int t = taps[ctx.index];
             const EpochConfig cfg(8);
-            Netlist nl;
-            auto &dpu = nl.create<func::DotProductUnit>(
-                "dpu", t, DpuMode::Bipolar);
             std::vector<int> streams, rls;
             for (int i = 0; i < t; ++i) {
                 streams.push_back((i * 37 + 11) % (cfg.nmax() + 1));
                 rls.push_back((i * 53 + 7) % (cfg.nmax() + 1));
             }
             return std::pair<Tick, Tick>(
-                dpu.evaluate(cfg, streams, rls), dpu.jjCount());
+                dpuExpectedCount(cfg, DpuMode::Bipolar, streams, rls),
+                DotProductUnit::jjsFor(t, DpuMode::Bipolar));
         },
         opt);
 
@@ -451,10 +449,10 @@ TEST(GoldenTrace, FunctionalFirFig19Pinned)
     const auto counts = runSweep(
         1,
         [&](const ShardContext &) {
-            Netlist nl;
-            auto &fir = nl.create<func::UsfqFir>("fir", cfg);
-            for (int k = 0; k < taps; ++k)
-                fir.setCoefficient(k, h[static_cast<std::size_t>(k)]);
+            std::vector<int> h_counts;
+            for (double hk : h)
+                h_counts.push_back(
+                    firCoefficientCount(ecfg, cfg.mode, hk));
             std::vector<Tick> out;
             std::vector<int> window;
             for (double sample : x) {
@@ -462,7 +460,8 @@ TEST(GoldenTrace, FunctionalFirFig19Pinned)
                               ecfg.rlIdOfUnipolar(sample));
                 if (static_cast<int>(window.size()) > taps)
                     window.pop_back();
-                out.push_back(fir.stepCount(window));
+                out.push_back(
+                    firStepCount(ecfg, cfg.mode, h_counts, window));
             }
             return out;
         },
